@@ -39,6 +39,7 @@ const DETERMINISTIC_COUNTERS: &[&str] = &[
     "lp.bland_activations",
     "lp.refactorizations",
     "lp.dual_restarts",
+    "lp.restart_abandoned",
     "lp.pricing_candidates",
     "lp.pricing_rescans",
     "lp.presolve_removed_cols",

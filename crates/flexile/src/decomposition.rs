@@ -77,12 +77,13 @@ pub struct FlexileOptions {
     /// this. Deliberately generous: a template is small next to the
     /// scenario set itself.
     pub basis_residency: usize,
-    /// Watchdog deadline for each subproblem's warm fast path: a warm
-    /// restart that exceeds it is abandoned, its basis quarantined, and the
-    /// solve cold-restarted through the `solve_robust` ladder (whose Bland
-    /// rung terminates provably). `None` (default) disables the watchdog
-    /// and preserves exact bit-reproducibility; with it armed, outcomes can
-    /// depend on wall clock.
+    /// Watchdog deadline for each subproblem's warm fast path, a
+    /// wall-clock backstop behind the LP layer's deterministic restart
+    /// pivot cap: a warm restart that exceeds it is abandoned, its basis
+    /// quarantined, and the solve cold-restarted through the `solve_robust`
+    /// ladder (whose Bland rung terminates provably). `None` (default)
+    /// disables the watchdog and preserves exact bit-reproducibility; with
+    /// it armed, outcomes can depend on wall clock.
     pub watchdog: Option<Duration>,
     /// Maximum scenarios per shared-factorization batch unit under
     /// [`PoolPolicy::PerScenario`]: consecutive warm same-demand-factor

@@ -28,8 +28,8 @@
 //! shared-dual-space cross cut (22).
 
 use flexile_lp::{
-    solve_robust, Basis, LpError, Model, RestartKind, RobustOptions, RowId, Sense, Solution,
-    SolveBudget, SolveScratch, VarId,
+    solve_robust, Basis, LpError, Model, RestartKind, RobustOptions, RowId, Sense,
+    SimplexOptions, Solution, SolveBudget, SolveScratch, VarId,
 };
 use flexile_scenario::Scenario;
 use flexile_traffic::Instance;
@@ -227,14 +227,15 @@ impl SubproblemTemplate {
     /// [`Self::solve_with_stats`] with an optional **watchdog deadline** on
     /// the warm fast path.
     ///
-    /// The only rung that can stall unboundedly in wall-clock terms is the
-    /// warm dual-restart (a pathological basis chain can cycle through
-    /// near-degenerate pivots); the cold ladder ends in a Bland-rule rung
-    /// with a termination guarantee. So the watchdog arms a deadline on the
-    /// warm path only: if it expires, the saved basis is quarantined
-    /// (dropped), `flexile.watchdog_restart` is counted, and the solve
-    /// cold-restarts through the full [`solve_robust`] ladder with no
-    /// deadline. `None` preserves the exact historical behavior.
+    /// The warm dual restart is bounded by pivots, not time: the LP layer
+    /// abandons a repair past `rows + cols` dual pivots and finishes with
+    /// the cold solve (`lp.restart_abandoned`), and the cold ladder ends in
+    /// a Bland-rule rung with a termination guarantee. The watchdog is a
+    /// wall-clock backstop on top of that bound, armed on the warm path
+    /// only: if it expires, the saved basis is quarantined (dropped),
+    /// `flexile.watchdog_restart` is counted, and the solve cold-restarts
+    /// through the full [`solve_robust`] ladder with no deadline. `None`
+    /// leaves the pivot cap as the only bound.
     ///
     /// Note the watchdog makes solve outcomes wall-clock dependent, so
     /// bit-identity guarantees (across runs, and for checkpoint resume)
@@ -272,11 +273,11 @@ impl SubproblemTemplate {
         // the watchdog deadline (the cold ladder below runs deadline-free —
         // its Bland rung terminates provably).
         let first = self.warm.as_ref().map(|warm| {
-            let warm_budget = match watchdog {
-                Some(w) => rb.budget.and_timeout(w),
-                None => rb.budget,
+            let opts = SimplexOptions {
+                deadline: watchdog.map(|w| std::time::Instant::now() + w),
+                ..Self::warm_simplex_options()
             };
-            self.model.solve_rhs_restart_with(&warm_budget.simplex_options(), warm, scratch)
+            self.model.solve_rhs_restart_with(&opts, warm, scratch)
         });
         let (sol, stats) = self.resolve_outcome(first, watchdog, &rb)?;
         Ok(self.commit(sol, stats, z, &cap_arc))
@@ -343,9 +344,9 @@ impl SubproblemTemplate {
                 };
                 Ok((sol, stats))
             }
-            // Retryable failures escalate through the full ladder
+            // A numerical failure escalates through the full ladder
             // (which retries the warm basis first, then colder modes).
-            Some(Err(LpError::Numerical(_) | LpError::IterationLimit)) => {
+            Some(Err(LpError::Numerical(_))) => {
                 let out = solve_robust(&self.model, rb, self.warm.as_ref());
                 let iterations = out.report.total_iterations();
                 Ok((out.result?, SolveStats { iterations, ..Default::default() }))
@@ -364,14 +365,18 @@ impl SubproblemTemplate {
                     SolveStats { iterations, watchdog_restart: true, ..Default::default() },
                 ))
             }
-            // Verdicts about the model (infeasible, unbounded) and
-            // deadline exhaustion are terminal.
-            Some(Err(e)) => Err(e),
-            None => {
+            // No warm basis, or the warm path ran out of iterations: the
+            // same basis under the same budget would only repeat the
+            // runaway, so drop it and solve cold.
+            Some(Err(LpError::IterationLimit)) | None => {
+                self.warm = None;
                 let out = solve_robust(&self.model, rb, None);
                 let iterations = out.report.total_iterations();
                 Ok((out.result?, SolveStats { iterations, ..Default::default() }))
             }
+            // Verdicts about the model (infeasible, unbounded) and
+            // deadline exhaustion are terminal.
+            Some(Err(e)) => Err(e),
         }
     }
 
@@ -443,8 +448,13 @@ impl SubproblemTemplate {
     /// The simplex options of the (watchdog-free) warm fast path. The
     /// batch kernel must run under exactly the options the scalar restart
     /// would, or the solves stop being comparable bit-for-bit.
-    pub(crate) fn warm_simplex_options() -> flexile_lp::SimplexOptions {
-        Self::robust_opts().budget.simplex_options()
+    ///
+    /// Presolve follows the ladder's setting, so a restart the LP layer
+    /// abandons for a cold solve produces the same duals as the ladder's
+    /// cold rungs.
+    pub(crate) fn warm_simplex_options() -> SimplexOptions {
+        let rb = Self::robust_opts();
+        SimplexOptions { presolve: rb.presolve, ..rb.budget.simplex_options() }
     }
 
     /// The template's model, used as the shared execution engine when this

@@ -12,8 +12,9 @@
 //!   `flexile.dual_restart` counters and the `flexile.subproblem_wait`
 //!   histogram, and stays purely observational.
 //!
-//! The obs sink is process-global; tests that toggle it serialize on a
-//! mutex.
+//! The obs sink is process-global, so every test that solves serializes on
+//! a mutex: a solve running beside a traced test would add to its
+//! counters.
 
 use flexile_core::subproblem::SubproblemTemplate;
 use flexile_core::{solve_flexile, FlexileDesign, FlexileOptions, PoolPolicy};
@@ -89,6 +90,7 @@ fn design_bits(d: &FlexileDesign) -> (u64, Vec<Vec<bool>>, Vec<u64>, Vec<u64>) {
 
 #[test]
 fn pool_output_identical_across_thread_counts_fig1() {
+    let _g = exclusive();
     let (inst, set) = fig1_setup();
     let mut reference = None;
     for threads in [1, 2, 8] {
@@ -103,6 +105,7 @@ fn pool_output_identical_across_thread_counts_fig1() {
 
 #[test]
 fn pool_output_identical_across_thread_counts_sprint() {
+    let _g = exclusive();
     let (inst, set) = sprint_setup();
     let mut reference = None;
     for threads in [1, 2, 8] {
@@ -117,6 +120,7 @@ fn pool_output_identical_across_thread_counts_sprint() {
 
 #[test]
 fn pool_output_identical_across_repeated_runs() {
+    let _g = exclusive();
     let (inst, set) = sprint_setup();
     let opts = FlexileOptions { threads: 8, max_iterations: 3, ..Default::default() };
     let first = design_bits(&solve_flexile(&inst, &set, &opts));
@@ -126,6 +130,7 @@ fn pool_output_identical_across_repeated_runs() {
 
 #[test]
 fn gamma_variant_deterministic_across_threads() {
+    let _g = exclusive();
     // The per-scenario pool also caches the γ-variant templates; determinism
     // must hold there too.
     let (inst, set) = fig1_setup();
@@ -155,6 +160,7 @@ fn z_trace(nf: usize) -> Vec<Vec<bool>> {
 
 #[test]
 fn warm_restart_matches_cold_solves() {
+    let _g = exclusive();
     let (inst, set) = sprint_setup();
     let nf = inst.num_flows();
     let trace = z_trace(nf);
@@ -317,6 +323,7 @@ fn batched_pool_bit_identical_to_scalar() {
 
 #[test]
 fn legacy_and_cold_policies_still_solve() {
+    let _g = exclusive();
     let (inst, set) = fig1_setup();
     for pool in [PoolPolicy::LegacyStriped, PoolPolicy::Cold] {
         let opts = FlexileOptions { pool, ..Default::default() };

@@ -121,12 +121,14 @@ enum Presolved {
 
 /// Presolve + solve + postsolve. Returns `Ok(None)` when presolve found
 /// nothing useful (the caller then runs the ordinary path on the original
-/// model). Exactly one fault-injection poll happens per call, matching the
-/// one-poll-per-attempt contract of the plain solve path.
+/// model). With `poll`, exactly one fault-injection poll happens per call,
+/// matching the one-poll-per-attempt contract of the plain solve path;
+/// without it, none (the caller's attempt already polled).
 pub(crate) fn try_solve_presolved(
     model: &Model,
     opts: &SimplexOptions,
     refactor_every: usize,
+    poll: bool,
 ) -> Result<Option<Solution>, LpError> {
     // Malformed bounds are left to the main path so the error (and the
     // fault-poll sequence) is byte-identical with presolve disabled.
@@ -135,8 +137,8 @@ pub(crate) fn try_solve_presolved(
             return Ok(None);
         }
     }
-    let poll = || -> Result<(), LpError> {
-        match crate::fault::poll() {
+    let fault = || -> Result<(), LpError> {
+        match poll.then(crate::fault::poll).flatten() {
             Some(kind) => Err(kind.to_error()),
             None => Ok(()),
         }
@@ -144,22 +146,22 @@ pub(crate) fn try_solve_presolved(
     match reduce(model)? {
         Presolved::Unreduced => Ok(None),
         Presolved::Infeasible => {
-            poll()?;
+            fault()?;
             Err(LpError::Infeasible)
         }
         Presolved::Unbounded => {
-            poll()?;
+            fault()?;
             Err(LpError::Unbounded)
         }
         Presolved::Solved(red) => {
-            poll()?;
+            fault()?;
             red.observe();
             Ok(Some(red.postsolve(model, None)))
         }
         Presolved::Reduced(red) => {
             red.observe();
             let inner = SimplexOptions { presolve: false, ..*opts };
-            let rsol = crate::simplex::solve_reduced(&red.reduced, &inner, refactor_every)?;
+            let rsol = crate::simplex::solve_reduced(&red.reduced, &inner, refactor_every, poll)?;
             Ok(Some(red.postsolve(model, Some(rsol))))
         }
     }

@@ -39,6 +39,12 @@
 //!   possibly different RHS/bounds/objective). If the saved basis is not
 //!   primal feasible for the new data the solver silently falls back to a
 //!   cold start, so warm starting is always safe.
+//! * A warm dual-simplex repair may spend at most `rows + cols` pivots
+//!   ([`restart_pivot_cap`]), about what a cold solve of the same model
+//!   costs. Past the cap the basis is dropped (`lp.restart_abandoned`) and
+//!   the call finishes with exactly the cold solve [`solve`] would run, so
+//!   no restart costs more than a bounded multiple of a cold solve and the
+//!   rule is a deterministic function of the input.
 
 use crate::basis::{make_engine, BasisEngine, EngineKind};
 use crate::error::LpError;
@@ -56,6 +62,27 @@ const PIVOT_TOL: f64 = 5e-8;
 const DEGEN_SWITCH: usize = 60;
 /// Pivots between basis refactorizations (default; halved in safe mode).
 const REFACTOR_EVERY: usize = 60;
+
+#[cfg(test)]
+thread_local! {
+    /// Test-only override of [`restart_pivot_cap`], so unit tests can make
+    /// the cap bind on models small enough to check by hand.
+    static RESTART_CAP_OVERRIDE: std::cell::Cell<Option<usize>> =
+        const { std::cell::Cell::new(None) };
+}
+
+/// Dual pivots a warm restart of an `m`-row, `n`-column model may spend
+/// before it is abandoned for a cold solve. A cold solve of the same model
+/// typically needs well under `n + m` pivots, so the cap never binds on a
+/// healthy restart and bounds a runaway one (a long chain of
+/// near-degenerate dual pivots) at about the cost of that cold solve.
+fn restart_pivot_cap(n: usize, m: usize) -> usize {
+    #[cfg(test)]
+    if let Some(cap) = RESTART_CAP_OVERRIDE.with(|c| c.get()) {
+        return cap;
+    }
+    n + m
+}
 
 /// Solver status of a completed run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -220,8 +247,8 @@ pub enum RestartKind {
     /// it from the saved (still dual-feasible) basis.
     DualRestart,
     /// The saved basis could not be used (shape mismatch, singular
-    /// refactorization, or the dual repair gave up); a cold two-phase solve
-    /// produced the solution.
+    /// refactorization, or the dual repair gave up or passed its pivot
+    /// cap); a cold two-phase solve produced the solution.
     Cold,
 }
 
@@ -1405,20 +1432,38 @@ fn solve_attempt(
     warm: Option<&Basis>,
     refactor_every: usize,
 ) -> Result<Solution, LpError> {
-    // Presolve hook: cold solves only (a warm basis addresses the full
-    // column space) and never on the Bland-safe path, which must run the
-    // textbook algorithm unmodified. Exactly one fault-injection poll
-    // happens per attempt either way: `try_solve_presolved` polls (directly
-    // for terminal presolve outcomes, via the inner reduced solve
-    // otherwise), and when it declines with `None` the poll happens in
-    // `solve_attempt_traced` below.
-    if opts.presolve && warm.is_none() && !opts.force_bland {
-        if let Some(sol) = crate::presolve::try_solve_presolved(model, opts, refactor_every)? {
+    let mut scratch = SolveScratch::new();
+    match warm {
+        None => solve_cold(model, opts, refactor_every, &mut scratch, true),
+        Some(_) => {
+            solve_attempt_traced(model, opts, warm, refactor_every, false, &mut scratch, true)
+                .map(|(sol, _)| sol)
+        }
+    }
+}
+
+/// One cold attempt: presolve when enabled, then the two-phase simplex from
+/// the all-slack basis. Presolve runs on cold solves only (a warm basis
+/// addresses the full column space) and never on the Bland-safe path, which
+/// must run the textbook algorithm unmodified. With `poll`, exactly one
+/// fault-injection poll happens either way: `try_solve_presolved` polls
+/// (directly for terminal presolve outcomes, via the inner reduced solve
+/// otherwise), and when it declines with `None` the poll happens in
+/// `solve_attempt_traced` below. An abandoned warm restart finishes here
+/// with `poll` off, its attempt having polled already.
+fn solve_cold(
+    model: &Model,
+    opts: &SimplexOptions,
+    refactor_every: usize,
+    scratch: &mut SolveScratch,
+    poll: bool,
+) -> Result<Solution, LpError> {
+    if opts.presolve && !opts.force_bland {
+        if let Some(sol) = crate::presolve::try_solve_presolved(model, opts, refactor_every, poll)? {
             return Ok(sol);
         }
     }
-    let mut scratch = SolveScratch::new();
-    solve_attempt_traced(model, opts, warm, refactor_every, false, &mut scratch, true)
+    solve_attempt_traced(model, opts, None, refactor_every, false, scratch, poll)
         .map(|(sol, _)| sol)
 }
 
@@ -1428,9 +1473,10 @@ pub(crate) fn solve_reduced(
     model: &Model,
     opts: &SimplexOptions,
     refactor_every: usize,
+    poll: bool,
 ) -> Result<Solution, LpError> {
     let mut scratch = SolveScratch::new();
-    solve_attempt_traced(model, opts, None, refactor_every, false, &mut scratch, true)
+    solve_attempt_traced(model, opts, None, refactor_every, false, &mut scratch, poll)
         .map(|(sol, _)| sol)
 }
 
@@ -1559,26 +1605,47 @@ fn solve_attempt_traced(
                     if rhs_only || dual_feasible(&mut w, &cost_now) {
                         flexile_obs::add("lp.dual_restarts", 1);
                         let dual_from = total_iters;
-                        match run_dual_phase(
+                        // The repair runs under the restart cap; whatever it
+                        // spends also comes out of the attempt's budget.
+                        let cap = restart_pivot_cap(n, m);
+                        let capped = cap < budget;
+                        let mut dual_budget = budget.min(cap);
+                        let end = run_dual_phase(
                             &mut w,
                             &cost_now,
-                            &mut budget,
+                            &mut dual_budget,
                             &mut total_iters,
                             refactor_every,
                             ctl,
                             scratch,
-                        ) {
+                        );
+                        let spent = total_iters - dual_from;
+                        budget -= spent;
+                        match end {
                             Ok(DualEnd::Feasible) => {
                                 warm_ok = true;
                                 restart_kind = RestartKind::DualRestart;
                             }
                             Ok(DualEnd::PrimalInfeasible) => return Err(LpError::Infeasible),
+                            Ok(DualEnd::IterLimit) if capped => {
+                                // Runaway repair: drop the basis and finish
+                                // with the cold solve `solve` would run.
+                                flexile_obs::add("lp.pivots.dual", spent as u64);
+                                flexile_obs::add("lp.restart_abandoned", 1);
+                                flexile_obs::add("lp.warm.miss", 1);
+                                solve_span.set("abandoned", spent);
+                                drop(solve_span);
+                                let mut sol =
+                                    solve_cold(model, opts, refactor_every, scratch, false)?;
+                                sol.iterations += spent;
+                                return Ok((sol, RestartKind::Cold));
+                            }
                             Ok(DualEnd::IterLimit) => {}
                             // A cold start cannot beat an expired clock.
                             Err(e @ LpError::DeadlineExceeded) => return Err(e),
                             Err(_) => {} // fall back to a cold start
                         }
-                        flexile_obs::add("lp.pivots.dual", (total_iters - dual_from) as u64);
+                        flexile_obs::add("lp.pivots.dual", spent as u64);
                     }
                 }
             }
@@ -2053,6 +2120,97 @@ mod tests {
         m.set_rhs(r1, 4.0);
         let res = m.solve_rhs_restart(&crate::SimplexOptions::default(), &s1.basis);
         assert!(matches!(res, Err(crate::LpError::Infeasible)), "{res:?}");
+    }
+
+    /// Packing LP `max c·x, A x ≤ b, x ≥ 0` with its rows; deterministic
+    /// coefficients from an LCG, dense enough that a deep RHS cut needs a
+    /// chain of dual pivots to repair.
+    fn packing_lp() -> (Model, Vec<crate::model::RowId>) {
+        let mut state = 0x2545_F491_4F6C_DD1D_u64;
+        let mut next = move |lo: f64, hi: f64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            lo + (hi - lo) * ((state >> 11) as f64 / (1u64 << 53) as f64)
+        };
+        let mut m = Model::new(Sense::Max);
+        let vars: Vec<_> = (0..12)
+            .map(|j| m.add_var(&format!("x{j}"), 0.0, f64::INFINITY, next(1.0, 5.0)))
+            .collect();
+        let mut rows = Vec::new();
+        for _ in 0..9 {
+            let mut coeffs = Vec::new();
+            for &v in &vars {
+                if next(0.0, 1.0) < 0.6 {
+                    coeffs.push((v, next(0.5, 4.0)));
+                }
+            }
+            rows.push(m.add_row_le(&coeffs, next(20.0, 60.0)));
+        }
+        (m, rows)
+    }
+
+    fn with_restart_cap<T>(cap: Option<usize>, f: impl FnOnce() -> T) -> T {
+        super::RESTART_CAP_OVERRIDE.with(|c| c.set(cap));
+        let out = f();
+        super::RESTART_CAP_OVERRIDE.with(|c| c.set(None));
+        out
+    }
+
+    /// The packing LP after its warm solve, RHS cut deep, with the saved
+    /// basis and the least cap under which the restart still completes.
+    fn runaway_setup() -> (Model, super::Basis, usize) {
+        let (mut m, rows) = packing_lp();
+        let s1 = m.solve().unwrap();
+        for (i, &r) in rows.iter().enumerate() {
+            m.set_rhs(r, m.rhs_of(r) * if i % 2 == 0 { 0.15 } else { 0.6 });
+        }
+        let opts = crate::SimplexOptions::default();
+        let need = (0..=m.num_vars() + m.num_rows())
+            .find(|&cap| {
+                let (_, kind) =
+                    with_restart_cap(Some(cap), || m.solve_rhs_restart(&opts, &s1.basis).unwrap());
+                kind == super::RestartKind::DualRestart
+            })
+            .expect("the restart completes under the default cap");
+        (m, s1.basis, need)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn restart_past_cap_is_bitwise_the_cold_solve() {
+        let (m, warm, need) = runaway_setup();
+        assert!(need >= 3, "the cut must take a chain of dual pivots, took {need}");
+        let opts = crate::SimplexOptions::default();
+        let cold = crate::simplex::solve(&m, &opts, None).unwrap();
+        let (rhs_path, kind) =
+            with_restart_cap(Some(need - 1), || m.solve_rhs_restart(&opts, &warm).unwrap());
+        let general_path =
+            with_restart_cap(Some(need - 1), || m.solve_with(&opts, Some(&warm)).unwrap());
+        assert_eq!(kind, super::RestartKind::Cold);
+        for sol in [&rhs_path, &general_path] {
+            assert_eq!(bits(&sol.x), bits(&cold.x));
+            assert_eq!(bits(&sol.duals), bits(&cold.duals));
+            assert_eq!(sol.objective.to_bits(), cold.objective.to_bits());
+            assert_eq!(sol.basis.fingerprint(), cold.basis.fingerprint());
+            // The abandoned repair's pivots are still accounted.
+            assert_eq!(sol.iterations, cold.iterations + need - 1);
+        }
+    }
+
+    #[test]
+    fn restart_under_cap_keeps_its_pivots() {
+        let (m, warm, need) = runaway_setup();
+        let opts = crate::SimplexOptions::default();
+        let (free, free_kind) = m.solve_rhs_restart(&opts, &warm).unwrap();
+        let (capped, kind) =
+            with_restart_cap(Some(need), || m.solve_rhs_restart(&opts, &warm).unwrap());
+        assert_eq!(free_kind, super::RestartKind::DualRestart);
+        assert_eq!(kind, super::RestartKind::DualRestart);
+        assert_eq!(capped.iterations, free.iterations);
+        assert_eq!(bits(&capped.x), bits(&free.x));
+        assert_eq!(capped.basis.fingerprint(), free.basis.fingerprint());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Differential testing: the sparse LU basis engine against the dense
-//! explicit-inverse oracle on randomized bounded LPs.
+//! explicit-inverse oracle on randomized bounded LPs, and RHS-only warm
+//! restarts against cold solves.
 //!
 //! Every generated model is feasible by construction (the RHS is derived
 //! from a random interior point) and bounded (every variable is boxed), so
@@ -136,6 +137,39 @@ proptest! {
             wl.objective
         );
         prop_assert!(m.max_violation(&wl.x) <= 1e-7);
+    }
+
+    /// RHS-only restart against a cold solve after random RHS changes of
+    /// any size: whether the restart repairs the basis with dual pivots or
+    /// is abandoned past its pivot cap for a cold solve, it must reach the
+    /// cold optimum.
+    #[test]
+    fn rhs_restart_matches_cold_solve_after_random_rhs_change(seed in 0u64..100_000) {
+        let (mut m, rows) = random_lp(seed);
+        let lu = opts(EngineKind::SparseLu);
+        let first = m.solve_with(&lu, None).expect("feasible by construction");
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xca9);
+        let scale = [1e-3, 0.1, 1.0, 3.0][rng.random_range(0..4usize)];
+        for &r in &rows {
+            if rng.random_range(0.0..1.0) < 0.7 {
+                m.set_rhs(r, m.rhs_of(r) + scale * rng.random_range(-1.0..1.0));
+            }
+        }
+        let warm = m.solve_rhs_restart(&lu, &first.basis);
+        let cold = m.solve_with(&lu, None);
+        let (warm, cold) = match (warm, cold) {
+            (Ok((w, _)), Ok(c)) => (w, c),
+            (Err(LpError::Infeasible), Err(LpError::Infeasible)) => return Ok(()),
+            (w, c) => panic!("seed {seed}: restart {w:?} vs cold {c:?}"),
+        };
+        let tol = 1e-9 * (1.0 + cold.objective.abs());
+        prop_assert!(
+            (warm.objective - cold.objective).abs() <= tol,
+            "seed {seed}: restart objective {} vs cold {}",
+            warm.objective,
+            cold.objective
+        );
+        prop_assert!(m.max_violation(&warm.x) <= 1e-7);
     }
 }
 
