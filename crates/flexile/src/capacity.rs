@@ -48,18 +48,14 @@ pub struct AugmentResult {
     pub optimal: bool,
 }
 
-/// Find the cheapest capacity augmentation such that every class `k` can
-/// achieve `PercLoss_k ≤ targets[k]`. Returns `None` when infeasible even
-/// at the augmentation cap.
-pub fn augment_capacity(
+/// Build the augmentation MIP and its `δ` columns; `None` when some flow
+/// cannot be connected often enough even at the augmentation cap.
+fn augment_model(
     inst: &Instance,
     set: &ScenarioSet,
     targets: &[f64],
     cost: &AugmentCost,
-    time_limit: Duration,
-) -> Option<AugmentResult> {
-    assert_eq!(targets.len(), inst.num_classes());
-    assert_eq!(cost.unit.len(), inst.topo.num_links());
+) -> Option<(Model, Vec<VarId>)> {
     let nf = inst.num_flows();
     let nq = set.scenarios.len();
     let betas = crate::effective_betas(inst, set);
@@ -161,7 +157,22 @@ pub fn augment_capacity(
             m.add_row_le(&coeffs, inst.arc_capacity(a) * factor);
         }
     }
+    Some((m, delta))
+}
 
+/// Find the cheapest capacity augmentation such that every class `k` can
+/// achieve `PercLoss_k ≤ targets[k]`. Returns `None` when infeasible even
+/// at the augmentation cap.
+pub fn augment_capacity(
+    inst: &Instance,
+    set: &ScenarioSet,
+    targets: &[f64],
+    cost: &AugmentCost,
+    time_limit: Duration,
+) -> Option<AugmentResult> {
+    assert_eq!(targets.len(), inst.num_classes());
+    assert_eq!(cost.unit.len(), inst.topo.num_links());
+    let (m, delta) = augment_model(inst, set, targets, cost)?;
     let r = solve_mip(
         &m,
         &MipOptions { max_nodes: 20_000, time_limit, ..MipOptions::default() },
@@ -214,6 +225,19 @@ mod tests {
         )
         .expect("feasible with augmentation");
         assert!(r.cost > 0.1, "expected positive augmentation, got {}", r.cost);
+    }
+
+    #[test]
+    fn fixed_charge_augmentation_matches_brute_force() {
+        // The β = 0.995 case with a fixed charge per augmented link, over
+        // the no-failure and single-failure scenarios.
+        let mut inst = fig1_instance();
+        inst.classes[0].beta = 0.995;
+        let mut set = fig1_scenarios();
+        set.scenarios.truncate(4);
+        let cost = AugmentCost { fixed: Some(0.5), ..AugmentCost::uniform(3) };
+        let (m, _) = augment_model(&inst, &set, &[0.0], &cost).expect("connectable");
+        crate::mip_oracle::assert_solve_mip_matches(&m);
     }
 
     #[test]

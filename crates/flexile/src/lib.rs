@@ -45,6 +45,8 @@ pub mod dist;
 pub mod killpoints;
 pub mod lexicographic;
 pub mod master;
+#[cfg(test)]
+mod mip_oracle;
 pub mod model;
 pub mod online;
 pub(crate) mod pool;

@@ -15,7 +15,8 @@
 //! `Σ_k w_k α_k = Σ_k w_k max_q α_kq` dominates every per-scenario optimum.
 //!
 //! Two solving modes, chosen by size:
-//! * **exact** — branch and bound over the binary `z` (small instances);
+//! * **exact** — branch and bound over the binary `z` (small instances),
+//!   with warm node restarts and dives (see [`flexile_lp::solve_mip`]);
 //! * **LP + rounding** — solve the relaxation, then per flow greedily pick
 //!   the cheapest scenarios (by cut pressure, then probability) until the
 //!   coverage constraint holds; a local-improvement pass then tries
@@ -70,9 +71,11 @@ pub struct MasterOptions {
     pub exact_threshold: usize,
     /// Branch-and-bound budget for the exact mode.
     pub mip_time_limit: Duration,
-    /// LP presolve on the branch-and-bound node relaxations. On by
-    /// default; the decomposition's bit-identity tests toggle it to prove
-    /// the master's output does not depend on the reduction.
+    /// LP presolve on the branch-and-bound cold solves (the root
+    /// relaxation and the rounding heuristic; warm nodes and dives skip
+    /// it, see [`flexile_lp::MipOptions::presolve`]). On by default; the
+    /// decomposition's bit-identity tests toggle it to prove the master's
+    /// output does not depend on the reduction.
     pub presolve: bool,
 }
 
@@ -87,13 +90,11 @@ impl Default for MasterOptions {
     }
 }
 
-/// Solve the master problem: returns the proposed `z[f][q]` and the master
-/// lower bound on the penalty.
-///
-/// `allowed[f][q]` marks (connected) flow/scenario combinations that may be
-/// critical; `betas[k]` are the per-class coverage targets; `prev` is the
-/// previous iteration's `z` for the Hamming stabilizer.
-pub fn solve_master(
+/// Build the master model: `penalty` and the `z[f][q]` columns (binary
+/// when `exact`, in `[0, 1]` otherwise; `None` where not `allowed`) under
+/// the coverage, cut and Hamming rows.
+#[allow(clippy::too_many_arguments)]
+fn master_model(
     inst: &Instance,
     set: &ScenarioSet,
     pool: &CutPool,
@@ -101,10 +102,10 @@ pub fn solve_master(
     betas: &[f64],
     prev: &[Vec<bool>],
     opts: &MasterOptions,
-) -> (Vec<Vec<bool>>, f64) {
+    exact: bool,
+) -> (Model, Vec<Vec<Option<VarId>>>) {
     let nf = inst.num_flows();
     let nq = set.scenarios.len();
-    let exact = nf * nq <= opts.exact_threshold;
 
     // Per-arc capacities per scenario (cut evaluation needs them).
     let cap_arc: Vec<Vec<f64>> = set
@@ -185,6 +186,29 @@ pub fn solve_master(
         }
         m.add_row_le(&coeffs, opts.hamming_limit as f64 - ones as f64);
     }
+    (m, z)
+}
+
+/// Solve the master problem: returns the proposed `z[f][q]` and the master
+/// lower bound on the penalty.
+///
+/// `allowed[f][q]` marks (connected) flow/scenario combinations that may be
+/// critical; `betas[k]` are the per-class coverage targets; `prev` is the
+/// previous iteration's `z` for the Hamming stabilizer.
+pub fn solve_master(
+    inst: &Instance,
+    set: &ScenarioSet,
+    pool: &CutPool,
+    allowed: &[Vec<bool>],
+    betas: &[f64],
+    prev: &[Vec<bool>],
+    opts: &MasterOptions,
+) -> (Vec<Vec<bool>>, f64) {
+    let nf = inst.num_flows();
+    let nq = set.scenarios.len();
+    let exact = nf * nq <= opts.exact_threshold;
+
+    let (m, z) = master_model(inst, set, pool, allowed, betas, prev, opts, exact);
 
     if exact {
         let mip_opts = MipOptions {
@@ -325,6 +349,26 @@ mod tests {
             "master kept penalty-inducing criticality everywhere"
         );
         assert!(bound <= 0.5 + 1e-6);
+    }
+
+    #[test]
+    fn exact_master_matches_brute_force() {
+        // Fig. 1 after one round of cuts with every flow critical, with and
+        // without the Hamming row.
+        let inst = fig1_instance();
+        let set = fig1_scenarios();
+        let allowed = connected_matrix(&inst, &set);
+        let mut pool = CutPool::new(set.scenarios.len());
+        let mut t = SubproblemTemplate::new(&inst, None);
+        for (q, scen) in set.scenarios.iter().enumerate() {
+            pool.push(q, t.solve(&inst, scen, &[true, true]).unwrap().cut);
+        }
+        for hamming_limit in [0, 2] {
+            let opts = MasterOptions { hamming_limit, ..Default::default() };
+            let (m, _) = master_model(&inst, &set, &pool, &allowed, &[0.995], &allowed, &opts, true);
+            assert!(m.has_integers());
+            crate::mip_oracle::assert_solve_mip_matches(&m);
+        }
     }
 
     #[test]

@@ -39,8 +39,9 @@ pub struct IpResult {
     pub critical: Vec<Vec<bool>>,
 }
 
-/// Solve formulation (I) exactly (within the branch-and-bound budget).
-pub fn solve_ip(inst: &Instance, set: &ScenarioSet, opts: &IpOptions) -> IpResult {
+/// Build formulation (I): the model and its `z[f][q]` columns (`None`
+/// where flow `f` is disconnected in scenario `q`).
+fn ip_model(inst: &Instance, set: &ScenarioSet) -> (Model, Vec<Vec<Option<VarId>>>) {
     let nf = inst.num_flows();
     let nq = set.scenarios.len();
     let betas = crate::effective_betas(inst, set);
@@ -111,7 +112,14 @@ pub fn solve_ip(inst: &Instance, set: &ScenarioSet, opts: &IpOptions) -> IpResul
             }
         }
     }
+    (m, z)
+}
 
+/// Solve formulation (I) exactly (within the branch-and-bound budget).
+pub fn solve_ip(inst: &Instance, set: &ScenarioSet, opts: &IpOptions) -> IpResult {
+    let nf = inst.num_flows();
+    let nq = set.scenarios.len();
+    let (m, z) = ip_model(inst, set);
     let mip_opts = MipOptions {
         max_nodes: opts.max_nodes,
         time_limit: opts.time_limit,
@@ -155,6 +163,16 @@ mod tests {
         let r = solve_ip(&inst, &set, &IpOptions::default());
         assert!(r.optimal, "IP should prove optimality on the triangle");
         assert!(r.penalty < 1e-6, "IP penalty {}", r.penalty);
+    }
+
+    #[test]
+    fn ip_matches_brute_force() {
+        let mut inst = fig1_instance();
+        for beta in [0.99, 0.995] {
+            inst.classes[0].beta = beta;
+            let (m, _) = ip_model(&inst, &fig1_scenarios());
+            crate::mip_oracle::assert_solve_mip_matches(&m);
+        }
     }
 
     #[test]
