@@ -47,9 +47,6 @@ const DETERMINISTIC_COUNTERS: &[&str] = &[
     "lp.crash_basis_pivots_saved",
     "lp.devex_updates",
     "lp.dual_bound_flips",
-    "lp.batch_solves",
-    "lp.batch_divergences",
-    "flexile.batch_dispatch",
     "flexile.cuts_added",
     "flexile.scenarios_retried",
     "flexile.scenario_warm_hit",

@@ -23,8 +23,7 @@
 //!   fig15        offline solve time vs topology size (IP vs Flexile)
 //!   fig18        max low-priority scale with zero 99%-ile loss
 //!   lp_basis     basis-engine benchmark: dense inverse vs sparse LU
-//!   batch_kernel multi-RHS batched solve kernel vs sequential restarts
-//!   warm_restart scenario-pool policy benchmark: cold / striped / per-scenario
+//!   warm_restart scenario-pool policy benchmark: cold / per-scenario
 //!   checkpoint   crash-safety guard: checkpoint cadence sweep + overhead bound
 //!   crash_resume process-level kill/resume driver (see flags below)
 //!   dist_resilience  coordinator/worker fleet fault matrix: workers
@@ -211,7 +210,7 @@ fn usage() {
          [--kill-iter N] [--kill-scenario I:K]\n\
          bench-check flags: --obs DIR [--baseline DIR] [--tolerance F]\n\
          experiments: motivation table2 fig5 fig6 fig9a fig9b fig9c fig10 fig11 \
-         fig12 fig13 fig14 fig15 fig18 lp_basis batch_kernel warm_restart \
+         fig12 fig13 fig14 fig15 fig18 lp_basis warm_restart \
          checkpoint crash_resume dist_resilience slo bench-check summary all"
     );
 }
@@ -233,7 +232,6 @@ fn run(experiment: &str, cfg: &ExpConfig, limit: usize) -> bool {
         "fig15" => figs_perf::run_fig15(cfg, limit),
         "fig18" => figs_sweep::run_fig18(cfg),
         "lp_basis" => flexile_bench::lp_basis::run_lp_basis(cfg, limit),
-        "batch_kernel" => flexile_bench::batch_kernel::run_batch_kernel(cfg, limit),
         "warm_restart" => flexile_bench::warm_restart::run_warm_restart(cfg, limit),
         "checkpoint" => flexile_bench::checkpoint::run_checkpoint(cfg, limit),
         "dist_resilience" => flexile_bench::dist::run_dist_resilience(cfg, limit),
@@ -366,12 +364,7 @@ fn perf_record(experiment: &str, cfg: &ExpConfig, wall_ms: f64, t: &flexile_obs:
     if !policies.is_empty() {
         let _ = write!(s, ",\"policies\":[{}]", policies.join(","));
     }
-    // Likewise for the batched multi-RHS kernel rows…
-    let batch_rows = flexile_bench::batch_kernel::take_batch_records();
-    if !batch_rows.is_empty() {
-        let _ = write!(s, ",\"batch_rows\":[{}]", batch_rows.join(","));
-    }
-    // …and the checkpoint-cadence guard…
+    // Likewise for the checkpoint-cadence guard…
     let ckpt_runs = flexile_bench::checkpoint::take_checkpoint_records();
     if !ckpt_runs.is_empty() {
         let _ = write!(s, ",\"checkpoint_runs\":[{}]", ckpt_runs.join(","));

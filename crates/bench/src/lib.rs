@@ -10,7 +10,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batch_kernel;
 pub mod bench_check;
 pub mod checkpoint;
 pub mod dist;

@@ -1,13 +1,10 @@
 //! `warm_restart` — scenario-solve pool policy benchmark.
 //!
 //! Runs the full Flexile decomposition on Table-2 topologies under the
-//! three subproblem-scheduling policies:
+//! two subproblem-scheduling policies:
 //!
 //! * `cold` — every subproblem solved from scratch every iteration
 //!   (basis-residency budget 0);
-//! * `legacy_striped` — the pre-pool behaviour: per-iteration thread
-//!   fan-out with one warm template per *stripe*, so a scenario's basis is
-//!   reused only while it happens to stay on the same stripe;
 //! * `per_scenario` — the persistent pool: one long-lived template per
 //!   scenario, dual-simplex RHS restarts across iterations, work-stealing
 //!   dispatch.
@@ -57,7 +54,6 @@ pub fn take_policy_records() -> Vec<String> {
 fn policy_label(p: PoolPolicy) -> &'static str {
     match p {
         PoolPolicy::Cold => "cold",
-        PoolPolicy::LegacyStriped => "legacy_striped",
         PoolPolicy::PerScenario => "per_scenario",
     }
 }
@@ -101,7 +97,7 @@ fn run_one(name: &str, inst: &flexile_traffic::Instance, set: &flexile_scenario:
 pub fn run_warm_restart(cfg: &ExpConfig, limit: usize) {
     take_policy_records(); // reset any stale records from a prior experiment
     println!("section,topology,policy,threads,iterations,lp_iters,warm_hits,dual_restarts,wall_ms,penalty");
-    let policies = [PoolPolicy::Cold, PoolPolicy::LegacyStriped, PoolPolicy::PerScenario];
+    let policies = [PoolPolicy::Cold, PoolPolicy::PerScenario];
     for &(name, mlu) in TOPOLOGIES.iter().take(limit.max(1)) {
         let sub_cfg = ExpConfig {
             target_mlu: mlu,

@@ -51,7 +51,8 @@ use std::path::{Path, PathBuf};
 /// Current wire-format version. Version 2 added component-resolved
 /// fingerprints (`problem_parts` / `options_parts`) so a mismatch names
 /// exactly which component diverged instead of reporting a bare mismatch.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// Version 3 dropped the batch-width options component (4 → 3 parts).
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 const MAGIC: &[u8; 8] = b"FLXCKPT\0";
 
@@ -102,13 +103,12 @@ pub enum CheckpointError {
         /// Which options-fingerprint component differs.
         component: &'static str,
     },
-    /// The checkpoint's pool configuration (scheduling policy/residency or
-    /// batch width) differs from the resuming run's. Split from
+    /// The checkpoint's pool configuration (scheduling policy/residency)
+    /// differs from the resuming run's. Split from
     /// [`CheckpointError::OptionsMismatch`] because distributed handshakes
-    /// negotiate exactly these knobs and need the typed rejection.
+    /// negotiate exactly this knob and need the typed rejection.
     PoolConfigMismatch {
-        /// Which pool-config component differs (`"pool_policy"` or
-        /// `"batch_width"`).
+        /// Which pool-config component differs (always `"pool_policy"`).
         component: &'static str,
     },
     /// Resume was requested but the options carry no checkpoint directory.
@@ -256,11 +256,10 @@ pub const PROBLEM_COMPONENTS: [&str; 5] =
     ["shape", "classes", "demands", "capacities", "scenarios"];
 
 /// Names of the options-fingerprint components, aligned with the entries
-/// of [`options_fingerprint_parts`]. The last two (`pool_policy`,
-/// `batch_width`) are pool configuration and surface as
-/// [`CheckpointError::PoolConfigMismatch`] rather than the generic
-/// options mismatch.
-pub const OPTIONS_COMPONENTS: [&str; 4] = ["search", "master", "pool_policy", "batch_width"];
+/// of [`options_fingerprint_parts`]. The last (`pool_policy`) is pool
+/// configuration and surfaces as [`CheckpointError::PoolConfigMismatch`]
+/// rather than the generic options mismatch.
+pub const OPTIONS_COMPONENTS: [&str; 3] = ["search", "master", "pool_policy"];
 
 /// Bit-exact component fingerprints of the problem a checkpoint belongs
 /// to, in [`PROBLEM_COMPONENTS`] order: structural shape (flow/arc/class
@@ -322,8 +321,8 @@ pub fn problem_fingerprint(inst: &Instance, set: &ScenarioSet) -> u64 {
 /// Component fingerprints of the options that change the decomposition
 /// *trajectory* (anything that would make continuation diverge from the
 /// original run), in [`OPTIONS_COMPONENTS`] order: search knobs
-/// (iteration cap, pruning, γ), master configuration, pool policy +
-/// residency, and batch width. Thread count is deliberately excluded —
+/// (iteration cap, pruning, γ), master configuration, and pool policy +
+/// residency. Thread count is deliberately excluded —
 /// output is thread-invariant — as are the checkpointing knobs themselves
 /// and the watchdog (wall-clock based, documented as best-effort).
 pub fn options_fingerprint_parts(opts: &FlexileOptions) -> [u64; OPTIONS_COMPONENTS.len()] {
@@ -345,15 +344,11 @@ pub fn options_fingerprint_parts(opts: &FlexileOptions) -> [u64; OPTIONS_COMPONE
     let mut pool_policy = Fnv::new();
     pool_policy.u64(match opts.pool {
         PoolPolicy::PerScenario => 0,
-        PoolPolicy::LegacyStriped => 1,
         PoolPolicy::Cold => 2,
     });
     pool_policy.u64(opts.basis_residency as u64);
 
-    let mut batch_width = Fnv::new();
-    batch_width.u64(opts.batch_width as u64);
-
-    [search.0, master.0, pool_policy.0, batch_width.0]
+    [search.0, master.0, pool_policy.0]
 }
 
 /// Combined options fingerprint (FNV over the component parts).
@@ -386,7 +381,7 @@ pub fn check_parts(
     }
     for (i, name) in OPTIONS_COMPONENTS.iter().enumerate() {
         if declared_options[i] != actual_options[i] {
-            return Err(if *name == "pool_policy" || *name == "batch_width" {
+            return Err(if *name == "pool_policy" {
                 CheckpointError::PoolConfigMismatch { component: name }
             } else {
                 CheckpointError::OptionsMismatch { component: name }

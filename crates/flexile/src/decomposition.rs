@@ -20,8 +20,8 @@
 //!   iteration `k`'s basis of the *same* scenario (the shared dual space /
 //!   warm-start trick of the reformulated `S_q`, finally applied across
 //!   iterations), with a work-stealing scheduler and a bounded
-//!   basis-residency budget. [`PoolPolicy`] selects the legacy per-thread
-//!   striping or a cold-every-iteration baseline for A/B comparison.
+//!   basis-residency budget. [`PoolPolicy`] selects a cold-every-iteration
+//!   baseline for A/B comparison.
 //!
 //! Each iteration yields a full routing, so an *incumbent* penalty is
 //! evaluated exactly (sort per-flow losses, take β quantiles); the best
@@ -40,7 +40,7 @@
 
 use crate::checkpoint::{self, BestIncumbent, CheckpointError, CheckpointState};
 use crate::master::{solve_master, CutPool, MasterOptions};
-use crate::pool::{with_pool, IterationSolver, LegacyStriped, PoolCtx, PoolError, PoolSnapshot};
+use crate::pool::{with_pool, IterationSolver, PoolCtx, PoolError, PoolSnapshot};
 use crate::subproblem::{SubproblemSolution, SubproblemTemplate};
 use flexile_metrics::{perc_loss, LossMatrix};
 use flexile_scenario::ScenarioSet;
@@ -85,14 +85,6 @@ pub struct FlexileOptions {
     /// disables the watchdog and preserves exact bit-reproducibility; with
     /// it armed, outcomes can depend on wall clock.
     pub watchdog: Option<Duration>,
-    /// Maximum scenarios per shared-factorization batch unit under
-    /// [`PoolPolicy::PerScenario`]: consecutive warm same-demand-factor
-    /// scenarios are dispatched together and dual-restarted through one
-    /// factorization ([`flexile_lp::solve_rhs_batch`]), with per-member
-    /// fallback to the scalar path on divergence. `0` or `1` disables
-    /// batching. Any width produces bit-identical results — the knob
-    /// trades factorization reuse against scheduling granularity.
-    pub batch_width: usize,
     /// Directory to write crash-recovery checkpoints into (as
     /// `flexile.ckpt`); `None` (default) disables checkpointing. The
     /// zero-fault trajectory is unaffected either way — checkpointing only
@@ -115,7 +107,6 @@ impl Default for FlexileOptions {
             pool: PoolPolicy::default(),
             basis_residency: 4096,
             watchdog: None,
-            batch_width: 16,
             checkpoint_dir: None,
             checkpoint_every: 1,
         }
@@ -320,26 +311,14 @@ fn dispatch(
         set,
         loss_ub: prep.loss_ub.as_deref(),
         watchdog: opts.watchdog,
-        batch_width: opts.batch_width,
     };
-    match opts.pool {
-        PoolPolicy::LegacyStriped => {
-            let mut solver = LegacyStriped { ctx, threads: opts.threads };
-            if let Some((it, snap)) = &restore {
-                solver.restore(*it, snap);
-            }
-            run_decomposition(inst, set, opts, &prep.betas, &prep.allowed, &mut solver, state)
+    let residency = if opts.pool == PoolPolicy::Cold { 0 } else { opts.basis_residency };
+    with_pool(ctx, opts.threads.max(1), residency, |solver| {
+        if let Some((it, snap)) = &restore {
+            solver.restore(*it, snap);
         }
-        PoolPolicy::PerScenario | PoolPolicy::Cold => {
-            let residency = if opts.pool == PoolPolicy::Cold { 0 } else { opts.basis_residency };
-            with_pool(ctx, opts.threads.max(1), residency, |solver| {
-                if let Some((it, snap)) = &restore {
-                    solver.restore(*it, snap);
-                }
-                run_decomposition(inst, set, opts, &prep.betas, &prep.allowed, solver, state)
-            })
-        }
-    }
+        run_decomposition(inst, set, opts, &prep.betas, &prep.allowed, solver, state)
+    })
 }
 
 /// Best incumbent: (penalty, criticality, loss matrix, per-class alpha).

@@ -182,7 +182,6 @@ fn run_dist(
         set,
         loss_ub: prep.loss_ub.as_deref(),
         watchdog: opts.watchdog,
-        batch_width: opts.batch_width,
     };
     let hello = Hello {
         problem_parts: checkpoint::problem_fingerprint_parts(inst, set),
@@ -200,11 +199,9 @@ fn run_dist(
             exact_threshold: opts.master.exact_threshold as u64,
             pool: match opts.pool {
                 PoolPolicy::PerScenario => 0,
-                PoolPolicy::LegacyStriped => 1,
                 PoolPolicy::Cold => 2,
             },
             basis_residency: opts.basis_residency as u64,
-            batch_width: opts.batch_width as u64,
             watchdog_millis: opts.watchdog.map(|d| d.as_millis() as u64),
             heartbeat_millis: dopts.heartbeat.as_millis().max(1) as u64,
         },

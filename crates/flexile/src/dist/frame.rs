@@ -29,8 +29,9 @@ use std::io::{Read, Write};
 
 /// Current frame-format version. Handshakes and every subsequent frame are
 /// rejected across versions (a coordinator never talks to a worker built
-/// from a different wire format).
-pub const FRAME_VERSION: u32 = 1;
+/// from a different wire format). Version 2 dropped the batch-width
+/// handshake knob.
+pub const FRAME_VERSION: u32 = 2;
 
 const MAGIC: &[u8; 8] = b"FLXFRME\0";
 
@@ -87,12 +88,10 @@ pub struct WireKnobs {
     /// `MasterOptions::exact_threshold`.
     pub exact_threshold: u64,
     /// `FlexileOptions::pool` as its fingerprint tag (0 = per-scenario,
-    /// 1 = legacy striped, 2 = cold).
+    /// 2 = cold).
     pub pool: u64,
     /// `FlexileOptions::basis_residency`.
     pub basis_residency: u64,
-    /// `FlexileOptions::batch_width`.
-    pub batch_width: u64,
     /// Subproblem watchdog deadline in milliseconds (`None` preserves
     /// bit-reproducibility, exactly as in-process).
     pub watchdog_millis: Option<u64>,
@@ -323,7 +322,6 @@ fn enc_knobs(e: &mut Enc, k: &WireKnobs) {
     e.u64(k.exact_threshold);
     e.u64(k.pool);
     e.u64(k.basis_residency);
-    e.u64(k.batch_width);
     e.opt(&k.watchdog_millis, |e, &w| e.u64(w));
     e.u64(k.heartbeat_millis);
 }
@@ -597,7 +595,6 @@ fn dec_knobs(d: &mut Dec<'_>) -> Result<WireKnobs, CheckpointError> {
         exact_threshold: d.u64()?,
         pool: d.u64()?,
         basis_residency: d.u64()?,
-        batch_width: d.u64()?,
         watchdog_millis: d.opt(|d| d.u64())?,
         heartbeat_millis: d.u64()?,
     })

@@ -58,7 +58,6 @@ pub fn verify_hello(h: &Hello) -> Result<FlexileOptions, CheckpointError> {
     let k = &h.knobs;
     let pool = match k.pool {
         0 => PoolPolicy::PerScenario,
-        1 => PoolPolicy::LegacyStriped,
         2 => PoolPolicy::Cold,
         _ => return Err(CheckpointError::Malformed("pool policy tag")),
     };
@@ -75,7 +74,6 @@ pub fn verify_hello(h: &Hello) -> Result<FlexileOptions, CheckpointError> {
         pool,
         basis_residency: k.basis_residency as usize,
         watchdog: None,
-        batch_width: k.batch_width as usize,
         checkpoint_dir: None,
         checkpoint_every: 1,
     };
@@ -202,7 +200,6 @@ fn serve(
         set: &problem.set,
         loss_ub: problem.loss_ub.as_deref(),
         watchdog: hello.knobs.watchdog_millis.map(Duration::from_millis),
-        batch_width: hello.knobs.batch_width as usize,
     };
     let slots: Vec<Mutex<Slot>> = (0..nq).map(|_| Mutex::new(Slot::default())).collect();
     let mut scratch = SolveScratch::new();

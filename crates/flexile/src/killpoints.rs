@@ -146,18 +146,6 @@ pub(crate) fn maybe_fire_worker(iteration: usize, scenario: usize) {
     }
 }
 
-/// Non-consuming probe: is a worker kill-point armed for
-/// `(iteration, scenario)`? Batch dispatch uses this to route armed
-/// scenarios as singleton units, so a chaos panic quarantines exactly the
-/// scenario it was armed for instead of an arbitrary batch. Disarmed cost
-/// stays one relaxed atomic load.
-pub(crate) fn armed_worker(iteration: usize, scenario: usize) -> bool {
-    if !ANY_ARMED.load(Ordering::Acquire) {
-        return false;
-    }
-    armed_list().contains(&KillPoint::Worker { iteration, scenario })
-}
-
 /// Decomposition-side check; unwinds with [`DecompositionAborted`] when
 /// armed for `iteration`.
 pub(crate) fn maybe_fire_abort(iteration: usize) {

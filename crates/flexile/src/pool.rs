@@ -52,11 +52,10 @@
 //! Determinism: scenario `q`'s solve sequence depends only on its own solve
 //! history (its template is locked per solve and touched by no other
 //! scenario), so the decomposition output is bit-identical across thread
-//! counts and runs — unlike the legacy striping, where a chunk's template
-//! was warm-started across *different* scenarios in thread-dependent order.
+//! counts and runs.
 
 use crate::subproblem::{SolveStats, SubproblemSolution, SubproblemTemplate};
-use flexile_lp::{LpError, RhsBatchMember, SolveScratch};
+use flexile_lp::{LpError, SolveScratch};
 use flexile_scenario::ScenarioSet;
 use flexile_traffic::Instance;
 use std::fmt;
@@ -76,10 +75,6 @@ pub enum PoolPolicy {
     /// scheduler (the default).
     #[default]
     PerScenario,
-    /// The pre-pool behavior: per-iteration threads with static striping and
-    /// per-thread templates shared across that stripe's scenarios. Kept as
-    /// an A/B escape hatch.
-    LegacyStriped,
     /// No cross-iteration reuse at all: every iteration rebuilds and solves
     /// cold. Baseline for the `warm_restart` benchmark.
     Cold,
@@ -105,16 +100,6 @@ pub enum PoolError {
         /// Panic payload of the final attempt, stringified.
         message: String,
     },
-    /// A worker died outside the contained solve region (legacy scheduler
-    /// only); the scenario's result was lost.
-    WorkerPanicked {
-        /// Scenario whose result was lost.
-        scenario: usize,
-        /// Worker (stripe index) that panicked.
-        worker: usize,
-        /// Panic payload, stringified.
-        message: String,
-    },
     /// A distributed worker process reported a solver failure over the
     /// wire; the original [`LpError`] is carried as text (wire frames do
     /// not round-trip the full error taxonomy). The decomposition treats
@@ -138,9 +123,6 @@ impl fmt::Display for PoolError {
                 "scenario {scenario} poisoned after {attempts} panicking attempts \
                  (last on worker {worker}): {message}"
             ),
-            PoolError::WorkerPanicked { scenario, worker, message } => {
-                write!(f, "worker {worker} panicked; scenario {scenario} lost: {message}")
-            }
             PoolError::Remote { scenario, worker, message } => {
                 write!(f, "remote worker {worker} failed scenario {scenario}: {message}")
             }
@@ -187,10 +169,6 @@ pub(crate) struct PoolCtx<'a> {
     /// Watchdog deadline for the warm fast path (see
     /// [`SubproblemTemplate::solve_with_stats_watchdog`]).
     pub watchdog: Option<Duration>,
-    /// Maximum scenarios dispatched as one shared-factorization batch unit
-    /// (see [`crate::FlexileOptions::batch_width`]); `0`/`1` disables
-    /// batching.
-    pub batch_width: usize,
 }
 
 impl PoolCtx<'_> {
@@ -228,20 +206,18 @@ pub(crate) trait IterationSolver {
     /// pruning); release whatever is retained for it.
     fn retire(&mut self, q: usize);
 
-    /// Capture the warm-state snapshot for checkpointing. Policies without
-    /// replayable per-scenario state return an empty snapshot (resume then
-    /// continues cold — still correct, just slower and, for the
-    /// thread-timing-dependent legacy striping, not bit-reproducible).
+    /// Capture the warm-state snapshot (LRU stamps and per-scenario solve
+    /// chains) for checkpointing.
     fn snapshot(&self) -> PoolSnapshot;
 
     /// Restore a snapshot taken at the end of iteration `it`: replay each
     /// scenario's solve chain to rebuild warm bases, and restore the LRU
-    /// stamps. Default: nothing to restore.
+    /// stamps.
     fn restore(&mut self, it: usize, snap: &PoolSnapshot);
 
     /// Iteration-boundary hook: the decomposition finished iteration `it`
     /// with incumbent penalty `penalty` and criticality proposal `z`. The
-    /// in-process schedulers have nothing to do; the distributed
+    /// in-process pool has nothing to do; the distributed
     /// coordinator broadcasts the cut-pool delta and incumbent to its
     /// workers here.
     fn iteration_complete(&mut self, _it: usize, _penalty: f64, _z: &[Vec<bool>]) {}
@@ -272,12 +248,7 @@ enum JobWork {
 struct Job {
     todo: Vec<usize>,
     work: JobWork,
-    /// Dispatch units: each entry lists indices into `todo` claimed and
-    /// solved together. Singletons go through the scalar path; longer
-    /// units through the shared-factorization batch kernel. Planned by
-    /// [`PoolHandle::plan_units`] before the epoch starts, so unit shapes
-    /// never depend on worker timing.
-    units: Vec<Vec<usize>>,
+    /// Next index into `todo` to claim.
     cursor: AtomicUsize,
     /// Decomposition iteration (1-based) for kill-point checks; 0 for
     /// replay epochs, which never fire kill-points.
@@ -374,124 +345,6 @@ pub(crate) fn solve_contained(
     }
 }
 
-/// Solve one multi-member batch unit through the shared-factorization
-/// kernel ([`flexile_lp::solve_rhs_batch`]), committing each member on its
-/// own template so the resulting state — warm bases, histories, cuts,
-/// stats, counters — is bit-identical to running the members through the
-/// scalar path in the same order.
-///
-/// The whole unit runs under one `catch_unwind`. A panic cannot be
-/// attributed to a member (and may have left any locked template
-/// half-updated), so containment quarantines *every* member and re-runs
-/// each through [`solve_contained`], which rebuilds them cold with the
-/// usual bounded retries. Kill-point-armed scenarios never reach this path
-/// (planning routes them as singletons), so chaos runs exercise the exact
-/// scalar containment they always did.
-#[allow(clippy::too_many_arguments)]
-fn solve_batch_contained(
-    slots: &[Mutex<Slot>],
-    ctx: &PoolCtx<'_>,
-    it: usize,
-    unit: &[usize],
-    todo: &[usize],
-    cols: &[Vec<bool>],
-    worker: usize,
-    scratch: &mut SolveScratch,
-    out: &mut Vec<ScenResult>,
-) {
-    let qs: Vec<usize> = unit.iter().map(|&i| todo[i]).collect();
-    let scratch_ref = &mut *scratch;
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        // Members are ascending (planning preserves `todo` order), so
-        // locking in unit order cannot deadlock; each scenario belongs to
-        // exactly one unit per epoch, so there is no contention either.
-        let mut guards: Vec<MutexGuard<'_, Slot>> =
-            qs.iter().map(|&q| lock_recover(&slots[q])).collect();
-        // Planning checked residency + warm basis at epoch start and no
-        // other unit touches these slots; a miss here means the plan went
-        // stale (should not happen) — downgrade the unit to scalar solves.
-        if guards
-            .iter()
-            .any(|g| g.tmpl.as_ref().is_none_or(|t| t.warm_basis_fingerprint().is_none()))
-        {
-            return None;
-        }
-        if it > 0 {
-            for &q in &qs {
-                crate::killpoints::maybe_fire_worker(it, q);
-            }
-        }
-        flexile_obs::add("flexile.batch_dispatch", 1);
-        let _sq =
-            flexile_obs::span("flexile.subproblem_batch", "flexile").field("members", qs.len());
-        // Install each member's RHS on its *own* template (so fallbacks see
-        // exactly the scalar state) and snapshot RHS vectors + warm bases
-        // for the shared solve.
-        let k = qs.len();
-        let (mut rhss, mut caps, mut warms) =
-            (Vec::with_capacity(k), Vec::with_capacity(k), Vec::with_capacity(k));
-        for (j, &i) in unit.iter().enumerate() {
-            let tmpl = guards[j].tmpl.as_mut().expect("checked above");
-            let (rhs, cap) = tmpl.batch_rhs(ctx.inst, &ctx.set.scenarios[qs[j]], &cols[i]);
-            warms.push(tmpl.warm_basis().expect("checked above"));
-            rhss.push(rhs);
-            caps.push(cap);
-        }
-        let opts = SubproblemTemplate::warm_simplex_options();
-        let members: Vec<RhsBatchMember<'_>> = rhss
-            .iter()
-            .zip(warms.iter())
-            .map(|(rhs, warm)| RhsBatchMember { rhs, warm })
-            .collect();
-        // Any member's model is bit-equal (identical construction), so the
-        // first member's serves as the execution engine for the unit.
-        let lp_results = {
-            let lead = guards[0].tmpl.as_mut().expect("checked above");
-            lead.model_mut().solve_rhs_batch(&opts, &members, scratch_ref)
-        };
-        let mut res: Vec<ScenResult> = Vec::with_capacity(k);
-        for (j, lp_res) in lp_results.into_iter().enumerate() {
-            let i = unit[j];
-            let slot = &mut *guards[j];
-            let tmpl = slot.tmpl.as_mut().expect("checked above");
-            let r = tmpl.commit_batch_outcome(lp_res, &cols[i], &caps[j]);
-            if r.is_ok() {
-                // Extend the replayable chain exactly as the scalar path
-                // would: the template existed (not rebuilt) and no watchdog
-                // runs here, so this is always a plain append.
-                slot.history.push(cols[i].clone());
-            }
-            res.push((qs[j], r.map_err(PoolError::Solver)));
-        }
-        Some(res)
-    }));
-    match outcome {
-        Ok(Some(res)) => out.extend(res),
-        Ok(None) => {
-            for &i in unit {
-                let q = todo[i];
-                out.push((q, solve_contained(slots, ctx, it, q, &cols[i], worker, scratch)));
-            }
-        }
-        Err(payload) => {
-            flexile_obs::add("flexile.worker_panic", 1);
-            flexile_obs::flight::dump("worker_panic");
-            drop(payload);
-            for &q in &qs {
-                let mut slot = lock_recover(&slots[q]);
-                slot.tmpl = None;
-                slot.history.clear();
-            }
-            flexile_obs::add("flexile.scenario_quarantined", qs.len() as u64);
-            flexile_obs::flight::dump("scenario_quarantined");
-            for &i in unit {
-                let q = todo[i];
-                out.push((q, solve_contained(slots, ctx, it, q, &cols[i], worker, scratch)));
-            }
-        }
-    }
-}
-
 fn worker_loop(
     shared: &Shared,
     slots: &[Mutex<Slot>],
@@ -501,7 +354,7 @@ fn worker_loop(
 ) {
     let mut my_epoch = 0u64;
     // One scratch pool per worker: every solve this worker performs —
-    // scalar, batch, replay, or containment retry — reuses the same simplex
+    // first solve, restart, replay, or containment retry — reuses the same simplex
     // work vectors (cleared and re-zeroed per solve, so bit-transparent).
     let mut scratch = SolveScratch::new();
     loop {
@@ -524,46 +377,24 @@ fn worker_loop(
             }
         };
         loop {
-            let u = job.cursor.fetch_add(1, Ordering::Relaxed);
-            if u >= job.units.len() {
+            let i = job.cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= job.todo.len() {
                 break;
             }
-            if u % nworkers != id {
+            if i % nworkers != id {
                 flexile_obs::add("flexile.steal", 1);
             }
-            let unit = &job.units[u];
+            let q = job.todo[i];
             let t0 = Instant::now();
-            let mut unit_results: Vec<ScenResult> = Vec::with_capacity(unit.len());
-            match &job.work {
+            let res = match &job.work {
                 JobWork::Solve(cols) => {
-                    if unit.len() >= 2 {
-                        solve_batch_contained(
-                            slots,
-                            ctx,
-                            job.it,
-                            unit,
-                            &job.todo,
-                            cols,
-                            id,
-                            &mut scratch,
-                            &mut unit_results,
-                        );
-                    } else {
-                        let i = unit[0];
-                        let q = job.todo[i];
-                        unit_results.push((
-                            q,
-                            solve_contained(slots, ctx, job.it, q, &cols[i], id, &mut scratch),
-                        ));
-                    }
+                    solve_contained(slots, ctx, job.it, q, &cols[i], id, &mut scratch)
                 }
                 JobWork::Replay(chains) => {
                     // Replay the whole chain; only the last result matters
                     // (and even it is discarded by restore). A failure
                     // mid-chain quarantines the slot: the continuation
                     // simply solves that scenario cold.
-                    let i = unit[0];
-                    let q = job.todo[i];
                     let mut last = Err(PoolError::Solver(LpError::IterationLimit));
                     for col in &chains[i] {
                         last = solve_contained(slots, ctx, 0, q, col, id, &mut scratch);
@@ -574,15 +405,14 @@ fn worker_loop(
                             break;
                         }
                     }
-                    unit_results.push((q, last));
+                    last
                 }
-            }
+            };
             let busy = t0.elapsed().as_micros() as u64;
             let mut g = lock_recover(&shared.ctl);
             g.worker_busy[id] += busy;
-            let done = unit_results.len();
-            g.results.append(&mut unit_results);
-            g.remaining -= done;
+            g.results.push((q, res));
+            g.remaining -= 1;
             if g.remaining == 0 {
                 shared.done_cv.notify_all();
             }
@@ -594,7 +424,6 @@ fn worker_loop(
 struct PoolHandle<'a> {
     shared: &'a Shared,
     slots: &'a [Mutex<Slot>],
-    ctx: &'a PoolCtx<'a>,
     residency: usize,
     /// Last iteration each scenario's template was used (0 = never/evicted).
     stamp: Vec<u64>,
@@ -602,71 +431,14 @@ struct PoolHandle<'a> {
 }
 
 impl PoolHandle<'_> {
-    /// Partition an epoch's scenarios into dispatch units: runs of
-    /// consecutive batch-eligible scenarios sharing a demand factor,
-    /// chunked to the batch width, everything else as singletons. Planned
-    /// on the main thread while the workers are parked, from slot state
-    /// that is itself deterministic, so unit shapes — and therefore every
-    /// solve and counter the batches produce — are identical across thread
-    /// counts and runs.
-    ///
-    /// A scenario is batch-eligible when its template is resident with a
-    /// warm basis (a cold member gains nothing from a shared factorization
-    /// — the escalation ladder builds it one rung at a time), no γ bounds
-    /// or watchdog are in play (per-scenario variable bounds break the
-    /// shared-LHS invariant; wall-clock deadlines are inherently scalar),
-    /// and no kill-point is armed for it (a chaos fault must quarantine
-    /// exactly the scenario it targets, not an arbitrary batch).
-    fn plan_units(&self, it: usize, todo: &[usize]) -> Vec<Vec<usize>> {
-        let width = self.ctx.batch_width;
-        if width < 2 || self.ctx.watchdog.is_some() || self.ctx.loss_ub.is_some() {
-            return (0..todo.len()).map(|i| vec![i]).collect();
-        }
-        let mut units: Vec<Vec<usize>> = Vec::new();
-        let mut group: Vec<usize> = Vec::new();
-        let mut group_factor = 0.0f64;
-        for (i, &q) in todo.iter().enumerate() {
-            let eligible = {
-                let slot = lock_recover(&self.slots[q]);
-                slot.tmpl.as_ref().is_some_and(|t| t.warm_basis_fingerprint().is_some())
-            } && !crate::killpoints::armed_worker(it, q);
-            if !eligible {
-                if !group.is_empty() {
-                    units.push(std::mem::take(&mut group));
-                }
-                units.push(vec![i]);
-                continue;
-            }
-            let factor = self.ctx.set.scenarios[q].demand_factor;
-            if !group.is_empty() && (factor - group_factor).abs() >= 1e-12 {
-                units.push(std::mem::take(&mut group));
-            }
-            group_factor = factor;
-            group.push(i);
-            if group.len() == width {
-                units.push(std::mem::take(&mut group));
-            }
-        }
-        if !group.is_empty() {
-            units.push(group);
-        }
-        units
-    }
-
     /// Dispatch one epoch to the workers and wait for every result.
-    fn run_epoch(
-        &mut self,
-        todo: Vec<usize>,
-        work: JobWork,
-        units: Vec<Vec<usize>>,
-        it: usize,
-    ) -> Vec<ScenResult> {
+    fn run_epoch(&mut self, todo: Vec<usize>, work: JobWork, it: usize) -> Vec<ScenResult> {
         let n = todo.len();
         let observe_wait = matches!(work, JobWork::Solve(_));
         let wall0 = Instant::now();
         {
             let mut g = lock_recover(&self.shared.ctl);
-            g.job = Some(Arc::new(Job { todo, work, units, cursor: AtomicUsize::new(0), it }));
+            g.job = Some(Arc::new(Job { todo, work, cursor: AtomicUsize::new(0), it }));
             g.epoch += 1;
             g.remaining = n;
             g.results = Vec::with_capacity(n);
@@ -727,13 +499,7 @@ impl IterationSolver for PoolHandle<'_> {
         if todo.is_empty() {
             return Vec::new();
         }
-        let units = self.plan_units(it, todo);
-        if flexile_obs::enabled() {
-            for unit in units.iter().filter(|u| u.len() >= 2) {
-                flexile_obs::observe("flexile.batch_unit_width", unit.len() as f64);
-            }
-        }
-        let results = self.run_epoch(todo.to_vec(), JobWork::Solve(cols), units, it);
+        let results = self.run_epoch(todo.to_vec(), JobWork::Solve(cols), it);
         for &q in todo {
             self.stamp[q] = self.it;
         }
@@ -767,10 +533,7 @@ impl IterationSolver for PoolHandle<'_> {
         }
         let _sp = flexile_obs::span("flexile.rewarm", "flexile").field("scenarios", todo.len());
         let chains: Vec<Vec<Vec<bool>>> = todo.iter().map(|&q| snap.chains[q].clone()).collect();
-        // Replay chains are strictly sequential per scenario: always
-        // singleton units.
-        let units: Vec<Vec<usize>> = (0..todo.len()).map(|i| vec![i]).collect();
-        let results = self.run_epoch(todo, JobWork::Replay(chains), units, 0);
+        let results = self.run_epoch(todo, JobWork::Replay(chains), 0);
         let ok = results.iter().filter(|(_, r)| r.is_ok()).count();
         flexile_obs::add("flexile.rewarm", ok as u64);
         // Replay results are discarded: the checkpointed caches remain the
@@ -820,7 +583,6 @@ pub(crate) fn with_pool<R>(
         let mut handle = PoolHandle {
             shared: &shared,
             slots: &slots,
-            ctx: &ctx,
             residency,
             stamp: vec![0; nq],
             it: 0,
@@ -828,166 +590,4 @@ pub(crate) fn with_pool<R>(
         let _shutdown = ShutdownGuard(&shared);
         f(&mut handle)
     })
-}
-
-/// The pre-pool scheduling: per-iteration scoped threads, static striping,
-/// one template per stripe warm-started across that stripe's (different!)
-/// scenarios, everything dropped when the iteration ends. γ-variant solves
-/// rebuild a template every time, as before.
-///
-/// Panic containment here is quarantine-only (no in-place retry — the
-/// stripe template's warm history is thread-timing-dependent anyway): a
-/// panicking solve drops the stripe's template, reports
-/// [`PoolError::WorkerPanicked`] for that scenario, and the stripe
-/// continues. Should a worker die outside the contained region, its
-/// completed results survive (they are pushed to a shared vector as they
-/// finish) and each of its unfinished scenarios gets a typed error naming
-/// the worker — the old `h.join().expect("worker panicked")` lost all of
-/// that and aborted the process.
-pub(crate) struct LegacyStriped<'a> {
-    pub ctx: PoolCtx<'a>,
-    pub threads: usize,
-}
-
-impl IterationSolver for LegacyStriped<'_> {
-    fn solve_iteration(
-        &mut self,
-        it: usize,
-        todo: &[usize],
-        cols: Vec<Vec<bool>>,
-    ) -> Vec<ScenResult> {
-        if todo.is_empty() {
-            return Vec::new();
-        }
-        let threads = self.threads.max(1).min(todo.len());
-        let ctx = &self.ctx;
-        let cols = &cols;
-        let results: Mutex<Vec<ScenResult>> = Mutex::new(Vec::with_capacity(todo.len()));
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let results = &results;
-                    s.spawn(move || {
-                        let mut tmpl: Option<SubproblemTemplate> = None;
-                        let mut scratch = SolveScratch::new();
-                        let mut i = t;
-                        while i < todo.len() {
-                            let q = todo[i];
-                            let scen = &ctx.set.scenarios[q];
-                            let scratch = &mut scratch;
-                            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                crate::killpoints::maybe_fire_worker(it, q);
-                                let _sq = flexile_obs::span("flexile.subproblem", "flexile")
-                                    .field("scenario", q);
-                                match ctx.loss_ub {
-                                    Some(ub) => {
-                                        let mut fresh = SubproblemTemplate::for_demand_factor(
-                                            ctx.inst,
-                                            Some(ub[q].clone()),
-                                            scen.demand_factor,
-                                        );
-                                        fresh.solve_with_stats_scratch(
-                                            ctx.inst,
-                                            scen,
-                                            &cols[i],
-                                            ctx.watchdog,
-                                            scratch,
-                                        )
-                                    }
-                                    None => {
-                                        let rebuild = tmpl
-                                            .as_ref()
-                                            .is_none_or(|t| !t.matches_factor(scen.demand_factor));
-                                        if rebuild {
-                                            tmpl = Some(SubproblemTemplate::for_demand_factor(
-                                                ctx.inst,
-                                                None,
-                                                scen.demand_factor,
-                                            ));
-                                        }
-                                        tmpl.as_mut()
-                                            .expect("template built")
-                                            .solve_with_stats_scratch(
-                                                ctx.inst,
-                                                scen,
-                                                &cols[i],
-                                                ctx.watchdog,
-                                                scratch,
-                                            )
-                                    }
-                                }
-                            }));
-                            let res = match outcome {
-                                Ok(r) => r.map_err(PoolError::Solver),
-                                Err(payload) => {
-                                    flexile_obs::add("flexile.worker_panic", 1);
-                                    flexile_obs::flight::dump("worker_panic");
-                                    // Quarantine the stripe template; later
-                                    // scenarios of this stripe rebuild cold.
-                                    tmpl = None;
-                                    flexile_obs::add("flexile.scenario_quarantined", 1);
-                                    flexile_obs::flight::dump("scenario_quarantined");
-                                    Err(PoolError::WorkerPanicked {
-                                        scenario: q,
-                                        worker: t,
-                                        message: panic_message(payload.as_ref()),
-                                    })
-                                }
-                            };
-                            lock_recover(results).push((q, res));
-                            i += threads;
-                        }
-                    })
-                })
-                .collect();
-            for (t, h) in handles.into_iter().enumerate() {
-                if let Err(payload) = h.join() {
-                    // The worker died outside the contained solve (should
-                    // not happen; belt and braces). Synthesize a typed
-                    // error for each of its unfinished scenarios.
-                    let message = panic_message(payload.as_ref());
-                    let mut g = lock_recover(&results);
-                    let done: Vec<bool> = {
-                        let mut mask = vec![false; todo.len()];
-                        for (q, _) in g.iter() {
-                            if let Some(j) = todo.iter().position(|&tq| tq == *q) {
-                                mask[j] = true;
-                            }
-                        }
-                        mask
-                    };
-                    let mut i = t;
-                    while i < todo.len() {
-                        if !done[i] {
-                            g.push((
-                                todo[i],
-                                Err(PoolError::WorkerPanicked {
-                                    scenario: todo[i],
-                                    worker: t,
-                                    message: message.clone(),
-                                }),
-                            ));
-                        }
-                        i += threads;
-                    }
-                }
-            }
-        });
-        let mut results = results.into_inner().unwrap_or_else(PoisonError::into_inner);
-        results.sort_by_key(|&(q, _)| q);
-        results
-    }
-
-    fn retire(&mut self, _q: usize) {}
-
-    fn snapshot(&self) -> PoolSnapshot {
-        // No cross-iteration state: checkpoints carry empty chains and a
-        // resume continues with cold templates.
-        PoolSnapshot {
-            stamps: vec![0; self.ctx.set.scenarios.len()],
-            chains: vec![Vec::new(); self.ctx.set.scenarios.len()],
-        }
-    }
-
-    fn restore(&mut self, _it: usize, _snap: &PoolSnapshot) {}
 }

@@ -273,14 +273,19 @@ impl SubproblemTemplate {
         // the watchdog deadline (the cold ladder below runs deadline-free —
         // its Bland rung terminates provably).
         let first = self.warm.as_ref().map(|warm| {
+            // Presolve follows the ladder's setting, so a restart the LP
+            // layer abandons for a cold solve produces the same duals as the
+            // ladder's cold rungs.
             let opts = SimplexOptions {
+                presolve: rb.presolve,
                 deadline: watchdog.map(|w| std::time::Instant::now() + w),
-                ..Self::warm_simplex_options()
+                ..rb.budget.simplex_options()
             };
             self.model.solve_rhs_restart_with(&opts, warm, scratch)
         });
         let (sol, stats) = self.resolve_outcome(first, watchdog, &rb)?;
-        Ok(self.commit(sol, stats, z, &cap_arc))
+        self.warm = Some(sol.basis.clone());
+        Ok((self.extract(&sol, z, &cap_arc), stats))
     }
 
     fn check_scenario(&self, scen: &Scenario, z: &[bool]) {
@@ -324,10 +329,8 @@ impl SubproblemTemplate {
     }
 
     /// Continue a warm fast-path outcome (`Some`) or a cold start (`None`)
-    /// through the escalation ladder. This is the single authority on the
-    /// retry taxonomy — the scalar path and every batch member's
-    /// commit/fallback go through it, which is what keeps the batched pool
-    /// bit- and counter-identical to the scalar one.
+    /// through the escalation ladder: the single authority on the retry
+    /// taxonomy.
     fn resolve_outcome(
         &mut self,
         first: Option<Result<(Solution, RestartKind), LpError>>,
@@ -380,19 +383,6 @@ impl SubproblemTemplate {
         }
     }
 
-    /// Save the warm basis and extract the cut — the tail every successful
-    /// solve (scalar or batch member) runs.
-    fn commit(
-        &mut self,
-        sol: Solution,
-        stats: SolveStats,
-        z: &[bool],
-        cap_arc: &[f64],
-    ) -> (SubproblemSolution, SolveStats) {
-        self.warm = Some(sol.basis.clone());
-        (self.extract(&sol, z, cap_arc), stats)
-    }
-
     fn extract(&self, sol: &Solution, z: &[bool], cap_arc: &[f64]) -> SubproblemSolution {
         let alpha: Vec<f64> = self.alpha_vars.iter().map(|&v| sol.value(v)).collect();
         let loss: Vec<f64> = self.l_vars.iter().map(|&v| sol.value(v)).collect();
@@ -420,66 +410,6 @@ impl SubproblemTemplate {
             loss,
             cut: Cut { w, u, d_const },
         }
-    }
-
-    /// Prepare this template as a batch member: install the scenario's RHS
-    /// into the template's **own** model — so a divergence fallback or
-    /// ladder rung sees exactly the state the scalar path would — and
-    /// return the full RHS vector (handed to
-    /// [`flexile_lp::solve_rhs_batch`]) plus the scaled per-arc capacities
-    /// for cut extraction at commit time.
-    pub(crate) fn batch_rhs(
-        &mut self,
-        inst: &Instance,
-        scen: &Scenario,
-        z: &[bool],
-    ) -> (Vec<f64>, Vec<f64>) {
-        self.check_scenario(scen, z);
-        let cap_arc = self.install_rhs(inst, scen, z);
-        (self.model.rhs_values().to_vec(), cap_arc)
-    }
-
-    /// The saved warm basis, cloned. Batch dispatch snapshots member warms
-    /// up front so the shared solve borrows no template.
-    pub(crate) fn warm_basis(&self) -> Option<Basis> {
-        self.warm.clone()
-    }
-
-    /// The simplex options of the (watchdog-free) warm fast path. The
-    /// batch kernel must run under exactly the options the scalar restart
-    /// would, or the solves stop being comparable bit-for-bit.
-    ///
-    /// Presolve follows the ladder's setting, so a restart the LP layer
-    /// abandons for a cold solve produces the same duals as the ladder's
-    /// cold rungs.
-    pub(crate) fn warm_simplex_options() -> SimplexOptions {
-        let rb = Self::robust_opts();
-        SimplexOptions { presolve: rb.presolve, ..rb.budget.simplex_options() }
-    }
-
-    /// The template's model, used as the shared execution engine when this
-    /// template leads a batch. Templates of a batch are built by identical
-    /// code on identical inputs, so any member's model produces bit-equal
-    /// factorizations; the batch entry restores the model's RHS on return.
-    pub(crate) fn model_mut(&mut self) -> &mut Model {
-        &mut self.model
-    }
-
-    /// Commit one member's outcome from a shared batch solve, reproducing
-    /// the scalar path bit-for-bit: an `Ok` lands exactly like a scalar
-    /// warm hit, an error continues through the same escalation ladder on
-    /// this member's own model (whose RHS [`Self::batch_rhs`] installed).
-    /// Batch dispatch requires the watchdog disabled, so no watchdog arm
-    /// applies here.
-    pub(crate) fn commit_batch_outcome(
-        &mut self,
-        outcome: Result<(Solution, RestartKind), LpError>,
-        z: &[bool],
-        cap_arc: &[f64],
-    ) -> Result<(SubproblemSolution, SolveStats), LpError> {
-        let rb = Self::robust_opts();
-        let (sol, stats) = self.resolve_outcome(Some(outcome), None, &rb)?;
-        Ok(self.commit(sol, stats, z, cap_arc))
     }
 
     /// The per-flow loss upper bounds in effect (γ variant).

@@ -152,15 +152,19 @@ proptest! {
 
 #[test]
 fn version_bump_is_refused() {
-    let state = arb_state(11, 2, 3, 2, 1);
-    let mut blob = encode(&state);
-    // Version is the u32 right after the 8-byte magic.
-    let v = CHECKPOINT_VERSION + 1;
-    blob[8..12].copy_from_slice(&v.to_le_bytes());
-    assert_eq!(
-        decode(&blob),
-        Err(CheckpointError::VersionMismatch { found: v, expected: CHECKPOINT_VERSION })
-    );
+    // Both directions: a checkpoint from the previous format (one more
+    // options-fingerprint component) or a newer one is a typed refusal,
+    // never a misparse.
+    for v in [CHECKPOINT_VERSION - 1, CHECKPOINT_VERSION + 1] {
+        let state = arb_state(11, 2, 3, 2, 1);
+        let mut blob = encode(&state);
+        // Version is the u32 right after the 8-byte magic.
+        blob[8..12].copy_from_slice(&v.to_le_bytes());
+        assert_eq!(
+            decode(&blob),
+            Err(CheckpointError::VersionMismatch { found: v, expected: CHECKPOINT_VERSION })
+        );
+    }
 }
 
 #[test]

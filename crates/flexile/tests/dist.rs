@@ -13,7 +13,7 @@
 //!   mid-wave, falls back to in-process solving and still converges to
 //!   the same bits (`flexile.dist_fallback`).
 //! * **Resume + handshake hygiene** — `decompose_resume_dist` continues a
-//!   checkpoint bit-identically; a changed `batch_width` / pool policy is
+//!   checkpoint bit-identically; a changed pool policy is
 //!   refused by both resume engines and by the worker handshake with a
 //!   typed error naming the component, in both directions.
 //!
@@ -331,26 +331,15 @@ fn both_resume_engines_refuse_pool_config_drift() {
     };
     abort_at(&inst, &set, &base, 2);
 
-    let wider = FlexileOptions { batch_width: base.batch_width + 1, ..base.clone() };
     let colder = FlexileOptions { pool: PoolPolicy::Cold, ..base.clone() };
 
     // In-process resume names the diverging pool-config component...
-    assert!(matches!(
-        decompose_resume(&inst, &set, &wider),
-        Err(CheckpointError::PoolConfigMismatch { component: "batch_width" })
-    ));
     assert!(matches!(
         decompose_resume(&inst, &set, &colder),
         Err(CheckpointError::PoolConfigMismatch { component: "pool_policy" })
     ));
     // ...and the distributed engine surfaces the identical typed error.
     let dopts = DistOptions::new(1, worker_spec());
-    assert!(matches!(
-        decompose_resume_dist(&inst, &set, &wider, &dopts),
-        Err(DistError::Checkpoint(CheckpointError::PoolConfigMismatch {
-            component: "batch_width"
-        }))
-    ));
     assert!(matches!(
         decompose_resume_dist(&inst, &set, &colder, &dopts),
         Err(DistError::Checkpoint(CheckpointError::PoolConfigMismatch {
@@ -378,11 +367,9 @@ fn hello_for(inst: &Instance, set: &ScenarioSet, opts: &FlexileOptions) -> Hello
             exact_threshold: opts.master.exact_threshold as u64,
             pool: match opts.pool {
                 PoolPolicy::PerScenario => 0,
-                PoolPolicy::LegacyStriped => 1,
                 PoolPolicy::Cold => 2,
             },
             basis_residency: opts.basis_residency as u64,
-            batch_width: opts.batch_width as u64,
             watchdog_millis: None,
             heartbeat_millis: 100,
         },
@@ -399,12 +386,6 @@ fn handshake_rejects_knob_drift_in_both_directions() {
     // Direction 1: the shipped knobs drift from the declared fingerprint
     // (a worker built against different pool configuration).
     let mut h = good.clone();
-    h.knobs.batch_width += 1;
-    assert!(matches!(
-        verify_hello(&h),
-        Err(CheckpointError::PoolConfigMismatch { component: "batch_width" })
-    ));
-    let mut h = good.clone();
     h.knobs.pool = 2; // Cold, while the fingerprint says PerScenario
     assert!(matches!(
         verify_hello(&h),
@@ -413,12 +394,6 @@ fn handshake_rejects_knob_drift_in_both_directions() {
 
     // Direction 2: the declared fingerprint is stale while the knobs are
     // honest (a coordinator advertising options it is not running).
-    let mut h = good.clone();
-    h.options_parts[3] ^= 1; // batch_width component
-    assert!(matches!(
-        verify_hello(&h),
-        Err(CheckpointError::PoolConfigMismatch { component: "batch_width" })
-    ));
     let mut h = good.clone();
     h.options_parts[2] ^= 1; // pool_policy component
     assert!(matches!(
@@ -432,8 +407,11 @@ fn handshake_rejects_knob_drift_in_both_directions() {
         Err(CheckpointError::ProblemMismatch { component: "shape" })
     ));
 
-    // An unknown pool tag is malformed, not silently defaulted.
-    let mut h = good.clone();
-    h.knobs.pool = 7;
-    assert!(matches!(verify_hello(&h), Err(CheckpointError::Malformed("pool policy tag"))));
+    // An unknown pool tag (including 1, the retired striped scheduler) is
+    // malformed, not silently defaulted.
+    for tag in [1, 7] {
+        let mut h = good.clone();
+        h.knobs.pool = tag;
+        assert!(matches!(verify_hello(&h), Err(CheckpointError::Malformed("pool policy tag"))));
+    }
 }

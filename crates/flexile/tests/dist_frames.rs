@@ -129,14 +129,13 @@ fn arb_frame(seed: u64, tag: u64) -> Frame {
                     exact_threshold: m.u64() % 1000,
                     pool: m.u64() % 3,
                     basis_residency: m.u64() % 4096,
-                    batch_width: 1 + m.u64() % 64,
                     watchdog_millis: if m.bool() { Some(m.u64() % 10_000) } else { None },
                     heartbeat_millis: 1 + m.u64() % 1000,
                 },
             }))
         }
         2 => Frame::HelloAck,
-        3 => Frame::HelloReject { component: "batch_width".into() },
+        3 => Frame::HelloReject { component: "pool_policy".into() },
         4 => Frame::Assign {
             epoch: m.u64(),
             iteration: m.u64() % 100,
@@ -255,13 +254,17 @@ proptest! {
 
 #[test]
 fn version_bump_is_refused() {
-    let mut blob = encode_frame(&arb_frame(11, 4));
-    let v = FRAME_VERSION + 1;
-    blob[8..12].copy_from_slice(&v.to_le_bytes());
-    assert_eq!(
-        decode_frame(&blob).err(),
-        Some(CheckpointError::VersionMismatch { found: v, expected: FRAME_VERSION })
-    );
+    // Both directions: a frame from the previous format (whose hello
+    // carried one more knob) or a newer one is a typed refusal, never a
+    // misparse.
+    for v in [FRAME_VERSION - 1, FRAME_VERSION + 1] {
+        let mut blob = encode_frame(&arb_frame(11, 4));
+        blob[8..12].copy_from_slice(&v.to_le_bytes());
+        assert_eq!(
+            decode_frame(&blob).err(),
+            Some(CheckpointError::VersionMismatch { found: v, expected: FRAME_VERSION })
+        );
+    }
 }
 
 #[test]

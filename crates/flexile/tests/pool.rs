@@ -89,36 +89,6 @@ fn design_bits(d: &FlexileDesign) -> (u64, Vec<Vec<bool>>, Vec<u64>, Vec<u64>) {
 }
 
 #[test]
-fn pool_output_identical_across_thread_counts_fig1() {
-    let _g = exclusive();
-    let (inst, set) = fig1_setup();
-    let mut reference = None;
-    for threads in [1, 2, 8] {
-        let opts = FlexileOptions { threads, ..Default::default() };
-        let d = design_bits(&solve_flexile(&inst, &set, &opts));
-        match &reference {
-            None => reference = Some(d),
-            Some(r) => assert_eq!(r, &d, "fig1 output diverged at threads={threads}"),
-        }
-    }
-}
-
-#[test]
-fn pool_output_identical_across_thread_counts_sprint() {
-    let _g = exclusive();
-    let (inst, set) = sprint_setup();
-    let mut reference = None;
-    for threads in [1, 2, 8] {
-        let opts = FlexileOptions { threads, max_iterations: 3, ..Default::default() };
-        let d = design_bits(&solve_flexile(&inst, &set, &opts));
-        match &reference {
-            None => reference = Some(d),
-            Some(r) => assert_eq!(r, &d, "Sprint output diverged at threads={threads}"),
-        }
-    }
-}
-
-#[test]
 fn pool_output_identical_across_repeated_runs() {
     let _g = exclusive();
     let (inst, set) = sprint_setup();
@@ -269,69 +239,60 @@ fn pool_emits_warm_restart_counters() {
 }
 
 #[test]
-fn batched_pool_bit_identical_to_scalar() {
-    // The tentpole invariant of the batched dispatch: any batch width —
-    // including 0/1, i.e. the scalar pool — and any thread count produce
-    // the same design, bit for bit. Widths beyond the scenario count are
-    // clamped by grouping, so 16 also covers the "one unit per epoch" case.
+fn pool_output_identical_across_thread_counts() {
+    // The scenario is the pool's only dispatch unit: any thread count
+    // produces the same design and the same deterministic solver counters,
+    // and every solved scenario is exactly one `flexile.subproblem` span.
     let _g = exclusive();
-    for (name, (inst, set)) in [("fig1", fig1_setup()), ("sprint", sprint_setup())] {
+    let default_iterations = FlexileOptions::default().max_iterations;
+    for (name, (inst, set), max_iterations) in
+        [("fig1", fig1_setup(), default_iterations), ("sprint", sprint_setup(), 3)]
+    {
         let mut reference = None;
-        for threads in [1usize, 8] {
-            for batch_width in [0usize, 1, 4, 16] {
-                let opts =
-                    FlexileOptions { threads, batch_width, max_iterations: 3, ..Default::default() };
-                let d = design_bits(&solve_flexile(&inst, &set, &opts));
-                match &reference {
-                    None => reference = Some(d),
-                    Some(r) => assert_eq!(
-                        r, &d,
-                        "{name}: diverged at threads={threads} batch_width={batch_width}"
-                    ),
-                }
-            }
-        }
-        // The batched runs must actually exercise the batch kernel, and the
-        // batch counters must be thread-count independent (they are gated by
-        // the deterministic perf harness).
-        let mut counters = None;
-        for threads in [1usize, 8] {
+        for threads in [1usize, 2, 8] {
+            let opts = FlexileOptions { threads, max_iterations, ..Default::default() };
             flexile_obs::enable();
-            let opts =
-                FlexileOptions { threads, batch_width: 16, max_iterations: 3, ..Default::default() };
-            let _ = solve_flexile(&inst, &set, &opts);
+            let design = solve_flexile(&inst, &set, &opts);
             flexile_obs::disable();
             let t = flexile_obs::drain();
-            let counter = |n: &str| t.counters.get(n).copied().unwrap_or(0);
-            let c = (
-                counter("flexile.batch_dispatch"),
-                counter("lp.batch_solves"),
-                counter("lp.batch_divergences"),
+            let solved: usize = design.iterations.iter().map(|s| s.solved).sum();
+            assert!(solved > 0, "{name}: no scenario solved");
+            assert_eq!(
+                t.events_named("flexile.subproblem").count(),
+                solved,
+                "{name}: one subproblem span per solved scenario at threads={threads}"
             );
-            assert!(c.0 > 0, "{name}: batch dispatch never fired at threads={threads}");
-            assert!(c.1 > 0, "{name}: lp batch kernel never invoked at threads={threads}");
-            match &counters {
-                None => counters = Some(c),
-                Some(r) => assert_eq!(
-                    r, &c,
-                    "{name}: batch counters diverged across thread counts"
-                ),
+            assert_eq!(
+                t.events_named("flexile.subproblem_batch").count(),
+                0,
+                "{name}: no batch units at threads={threads}"
+            );
+            let counter = |n: &str| t.counters.get(n).copied().unwrap_or(0);
+            let counters: Vec<u64> = [
+                "lp.pivots.phase1",
+                "lp.pivots.phase2",
+                "lp.pivots.dual",
+                "lp.refactorizations",
+                "flexile.scenario_warm_hit",
+                "flexile.dual_restart",
+            ]
+            .iter()
+            .map(|n| counter(n))
+            .collect();
+            let d = (design_bits(&design), counters);
+            match &reference {
+                None => reference = Some(d),
+                Some(r) => assert_eq!(r, &d, "{name}: diverged at threads={threads}"),
             }
         }
     }
 }
 
 #[test]
-fn legacy_and_cold_policies_still_solve() {
+fn cold_policy_still_solves() {
     let _g = exclusive();
     let (inst, set) = fig1_setup();
-    for pool in [PoolPolicy::LegacyStriped, PoolPolicy::Cold] {
-        let opts = FlexileOptions { pool, ..Default::default() };
-        let design = solve_flexile(&inst, &set, &opts);
-        assert!(
-            design.penalty < 1e-6,
-            "{pool:?} should still reach PercLoss 0, got {}",
-            design.penalty
-        );
-    }
+    let opts = FlexileOptions { pool: PoolPolicy::Cold, ..Default::default() };
+    let design = solve_flexile(&inst, &set, &opts);
+    assert!(design.penalty < 1e-6, "Cold should still reach PercLoss 0, got {}", design.penalty);
 }

@@ -5,8 +5,7 @@
 //! shape and pivot counts are deterministic, so a design whose wave hits
 //! the cap must stay bit-identical wherever the same solve chain runs:
 //!
-//! * across pool thread counts and batch widths (the batch kernel's
-//!   per-member fallback runs the same scalar restart);
+//! * across pool thread counts;
 //! * through an abort and checkpoint resume, whose chain replay re-runs
 //!   the abandoned restarts;
 //! * through the distributed coordinator's in-process fallback.
@@ -61,8 +60,8 @@ fn setup() -> (Instance, ScenarioSet) {
     (inst, set)
 }
 
-fn options(threads: usize, batch_width: usize) -> FlexileOptions {
-    FlexileOptions { threads, batch_width, ..Default::default() }
+fn options(threads: usize) -> FlexileOptions {
+    FlexileOptions { threads, ..Default::default() }
 }
 
 fn design_bits(d: &FlexileDesign) -> (u64, Vec<Vec<bool>>, Vec<u64>, Vec<u64>) {
@@ -85,20 +84,18 @@ fn traced(inst: &Instance, set: &ScenarioSet, opts: &FlexileOptions) -> (Flexile
 }
 
 #[test]
-fn abandoned_restarts_are_bit_identical_across_threads_and_widths() {
+fn abandoned_restarts_are_bit_identical_across_threads() {
     let _g = exclusive();
     let (inst, set) = setup();
-    let (reference, abandoned) = traced(&inst, &set, &options(1, 0));
+    let (reference, abandoned) = traced(&inst, &set, &options(1));
     assert!(abandoned > 0, "the wave must hit the restart cap");
     assert!(reference.iterations.len() >= 2, "the design must warm-restart");
     for threads in [1usize, 2] {
-        for batch_width in [0usize, 16] {
-            let (d, a) = traced(&inst, &set, &options(threads, batch_width));
-            let at = format!("threads={threads} batch_width={batch_width}");
-            assert_eq!(design_bits(&d), design_bits(&reference), "design diverged at {at}");
-            assert_eq!(d.iterations, reference.iterations, "iteration stats diverged at {at}");
-            assert_eq!(a, abandoned, "abandoned restarts diverged at {at}");
-        }
+        let (d, a) = traced(&inst, &set, &options(threads));
+        let at = format!("threads={threads}");
+        assert_eq!(design_bits(&d), design_bits(&reference), "design diverged at {at}");
+        assert_eq!(d.iterations, reference.iterations, "iteration stats diverged at {at}");
+        assert_eq!(a, abandoned, "abandoned restarts diverged at {at}");
     }
 }
 
@@ -114,9 +111,9 @@ fn abandoned_restarts_replay_exactly_on_resume() {
     let (inst, set) = setup();
     let mk = |dir: &PathBuf| FlexileOptions {
         checkpoint_dir: Some(dir.clone()),
-        ..options(2, 16)
+        ..options(2)
     };
-    let reference = solve_flexile(&inst, &set, &options(2, 16));
+    let reference = solve_flexile(&inst, &set, &options(2));
     for ab in 2..=reference.iterations.len() {
         let dir = temp_dir(&format!("ab{ab}"));
         let _k = arm(&[KillPoint::Abort { iteration: ab }]);
@@ -134,7 +131,7 @@ fn abandoned_restarts_replay_exactly_on_resume() {
 fn abandoned_restarts_match_in_process_fallback() {
     let _g = exclusive();
     let (inst, set) = setup();
-    let opts = options(2, 16);
+    let opts = options(2);
     let reference = solve_flexile(&inst, &set, &opts);
     // No workers: the coordinator degrades to solving in-process.
     let dopts = DistOptions::new(0, WorkerSpec::CurrentExe { args: Vec::new() });

@@ -25,7 +25,7 @@
 //! performance knob, selected via [`crate::SimplexOptions::engine`].
 
 use crate::error::LpError;
-use crate::sparse::{ColSource, DenseMat, LuFactors, RhsBlock, SparseCol};
+use crate::sparse::{ColSource, DenseMat, LuFactors, SparseCol};
 
 /// Pivot magnitude below which a product-form update is refused; the ratio
 /// test guarantees pivots ≥ 5e-8, so hitting this means the iterate has
@@ -84,36 +84,6 @@ pub trait BasisEngine {
     /// Eta factors accumulated since the last refactorization.
     fn eta_len(&self) -> usize;
 
-    /// Dense FTRAN over a whole block of right-hand sides: every lane of
-    /// `block` is replaced by `B⁻¹ lane`, each bitwise identical to a
-    /// [`Self::ftran_dense`] of that lane. The default implementation simply
-    /// loops lanes through the scalar path (and allocates — it exists so the
-    /// dense oracle stays correct); [`LuEngine`] overrides it with the true
-    /// block kernel.
-    fn ftran_dense_block(&mut self, block: &mut RhsBlock) {
-        let m = block.rows();
-        let mut lane_in = vec![0.0; m];
-        let mut lane_out = vec![0.0; m];
-        for lane in 0..block.width() {
-            block.store_lane(lane, &mut lane_in);
-            self.ftran_dense(&lane_in, &mut lane_out);
-            block.load_lane(lane, &lane_out);
-        }
-    }
-
-    /// BTRAN over a whole block of cost vectors: every lane `c` becomes
-    /// `cᵀB⁻¹`, bitwise identical to a per-lane [`Self::btran`]. Default as
-    /// for [`Self::ftran_dense_block`].
-    fn btran_block(&mut self, block: &mut RhsBlock) {
-        let m = block.rows();
-        let mut lane_in = vec![0.0; m];
-        let mut lane_out = vec![0.0; m];
-        for lane in 0..block.width() {
-            block.store_lane(lane, &mut lane_in);
-            self.btran(&lane_in, &mut lane_out);
-            block.load_lane(lane, &lane_out);
-        }
-    }
 }
 
 /// Build the engine for `kind`.
@@ -253,37 +223,6 @@ impl Eta {
         c[self.r as usize] = acc / self.wr;
     }
 
-    /// [`Self::apply_ftran`] on every lane of a block. Lane-outer on purpose:
-    /// the per-lane operation sequence (including the `v[r] == 0` early-out)
-    /// must match the scalar replay exactly, and the eta file is empty on the
-    /// post-refactorization batch hot path anyway.
-    fn apply_ftran_block(&self, block: &mut RhsBlock) {
-        let r = self.r as usize;
-        for lane in 0..block.width() {
-            let vr = block.get(r, lane);
-            if vr == 0.0 {
-                continue;
-            }
-            let t = vr / self.wr;
-            block.set(r, lane, t);
-            for &(i, wi) in &self.entries {
-                let iu = i as usize;
-                block.set(iu, lane, block.get(iu, lane) - wi * t);
-            }
-        }
-    }
-
-    /// [`Self::apply_btran`] on every lane of a block.
-    fn apply_btran_block(&self, block: &mut RhsBlock) {
-        let r = self.r as usize;
-        for lane in 0..block.width() {
-            let mut acc = block.get(r, lane);
-            for &(i, wi) in &self.entries {
-                acc -= wi * block.get(i as usize, lane);
-            }
-            block.set(r, lane, acc / self.wr);
-        }
-    }
 }
 
 /// Sparse LU basis engine: Markowitz-ordered factorization plus a
@@ -292,8 +231,6 @@ pub struct LuEngine {
     lu: LuFactors,
     etas: Vec<Eta>,
     scratch: Vec<f64>,
-    /// `m·k` workspace for the block kernels, reused across block solves.
-    block_scratch: Vec<f64>,
 }
 
 impl LuEngine {
@@ -303,7 +240,6 @@ impl LuEngine {
             lu: LuFactors::new(),
             etas: Vec::new(),
             scratch: Vec::new(),
-            block_scratch: Vec::new(),
         }
     }
 
@@ -384,22 +320,6 @@ impl BasisEngine for LuEngine {
         }
         self.lu.btran_in_place(out, &mut self.scratch);
         Self::observe_nnz("lp.btran_nnz", out);
-    }
-
-    fn ftran_dense_block(&mut self, block: &mut RhsBlock) {
-        flexile_obs::add("lp.ftran_calls", 1);
-        self.lu.ftran_block(block, &mut self.block_scratch);
-        for eta in &self.etas {
-            eta.apply_ftran_block(block);
-        }
-    }
-
-    fn btran_block(&mut self, block: &mut RhsBlock) {
-        flexile_obs::add("lp.btran_calls", 1);
-        for eta in self.etas.iter().rev() {
-            eta.apply_btran_block(block);
-        }
-        self.lu.btran_block(block, &mut self.block_scratch);
     }
 
     fn update(&mut self, w: &[f64], r: usize) -> Result<(), LpError> {
@@ -539,57 +459,6 @@ mod tests {
         fresh.btran(&c, &mut yf);
         for i in 0..m {
             assert!((ye[i] - yf[i]).abs() < 1e-9, "eta-chain btran drifted at {i}");
-        }
-    }
-
-    /// The engine block paths must stay bitwise equal to per-lane scalar
-    /// calls even with a non-empty eta file in play.
-    #[test]
-    fn block_paths_match_scalar_bitwise_through_etas() {
-        let m = 25;
-        let cols = basis_cols(m, 41);
-        let mut lu = LuEngine::new();
-        refactor_from(&mut lu, &cols);
-        // Push a couple of eta factors.
-        let mut w = vec![0.0; m];
-        for (pos, newcol) in
-            [(4usize, vec![(1u32, 0.5), (4, 3.0)]), (17, vec![(16, -0.4), (17, 2.5), (20, 1.0)])]
-        {
-            let a = SparseCol::from_entries(newcol);
-            lu.ftran(&a, &mut w);
-            lu.update(&w, pos).unwrap();
-        }
-        assert_eq!(lu.eta_len(), 2);
-        let k = 5;
-        let lanes: Vec<Vec<f64>> = (0..k)
-            .map(|lane| {
-                (0..m)
-                    .map(|r| if (r + lane) % 3 == 0 { 0.0 } else { (r as f64 * 0.7).sin() + 0.1 })
-                    .collect()
-            })
-            .collect();
-        let mut blk = RhsBlock::new(m, k);
-        for (lane, v) in lanes.iter().enumerate() {
-            blk.load_lane(lane, v);
-        }
-        lu.ftran_dense_block(&mut blk);
-        let mut out = vec![0.0; m];
-        for (lane, v) in lanes.iter().enumerate() {
-            lu.ftran_dense(v, &mut out);
-            for r in 0..m {
-                assert_eq!(blk.get(r, lane).to_bits(), out[r].to_bits(), "ftran {lane}/{r}");
-            }
-        }
-        let mut blk = RhsBlock::new(m, k);
-        for (lane, v) in lanes.iter().enumerate() {
-            blk.load_lane(lane, v);
-        }
-        lu.btran_block(&mut blk);
-        for (lane, v) in lanes.iter().enumerate() {
-            lu.btran(v, &mut out);
-            for r in 0..m {
-                assert_eq!(blk.get(r, lane).to_bits(), out[r].to_bits(), "btran {lane}/{r}");
-            }
         }
     }
 

@@ -76,10 +76,9 @@ pub use model::{Cmp, Model, RowId, Sense, VarId};
 pub use robust::{solve_robust, RobustOptions, RobustOutcome, Rung, RungAttempt, SolveReport};
 pub use rowgen::{solve_with_rowgen, RowGenOptions, RowGenResult, RowSpec};
 pub use simplex::{
-    solve_rhs_batch, solve_rhs_restart, solve_rhs_restart_with, Basis, Pricing, RestartKind,
-    RhsBatchMember, SimplexOptions, Solution, SolveScratch, SolveStatus,
+    solve_rhs_restart, solve_rhs_restart_with, Basis, Pricing, RestartKind, SimplexOptions,
+    Solution, SolveScratch, SolveStatus,
 };
-pub use sparse::RhsBlock;
 
 /// Default feasibility / optimality tolerance used across the workspace.
 pub const TOL: f64 = 1e-7;

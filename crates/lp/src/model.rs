@@ -265,36 +265,6 @@ impl Model {
         simplex::solve_rhs_restart_with(self, opts, warm, scratch)
     }
 
-    /// Solve a block of RHS-only restarts through one shared factorization
-    /// where the members' warm bases coincide — see
-    /// [`simplex::solve_rhs_batch`]. Results land in member order and are
-    /// bit-identical to sequential [`Model::solve_rhs_restart`] calls; the
-    /// model's RHS is restored to its entry state before returning.
-    pub fn solve_rhs_batch(
-        &mut self,
-        opts: &SimplexOptions,
-        members: &[crate::RhsBatchMember<'_>],
-        scratch: &mut crate::SolveScratch,
-    ) -> Vec<Result<(Solution, RestartKind), LpError>> {
-        simplex::solve_rhs_batch(self, opts, members, scratch)
-    }
-
-    /// The full right-hand-side vector, indexed by row. Batch callers clone
-    /// this once per template and overwrite the per-scenario rows to build
-    /// each member's RHS (see [`Model::solve_rhs_batch`]).
-    pub fn rhs_values(&self) -> &[f64] {
-        &self.rhs
-    }
-
-    /// Replace the entire right-hand-side vector in one call (the bulk
-    /// counterpart of [`Model::set_rhs`]). `rhs.len()` must equal
-    /// [`Model::num_rows`].
-    pub fn set_rhs_values(&mut self, rhs: &[f64]) {
-        assert_eq!(rhs.len(), self.rhs.len(), "RHS length must match row count");
-        self.rhs.clear();
-        self.rhs.extend_from_slice(rhs);
-    }
-
     /// Evaluate the objective at a point.
     pub fn eval_objective(&self, x: &[f64]) -> f64 {
         self.obj.iter().zip(x.iter()).map(|(c, v)| c * v).sum()

@@ -49,7 +49,7 @@
 use crate::basis::{make_engine, BasisEngine, EngineKind};
 use crate::error::LpError;
 use crate::model::{Cmp, Model, Sense};
-use crate::sparse::{RhsBlock, SparseCol};
+use crate::sparse::SparseCol;
 
 /// Feasibility tolerance on variable bounds.
 const FEAS_TOL: f64 = 1e-7;
@@ -316,16 +316,6 @@ impl SolveScratch {
     }
 }
 
-/// One member of a multi-RHS batch solve: the full RHS vector it wants
-/// installed and the warm basis to restart from. See [`solve_rhs_batch`].
-#[derive(Debug, Clone, Copy)]
-pub struct RhsBatchMember<'a> {
-    /// Full replacement RHS (`model.num_rows()` entries).
-    pub rhs: &'a [f64],
-    /// Warm basis saved from this member's previous solve.
-    pub warm: &'a Basis,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum VarStatus {
     Basic,
@@ -419,17 +409,10 @@ impl<'a> Work<'a> {
 
     /// Fill [`Work::rhs_scratch`] with the reduced RHS `b - A_N x_N`.
     fn reduced_rhs(&mut self) {
-        let model = self.model;
-        self.reduced_rhs_with(&model.rhs);
-    }
-
-    /// Reduced RHS against a caller-supplied `b` (the batch path reduces
-    /// each member's RHS through one shared nonbasic assignment).
-    fn reduced_rhs_with(&mut self, rhs_in: &[f64]) {
         // Take the buffer out so `for_col` can borrow `self` immutably.
         let mut r = std::mem::take(&mut self.rhs_scratch);
         r.clear();
-        r.extend_from_slice(rhs_in);
+        r.extend_from_slice(&self.model.rhs);
         for j in 0..self.ncols() {
             if self.status[j] == VarStatus::Basic {
                 continue;
@@ -451,14 +434,6 @@ impl<'a> Work<'a> {
 
     /// Refactorize the basis representation from the current column set.
     fn refactorize(&mut self) -> Result<(), LpError> {
-        self.refactor_basis()?;
-        self.recompute_xb();
-        Ok(())
-    }
-
-    /// Refactorize *without* recomputing the basic values — the batch path
-    /// computes them for a whole RHS block in one FTRAN instead.
-    fn refactor_basis(&mut self) -> Result<(), LpError> {
         flexile_obs::add("lp.refactorizations", 1);
         if self.pivots_since_refactor > 0 {
             flexile_obs::observe("lp.eta_chain_len", self.pivots_since_refactor as f64);
@@ -469,6 +444,7 @@ impl<'a> Work<'a> {
             push_col_entries(model, arts, n, m, basis[pos], out)
         })?;
         self.pivots_since_refactor = 0;
+        self.recompute_xb();
         Ok(())
     }
 
@@ -1153,277 +1129,6 @@ pub fn solve_rhs_restart_with(
         scratch,
         true,
     )
-}
-
-/// Solve a block of RHS-only scenario restarts against one shared model.
-///
-/// Semantically this is bit-identical to installing each member's RHS into
-/// `model` and calling [`solve_rhs_restart`] per member, in member order —
-/// same solutions, same fault-injection poll sequence, same warm hit/miss
-/// accounting. What changes is cost: members whose warm bases are
-/// *identical* (the common case when a template's scenarios re-solve after
-/// a master iteration that left their optima unchanged) are verified
-/// through one shared refactorization, one SoA block FTRAN
-/// ([`crate::sparse::RhsBlock`]) and one shared pricing BTRAN, instead of a
-/// refactorization plus three triangular solves per member. Members the
-/// fast path cannot certify — the shared basis prices non-optimal, or a
-/// member's RHS leaves it primal infeasible — fall back to the scalar
-/// restart path individually (counted in `lp.batch_divergences`).
-///
-/// `model.rhs` is restored to its entry state before returning.
-pub fn solve_rhs_batch(
-    model: &mut Model,
-    opts: &SimplexOptions,
-    members: &[RhsBatchMember<'_>],
-    scratch: &mut SolveScratch,
-) -> Vec<Result<(Solution, RestartKind), LpError>> {
-    flexile_obs::add("lp.batch_solves", 1);
-    let refactor_every = opts.refactor_every.unwrap_or(REFACTOR_EVERY);
-    let mut span = flexile_obs::span("lp.solve_batch", "lp")
-        .field("rows", model.num_rows())
-        .field("members", members.len());
-
-    // Bucket members by *identical* warm basis: fingerprint as prefilter,
-    // true equality against the bucket leader as the decider.
-    let mut buckets: Vec<Vec<usize>> = Vec::new();
-    let mut prints: Vec<u64> = Vec::new();
-    for (mi, mem) in members.iter().enumerate() {
-        let fp = mem.warm.fingerprint();
-        let mut placed = false;
-        for (bi, bucket) in buckets.iter_mut().enumerate() {
-            if prints[bi] != fp {
-                continue;
-            }
-            let leader = members[bucket[0]].warm;
-            if leader.basis == mem.warm.basis && leader.status == mem.warm.status {
-                bucket.push(mi);
-                placed = true;
-                break;
-            }
-        }
-        if !placed {
-            buckets.push(vec![mi]);
-            prints.push(fp);
-        }
-    }
-
-    // Joint fast path per bucket (model borrowed immutably throughout).
-    let mut joint: Vec<Option<(Solution, RestartKind)>> =
-        members.iter().map(|_| None).collect();
-    for bucket in &buckets {
-        flexile_obs::observe("lp.batch_width", bucket.len() as f64);
-        if let Some(res) = batch_warm_attempt(model, opts, members, bucket, scratch) {
-            for (lane, r) in res.into_iter().enumerate() {
-                joint[bucket[lane]] = r;
-            }
-        }
-    }
-
-    // Emit in member order. Exactly one fault poll per member — the same
-    // sequence the scalar loop would consume — and uncertified members
-    // re-solve through the scalar restart path with their RHS installed.
-    let entry_rhs = model.rhs.clone();
-    let mut divergences = 0usize;
-    let mut results = Vec::with_capacity(members.len());
-    for (mi, mem) in members.iter().enumerate() {
-        if let Some(kind) = crate::fault::poll() {
-            results.push(Err(kind.to_error()));
-            continue;
-        }
-        if opts.deadline.is_some_and(|d| std::time::Instant::now() >= d) {
-            results.push(Err(LpError::DeadlineExceeded));
-            continue;
-        }
-        match joint[mi].take() {
-            Some(sr) => {
-                flexile_obs::add("lp.warm.hit", 1);
-                results.push(Ok(sr));
-            }
-            None => {
-                flexile_obs::add("lp.batch_divergences", 1);
-                divergences += 1;
-                model.rhs.clear();
-                model.rhs.extend_from_slice(mem.rhs);
-                results.push(solve_attempt_traced(
-                    model,
-                    opts,
-                    Some(mem.warm),
-                    refactor_every,
-                    true,
-                    scratch,
-                    false,
-                ));
-            }
-        }
-    }
-    model.rhs.clear();
-    model.rhs.extend_from_slice(&entry_rhs);
-    span.set("divergences", divergences);
-    results
-}
-
-/// Try to satisfy every member of one equal-basis bucket through a single
-/// shared factorization. Returns `None` when the whole bucket must take the
-/// scalar path (bad warm shape, bad bounds, singular refactorization, or
-/// the basis prices non-optimal — every case where the scalar path would do
-/// real pivot work). Individual `None` entries mark members whose RHS
-/// leaves the shared basis primal infeasible; they need dual pivots of
-/// their own and fall back one by one.
-fn batch_warm_attempt(
-    model: &Model,
-    opts: &SimplexOptions,
-    members: &[RhsBatchMember<'_>],
-    bucket: &[usize],
-    scratch: &mut SolveScratch,
-) -> Option<Vec<Option<(Solution, RestartKind)>>> {
-    let n = model.num_vars();
-    let m = model.num_rows();
-    let warm = members[bucket[0]].warm;
-    if warm.basis.len() != m
-        || warm.status.len() < n + m
-        || warm.basis.iter().any(|&j| j >= n + m)
-    {
-        return None;
-    }
-    for j in 0..n {
-        if model.lb[j] > model.ub[j] + 1e-12 {
-            return None;
-        }
-    }
-    if bucket.iter().any(|&mi| members[mi].rhs.len() != m) {
-        return None;
-    }
-    let sign = match model.sense {
-        Sense::Min => 1.0,
-        Sense::Max => -1.0,
-    };
-    let mut lb = Vec::with_capacity(n + m);
-    let mut ub = Vec::with_capacity(n + m);
-    lb.extend_from_slice(&model.lb);
-    ub.extend_from_slice(&model.ub);
-    for i in 0..m {
-        match model.row_cmp[i] {
-            Cmp::Le => {
-                lb.push(0.0);
-                ub.push(f64::INFINITY);
-            }
-            Cmp::Ge => {
-                lb.push(f64::NEG_INFINITY);
-                ub.push(0.0);
-            }
-            Cmp::Eq => {
-                lb.push(0.0);
-                ub.push(0.0);
-            }
-        }
-    }
-    let mut cost2 = vec![0.0; n + m];
-    for j in 0..n {
-        cost2[j] = sign * model.obj[j];
-    }
-    let mut w = Work {
-        model,
-        n,
-        m,
-        arts: Vec::new(),
-        lb,
-        ub,
-        cost2,
-        basis: warm.basis.clone(),
-        status: warm.status[..n + m].to_vec(),
-        engine: make_engine(opts.engine),
-        xb: vec![0.0; m],
-        rhs_scratch: Vec::with_capacity(m),
-        pivots_since_refactor: 0,
-    };
-    // Repair statuses exactly as the scalar warm path does.
-    for j in 0..n + m {
-        if w.status[j] == VarStatus::Basic {
-            continue;
-        }
-        w.status[j] = initial_status(w.lb[j], w.ub[j], w.status[j]);
-    }
-    if w.refactor_basis().is_err() {
-        return None;
-    }
-
-    // One block FTRAN computes every member's basic values.
-    let k = bucket.len();
-    let mut block = RhsBlock::new(m, k);
-    for (lane, &mi) in bucket.iter().enumerate() {
-        w.reduced_rhs_with(members[mi].rhs);
-        block.load_lane(lane, &w.rhs_scratch);
-    }
-    w.engine.ftran_dense_block(&mut block);
-
-    // Shared pricing: reduced costs depend on the basis, bounds and costs —
-    // not the RHS — so one full pricing scan answers "would the scalar
-    // phase 2 pivot at all?" for every member at once. Any attractive
-    // column sends the whole bucket down the scalar path. (The BTRAN here
-    // is bitwise the same one the scalar extraction performs, so `y` is
-    // reused as every member's dual vector.)
-    let mut cb = scratch.grab(m);
-    for (i, &j) in w.basis.iter().enumerate() {
-        cb[i] = w.cost2[j];
-    }
-    let mut y = scratch.grab(m);
-    w.engine.btran(&cb, &mut y);
-    let clean = (0..w.ncols()).all(|j| price_col(&w, &w.cost2, &y, j).is_none());
-    if !clean {
-        scratch.put(cb);
-        scratch.put(y);
-        return None;
-    }
-
-    // Shared pieces of every member's Solution.
-    let mut x_shared = vec![0.0; n];
-    for j in 0..n {
-        if w.status[j] != VarStatus::Basic {
-            x_shared[j] = w.nonbasic_value(j);
-        }
-    }
-    let mut duals = y.clone();
-    if sign < 0.0 {
-        duals.iter_mut().for_each(|v| *v = -*v);
-    }
-    let basis_shared = Basis {
-        basis: w.basis.clone(),
-        status: w.status[..n + m].to_vec(),
-    };
-    let mut out = Vec::with_capacity(k);
-    for lane in 0..k {
-        let mut worst: f64 = 0.0;
-        for (i, &j) in w.basis.iter().enumerate() {
-            let xv = block.get(i, lane);
-            worst = worst.max(w.lb[j] - xv).max(xv - w.ub[j]);
-        }
-        if worst > 1e-6 {
-            // The scalar path would dual-restart this member.
-            out.push(None);
-            continue;
-        }
-        let mut x = x_shared.clone();
-        for (i, &j) in w.basis.iter().enumerate() {
-            if j < n {
-                x[j] = block.get(i, lane);
-            }
-        }
-        let objective = model.eval_objective(&x);
-        out.push(Some((
-            Solution {
-                status: SolveStatus::Optimal,
-                x,
-                objective,
-                duals: duals.clone(),
-                iterations: 1,
-                basis: basis_shared.clone(),
-            },
-            RestartKind::PrimalWarm,
-        )));
-    }
-    scratch.put(cb);
-    scratch.put(y);
-    Some(out)
 }
 
 fn solve_attempt(

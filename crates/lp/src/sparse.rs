@@ -671,140 +671,6 @@ impl LuFactors {
         }
     }
 
-    /// Block FTRAN over a whole [`RhsBlock`]: every lane gets exactly the
-    /// scalar [`Self::ftran_in_place`] treatment, bit for bit, but the
-    /// L/U factor entries and the row/column permutations are walked **once**
-    /// for the block instead of once per lane. Lanes are contiguous in
-    /// memory, so the per-factor-entry inner loop is a k-wide strided-free
-    /// saxpy that autovectorizes.
-    ///
-    /// Bit-identity with the scalar kernel requires mirroring its zero
-    /// guards exactly: the U-solve division is *guarded* on the pre-division
-    /// value, and the saxpy that follows runs for precisely the lanes whose
-    /// pre-division value was nonzero (a division can underflow to zero, and
-    /// `x - (-0.0)` is not a no-op for `x = -0.0`).
-    ///
-    /// `scratch` is resized to `m·k` and left dirty.
-    pub fn ftran_block(&self, x: &mut RhsBlock, scratch: &mut Vec<f64>) {
-        let m = self.m;
-        let k = x.width();
-        debug_assert_eq!(x.rows(), m);
-        scratch.clear();
-        scratch.resize(m * k, 0.0);
-        for p in 0..m {
-            scratch[p * k..(p + 1) * k].copy_from_slice(x.row(self.rowperm[p] as usize));
-        }
-        // L solve, forward column saxpy. Every L entry of pivot column p
-        // sits strictly below p in pivot order, so splitting at the pivot
-        // row separates the source lanes from every destination row.
-        for p in 0..m {
-            let (head, rest) = scratch.split_at_mut((p + 1) * k);
-            let piv = &head[p * k..];
-            if piv.iter().all(|&v| v == 0.0) {
-                continue;
-            }
-            for idx in self.l_colptr[p]..self.l_colptr[p + 1] {
-                let r = self.l_rows[idx] as usize;
-                let a = self.l_vals[idx];
-                let dst = &mut rest[(r - p - 1) * k..(r - p) * k];
-                for (d, &v) in dst.iter_mut().zip(piv.iter()) {
-                    if v != 0.0 {
-                        *d -= a * v;
-                    }
-                }
-            }
-        }
-        // U solve, backward column saxpy. U column entries sit strictly
-        // above the pivot row.
-        let mut pre = vec![0.0f64; k];
-        for p in (0..m).rev() {
-            let (rest, piv_part) = scratch.split_at_mut(p * k);
-            let piv = &mut piv_part[..k];
-            pre.copy_from_slice(piv);
-            let d = self.u_diag[p];
-            let mut any = false;
-            for v in piv.iter_mut() {
-                if *v != 0.0 {
-                    *v /= d;
-                    any = true;
-                }
-            }
-            if !any {
-                continue;
-            }
-            for idx in self.u_colptr[p]..self.u_colptr[p + 1] {
-                let r = self.u_rows[idx] as usize;
-                let a = self.u_cvals[idx];
-                let dst = &mut rest[r * k..(r + 1) * k];
-                for lane in 0..k {
-                    // Guard on the pre-division value, like the scalar path.
-                    if pre[lane] != 0.0 {
-                        dst[lane] -= a * piv[lane];
-                    }
-                }
-            }
-        }
-        for p in 0..m {
-            x.row_mut(self.colperm[p] as usize).copy_from_slice(&scratch[p * k..(p + 1) * k]);
-        }
-    }
-
-    /// Block BTRAN: the lane-wise mirror of [`Self::btran_in_place`], same
-    /// amortization as [`Self::ftran_block`]. The scalar BTRAN divides by
-    /// the U diagonal *unconditionally* and its Lᵀ accumulation has no zero
-    /// guard at all; both quirks are preserved here so each lane is bitwise
-    /// identical to a scalar call.
-    pub fn btran_block(&self, x: &mut RhsBlock, scratch: &mut Vec<f64>) {
-        let m = self.m;
-        let k = x.width();
-        debug_assert_eq!(x.rows(), m);
-        scratch.clear();
-        scratch.resize(m * k, 0.0);
-        for p in 0..m {
-            scratch[p * k..(p + 1) * k].copy_from_slice(x.row(self.colperm[p] as usize));
-        }
-        // Uᵀ solve, forward: row entries of U sit strictly right of the
-        // diagonal, i.e. strictly below p in pivot order.
-        for p in 0..m {
-            let (head, rest) = scratch.split_at_mut((p + 1) * k);
-            let piv = &mut head[p * k..];
-            let d = self.u_diag[p];
-            for v in piv.iter_mut() {
-                *v /= d;
-            }
-            if piv.iter().all(|&v| v == 0.0) {
-                continue;
-            }
-            for idx in self.u_rowptr[p]..self.u_rowptr[p + 1] {
-                let c = self.u_cols[idx] as usize;
-                let a = self.u_rvals[idx];
-                let dst = &mut rest[(c - p - 1) * k..(c - p) * k];
-                for (dv, &v) in dst.iter_mut().zip(piv.iter()) {
-                    if v != 0.0 {
-                        *dv -= a * v;
-                    }
-                }
-            }
-        }
-        // Lᵀ solve, backward dot over column p of L — unguarded, exactly
-        // like the scalar kernel.
-        for p in (0..m).rev() {
-            let (head, rest) = scratch.split_at_mut((p + 1) * k);
-            let piv = &mut head[p * k..];
-            for idx in self.l_colptr[p]..self.l_colptr[p + 1] {
-                let r = self.l_rows[idx] as usize;
-                let a = self.l_vals[idx];
-                let src = &rest[(r - p - 1) * k..(r - p) * k];
-                for (dv, &v) in piv.iter_mut().zip(src.iter()) {
-                    *dv -= a * v;
-                }
-            }
-        }
-        for p in 0..m {
-            x.row_mut(self.rowperm[p] as usize).copy_from_slice(&scratch[p * k..(p + 1) * k]);
-        }
-    }
-
     /// In-place BTRAN: on entry `x` holds `c` (indexed by basis position);
     /// on exit it holds `y` with `yᵀB = cᵀ` (indexed by original row).
     /// `scratch` must be `m` zeros and is returned zeroed.
@@ -834,78 +700,6 @@ impl LuFactors {
         for k in 0..m {
             x[self.rowperm[k] as usize] = scratch[k];
             scratch[k] = 0.0;
-        }
-    }
-}
-
-/// A block of `k` right-hand sides over `m` rows, stored SoA with the lane
-/// index contiguous (`data[r·k + lane]`): all `k` values of one row sit next
-/// to each other, so the block triangular solves touch each factor entry
-/// once and stream through the lanes with unit stride.
-#[derive(Debug, Clone, Default)]
-pub struct RhsBlock {
-    m: usize,
-    k: usize,
-    data: Vec<f64>,
-}
-
-impl RhsBlock {
-    /// A zeroed `m × k` block.
-    pub fn new(m: usize, k: usize) -> Self {
-        RhsBlock { m, k, data: vec![0.0; m * k] }
-    }
-
-    /// Reset to a zeroed `m × k` block, reusing the allocation.
-    pub fn reset(&mut self, m: usize, k: usize) {
-        self.m = m;
-        self.k = k;
-        self.data.clear();
-        self.data.resize(m * k, 0.0);
-    }
-
-    /// Number of rows `m`.
-    pub fn rows(&self) -> usize {
-        self.m
-    }
-
-    /// Number of lanes (right-hand sides) `k`.
-    pub fn width(&self) -> usize {
-        self.k
-    }
-
-    /// All `k` lane values of row `r`.
-    pub fn row(&self, r: usize) -> &[f64] {
-        &self.data[r * self.k..(r + 1) * self.k]
-    }
-
-    /// Mutable lane values of row `r`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        &mut self.data[r * self.k..(r + 1) * self.k]
-    }
-
-    /// Value at `(row, lane)`.
-    pub fn get(&self, r: usize, lane: usize) -> f64 {
-        self.data[r * self.k + lane]
-    }
-
-    /// Overwrite the value at `(row, lane)`.
-    pub fn set(&mut self, r: usize, lane: usize, v: f64) {
-        self.data[r * self.k + lane] = v;
-    }
-
-    /// Scatter a dense `m`-vector into lane `lane`.
-    pub fn load_lane(&mut self, lane: usize, v: &[f64]) {
-        debug_assert_eq!(v.len(), self.m);
-        for (r, &x) in v.iter().enumerate() {
-            self.data[r * self.k + lane] = x;
-        }
-    }
-
-    /// Gather lane `lane` into a dense `m`-vector.
-    pub fn store_lane(&self, lane: usize, out: &mut [f64]) {
-        debug_assert_eq!(out.len(), self.m);
-        for (r, x) in out.iter_mut().enumerate() {
-            *x = self.data[r * self.k + lane];
         }
     }
 }
@@ -1029,72 +823,6 @@ mod tests {
             assert!((lu_y[i] - dense_y[i]).abs() < 1e-9, "btran row {i}");
         }
         assert!(scratch.iter().all(|&v| v == 0.0), "scratch handed back zeroed");
-    }
-
-    /// Block FTRAN/BTRAN must be **bitwise** identical to per-lane scalar
-    /// solves, at every width, on RHS vectors that mix dense, sparse,
-    /// exactly-zero and negative-zero rows.
-    #[test]
-    fn lu_block_kernels_match_scalar_bitwise() {
-        for &m in &[1usize, 7, 40, 90] {
-            let cols = test_matrix(m, 11 + m as u64);
-            let mut lu = LuFactors::new();
-            assert!(lu.factorize(m, &mut |j, out| out.extend_from_slice(&cols[j])));
-            let mut scratch = vec![0.0; m];
-            let mut block_scratch = Vec::new();
-            for &k in &[1usize, 4, 16] {
-                // Deterministic lane patterns: lane 0 dense, lane 1 sparse,
-                // lane 2 all zeros, lane 3 holds -0.0 entries, rest mixed.
-                let mut lanes: Vec<Vec<f64>> = Vec::new();
-                for lane in 0..k {
-                    let v: Vec<f64> = (0..m)
-                        .map(|r| match lane % 4 {
-                            0 => ((r * 13 + lane * 7) as f64 * 0.31).sin(),
-                            1 if r % 5 == 0 => (r as f64 + 1.0) * 0.25 - 1.0,
-                            1 => 0.0,
-                            2 => 0.0,
-                            _ if r % 3 == 0 => -0.0,
-                            _ => (r as f64 * 0.11 + lane as f64).cos(),
-                        })
-                        .collect();
-                    lanes.push(v);
-                }
-                // FTRAN.
-                let mut blk = RhsBlock::new(m, k);
-                for (lane, v) in lanes.iter().enumerate() {
-                    blk.load_lane(lane, v);
-                }
-                lu.ftran_block(&mut blk, &mut block_scratch);
-                for (lane, v) in lanes.iter().enumerate() {
-                    let mut x = v.clone();
-                    lu.ftran_in_place(&mut x, &mut scratch);
-                    for r in 0..m {
-                        assert_eq!(
-                            blk.get(r, lane).to_bits(),
-                            x[r].to_bits(),
-                            "ftran m={m} k={k} lane={lane} row={r}"
-                        );
-                    }
-                }
-                // BTRAN.
-                let mut blk = RhsBlock::new(m, k);
-                for (lane, v) in lanes.iter().enumerate() {
-                    blk.load_lane(lane, v);
-                }
-                lu.btran_block(&mut blk, &mut block_scratch);
-                for (lane, v) in lanes.iter().enumerate() {
-                    let mut x = v.clone();
-                    lu.btran_in_place(&mut x, &mut scratch);
-                    for r in 0..m {
-                        assert_eq!(
-                            blk.get(r, lane).to_bits(),
-                            x[r].to_bits(),
-                            "btran m={m} k={k} lane={lane} row={r}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

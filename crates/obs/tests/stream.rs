@@ -179,7 +179,12 @@ fn flight_ring_keeps_last_n_and_dump_is_jsonl() {
     let header = lines.next().unwrap();
     assert!(header.contains("\"type\":\"flight\""));
     assert!(header.contains("\"reason\":\"test_reason\""));
-    let events: Vec<&str> = lines.collect();
+    // The dump merges every registered thread's ring. A previous test's
+    // thread stays registered until its TLS destructor runs, which can
+    // land after this test's drain, so its ring may ride along. Rings are
+    // per-thread: check this thread's `flight.tick` events.
+    let events: Vec<&str> =
+        lines.filter(|l| l.contains("\"name\":\"flight.tick\"")).collect();
     assert_eq!(events.len(), cap, "ring holds exactly the last N events");
     // The ring holds the *last* N: the newest index must be present,
     // the oldest must have been evicted.
