@@ -51,19 +51,6 @@ const DETERMINISTIC_COUNTERS: &[&str] = &[
     "flexile.scenarios_retried",
     "flexile.scenario_warm_hit",
     "flexile.dual_restart",
-    // Distributed substrate: deterministic functions of the armed fault
-    // matrix. `flexile.dist_retry` and `flexile.dist_stale_result` are
-    // timing-dependent (a straggler may or may not race its reaper) and
-    // deliberately absent.
-    "flexile.dist_workers_spawned",
-    "flexile.dist_worker_dead",
-    "flexile.dist_worker_restart",
-    "flexile.dist_worker_quarantined",
-    "flexile.dist_heartbeat_stall",
-    "flexile.dist_reassigned",
-    "flexile.dist_frame_corrupt",
-    "flexile.dist_fallback",
-    "flexile.dist_handshake_reject",
     "emu.chaos_steps",
 ];
 

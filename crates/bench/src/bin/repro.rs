@@ -26,12 +26,6 @@
 //!   warm_restart scenario-pool policy benchmark: cold / per-scenario
 //!   checkpoint   crash-safety guard: checkpoint cadence sweep + overhead bound
 //!   crash_resume process-level kill/resume driver (see flags below)
-//!   dist_resilience  coordinator/worker fleet fault matrix: workers
-//!                {0,1,3} × fault {none,kill,stall,kill+stall}, penalties
-//!                asserted bit-equal to the in-process reference
-//!                (artifact: BENCH_dist.json)
-//!   dist_worker  internal: serve as a dist worker process (spawned by
-//!                the dist_resilience coordinator; not for direct use)
 //!   slo          failure→plan-swap reaction latency under the chaos runner
 //!   bench-check  perf-regression guard: diff --obs records vs committed
 //!                BENCH_*.json in --baseline DIR (default .), fail beyond
@@ -211,7 +205,7 @@ fn usage() {
          bench-check flags: --obs DIR [--baseline DIR] [--tolerance F]\n\
          experiments: motivation table2 fig5 fig6 fig9a fig9b fig9c fig10 fig11 \
          fig12 fig13 fig14 fig15 fig18 lp_basis warm_restart \
-         checkpoint crash_resume dist_resilience slo bench-check summary all"
+         checkpoint crash_resume slo bench-check summary all"
     );
 }
 
@@ -234,7 +228,6 @@ fn run(experiment: &str, cfg: &ExpConfig, limit: usize) -> bool {
         "lp_basis" => flexile_bench::lp_basis::run_lp_basis(cfg, limit),
         "warm_restart" => flexile_bench::warm_restart::run_warm_restart(cfg, limit),
         "checkpoint" => flexile_bench::checkpoint::run_checkpoint(cfg, limit),
-        "dist_resilience" => flexile_bench::dist::run_dist_resilience(cfg, limit),
         "slo" => flexile_bench::slo::run_slo(cfg),
         "summary" => flexile_bench::summary::run_summary(cfg),
         _ => return false,
@@ -308,17 +301,19 @@ fn write_artifacts(
     wall_ms: f64,
     t: &flexile_obs::Telemetry,
 ) -> std::io::Result<()> {
-    // The fault-matrix experiment keeps a short artifact stem (its record
-    // is committed as BENCH_dist.json); the identity field inside the
-    // record still carries the full experiment name.
-    let stem = if experiment == "dist_resilience" { "dist" } else { experiment };
     std::fs::create_dir_all(dir)?;
-    std::fs::write(dir.join(format!("BENCH_{stem}.json")), perf_record(experiment, cfg, wall_ms, t))?;
-    std::fs::write(dir.join(format!("BENCH_{stem}_trace.json")), t.to_chrome_trace())?;
+    std::fs::write(
+        dir.join(format!("BENCH_{experiment}.json")),
+        perf_record(experiment, cfg, wall_ms, t),
+    )?;
+    std::fs::write(
+        dir.join(format!("BENCH_{experiment}_trace.json")),
+        t.to_chrome_trace(),
+    )?;
     // Full bucket arrays on hist lines (dashboards and distribution diffs);
     // the legacy quantile fields stay, so the CI jq schema is unchanged.
     std::fs::write(
-        dir.join(format!("BENCH_{stem}_events.jsonl")),
+        dir.join(format!("BENCH_{experiment}_events.jsonl")),
         flexile_obs::export::to_jsonl_opts(t, true),
     )?;
     Ok(())
@@ -364,15 +359,10 @@ fn perf_record(experiment: &str, cfg: &ExpConfig, wall_ms: f64, t: &flexile_obs:
     if !policies.is_empty() {
         let _ = write!(s, ",\"policies\":[{}]", policies.join(","));
     }
-    // Likewise for the checkpoint-cadence guard…
+    // Likewise for the checkpoint-cadence guard.
     let ckpt_runs = flexile_bench::checkpoint::take_checkpoint_records();
     if !ckpt_runs.is_empty() {
         let _ = write!(s, ",\"checkpoint_runs\":[{}]", ckpt_runs.join(","));
-    }
-    // …and the distributed fault matrix.
-    let dist_cells = flexile_bench::dist::take_dist_records();
-    if !dist_cells.is_empty() {
-        let _ = write!(s, ",\"dist_cells\":[{}]", dist_cells.join(","));
     }
     // And the SLO experiment's reaction-latency percentiles, which is
     // what `bench-check` gates the p99 budget on.
@@ -394,18 +384,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // `dist_worker` is the re-exec'd worker half of the dist_resilience
-    // coordinator: connect (address/slot/chaos come via the environment),
-    // serve assignments, exit. No parsing beyond this, no telemetry.
-    if args.experiment == "dist_worker" {
-        return match flexile_core::worker_entry() {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: dist worker: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
     // `crash_resume` is exit-code driven (3 = armed kill fired) and may die
     // mid-run by design, so it bypasses the telemetry artifact plumbing.
     if args.experiment == "crash_resume" {

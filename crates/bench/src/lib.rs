@@ -12,7 +12,6 @@
 
 pub mod bench_check;
 pub mod checkpoint;
-pub mod dist;
 pub mod figs_ibm;
 pub mod figs_motivation;
 pub mod figs_perf;

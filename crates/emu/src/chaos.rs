@@ -25,8 +25,8 @@
 
 use flexile_core::online::{online_allocate_robust, DegradationLevel, OnlineOutcome};
 use flexile_core::{
-    decompose_resume, killpoints, solve_flexile, solve_flexile_dist, CheckpointError,
-    DecompositionAborted, DistError, DistOptions, FlexileDesign, FlexileOptions, KillPoint,
+    decompose_resume, killpoints, solve_flexile, CheckpointError, DecompositionAborted,
+    FlexileDesign, FlexileOptions, KillPoint,
 };
 use flexile_lp::fault::{self, FaultInjector};
 use flexile_scenario::{FailureUnit, Scenario, ScenarioSet};
@@ -387,76 +387,6 @@ pub fn run_with_kills(
     unreachable!("more crashes than armed kill-points");
 }
 
-// ---------------------------------------------------------------------------
-// Distributed chaos: worker-death cycles over the process fleet
-// ---------------------------------------------------------------------------
-
-/// Record of a [`run_dist_chaos`] worker-death cycle: the final design plus
-/// the robustness counters the coordinator fired while absorbing the
-/// injected process faults.
-#[derive(Debug, Clone)]
-pub struct DistChaosReport {
-    /// The final design, after every injected process fault was absorbed.
-    pub design: FlexileDesign,
-    /// Worker deaths handled (kills, aborts, hangs, condemned streams).
-    pub deaths: u64,
-    /// Clean respawns after a death.
-    pub restarts: u64,
-    /// Slots quarantined after exhausting their restart budget.
-    pub quarantined: u64,
-    /// Scenario assignments moved off a dead worker.
-    pub reassigned: u64,
-    /// Heartbeat stalls detected by the deadline machinery.
-    pub stalls: u64,
-    /// Frames condemned by checksum/validation.
-    pub corrupt_frames: u64,
-    /// Whether the coordinator degraded to in-process solving.
-    pub fell_back: bool,
-}
-
-/// Drive the *distributed* offline decomposition through process-level
-/// chaos (worker death, hangs, frame corruption — armed per-slot via
-/// [`DistOptions::chaos`]) and report what the coordinator absorbed.
-///
-/// The process analogue of [`run_with_kills`]: where that harness crashes
-/// and resumes one process, this one lets the coordinator survive its
-/// fleet dying under it. The obs sink is process-global and used to read
-/// back the robustness counters, so callers running tests in parallel must
-/// serialize, same as with kill-points.
-pub fn run_dist_chaos(
-    inst: &Instance,
-    set: &ScenarioSet,
-    opts: &FlexileOptions,
-    dopts: &DistOptions,
-) -> Result<DistChaosReport, DistError> {
-    let was_enabled = flexile_obs::enabled();
-    flexile_obs::enable();
-    let before = flexile_obs::snapshot();
-    let result = solve_flexile_dist(inst, set, opts, dopts);
-    let after = flexile_obs::snapshot();
-    if !was_enabled {
-        flexile_obs::disable();
-    }
-    let delta = |name: &str| -> u64 {
-        after
-            .counters
-            .get(name)
-            .copied()
-            .unwrap_or(0)
-            .saturating_sub(before.counters.get(name).copied().unwrap_or(0))
-    };
-    Ok(DistChaosReport {
-        design: result?,
-        deaths: delta("flexile.dist_worker_dead"),
-        restarts: delta("flexile.dist_worker_restart"),
-        quarantined: delta("flexile.dist_worker_quarantined"),
-        reassigned: delta("flexile.dist_reassigned"),
-        stalls: delta("flexile.dist_heartbeat_stall"),
-        corrupt_frames: delta("flexile.dist_frame_corrupt"),
-        fell_back: delta("flexile.dist_fallback") > 0,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -682,56 +612,5 @@ mod tests {
         assert_eq!(report.aborts, vec![2]);
         assert!(report.design.penalty < 1e-6, "penalty {}", report.design.penalty);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    // -- distributed worker-death cycles ------------------------------------
-
-    /// Worker-process hook for the distributed chaos driver: when the dist
-    /// environment is present this test binary was re-exec'd as a worker
-    /// and this "test" is its main; in a normal run it is a no-op pass.
-    #[test]
-    fn dist_worker_main() {
-        if std::env::var(flexile_core::dist::CONNECT_ENV).is_err() {
-            return;
-        }
-        if let Err(e) = flexile_core::worker_entry() {
-            eprintln!("dist worker exited with error: {e}");
-        }
-    }
-
-    #[test]
-    fn dist_worker_death_cycle_is_bit_identical() {
-        let _g = chaos_serial();
-        let (inst, set) = fig1_iterating();
-        let opts = FlexileOptions::default();
-        let clean = solve_flexile(&inst, &set, &opts);
-        assert!(clean.iterations.len() >= 2, "setup must iterate");
-
-        let mut dopts = DistOptions::new(
-            2,
-            flexile_core::WorkerSpec::CurrentExe {
-                args: vec![
-                    "--exact".into(),
-                    "chaos::tests::dist_worker_main".into(),
-                    "--nocapture".into(),
-                ],
-            },
-        );
-        // Slot 0's process aborts on its first iteration-2 assignment.
-        dopts.chaos = vec![(
-            0,
-            flexile_core::to_env(&[KillPoint::ProcExit {
-                iteration: 2,
-                scenario: flexile_core::ANY_SCENARIO,
-            }]),
-        )];
-        let report = run_dist_chaos(&inst, &set, &opts, &dopts).expect("dist chaos cycle");
-        assert_eq!(bits(&report.design), bits(&clean), "worker death changed the design");
-        assert_eq!(report.deaths, 1);
-        assert_eq!(report.restarts, 1);
-        assert!(report.reassigned >= 1, "the dead worker's share must move");
-        assert_eq!(report.stalls, 0);
-        assert_eq!(report.corrupt_frames, 0);
-        assert!(!report.fell_back);
     }
 }

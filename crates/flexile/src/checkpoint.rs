@@ -42,6 +42,7 @@
 //! checkpoint intact.
 
 use crate::decomposition::{FlexileOptions, IterationStat, PoolPolicy};
+use crate::pool::BASIS_RESIDENCY;
 use crate::subproblem::Cut;
 use flexile_scenario::ScenarioSet;
 use flexile_traffic::Instance;
@@ -96,19 +97,11 @@ pub enum CheckpointError {
         component: &'static str,
     },
     /// The checkpoint was written under decomposition options that change
-    /// the trajectory (iteration/pruning/γ knobs or the master
-    /// configuration). `component` names which options-fingerprint
+    /// the trajectory (iteration/pruning/γ knobs, the master configuration
+    /// or the pool policy). `component` names which options-fingerprint
     /// component diverged (see [`OPTIONS_COMPONENTS`]).
     OptionsMismatch {
         /// Which options-fingerprint component differs.
-        component: &'static str,
-    },
-    /// The checkpoint's pool configuration (scheduling policy/residency)
-    /// differs from the resuming run's. Split from
-    /// [`CheckpointError::OptionsMismatch`] because distributed handshakes
-    /// negotiate exactly this knob and need the typed rejection.
-    PoolConfigMismatch {
-        /// Which pool-config component differs (always `"pool_policy"`).
         component: &'static str,
     },
     /// Resume was requested but the options carry no checkpoint directory.
@@ -140,11 +133,6 @@ impl fmt::Display for CheckpointError {
             CheckpointError::OptionsMismatch { component } => write!(
                 f,
                 "checkpoint was written under different decomposition options \
-                 (mismatched component: {component})"
-            ),
-            CheckpointError::PoolConfigMismatch { component } => write!(
-                f,
-                "checkpoint was written under a different pool configuration \
                  (mismatched component: {component})"
             ),
             CheckpointError::NoCheckpointConfigured => {
@@ -223,27 +211,27 @@ pub struct CheckpointState {
 // Fingerprints
 // ---------------------------------------------------------------------------
 
-pub(crate) struct Fnv(pub(crate) u64);
+struct Fnv(u64);
 
 impl Fnv {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
-    pub(crate) fn bytes(&mut self, bs: &[u8]) {
+    fn bytes(&mut self, bs: &[u8]) {
         for &b in bs {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(0x100_0000_01b3);
         }
     }
-    pub(crate) fn u64(&mut self, v: u64) {
+    fn u64(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
     }
-    pub(crate) fn f64(&mut self, v: f64) {
+    fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 }
 
-pub(crate) fn fnv64(bs: &[u8]) -> u64 {
+fn fnv64(bs: &[u8]) -> u64 {
     let mut h = Fnv::new();
     h.bytes(bs);
     h.0
@@ -256,9 +244,7 @@ pub const PROBLEM_COMPONENTS: [&str; 5] =
     ["shape", "classes", "demands", "capacities", "scenarios"];
 
 /// Names of the options-fingerprint components, aligned with the entries
-/// of [`options_fingerprint_parts`]. The last (`pool_policy`) is pool
-/// configuration and surfaces as [`CheckpointError::PoolConfigMismatch`]
-/// rather than the generic options mismatch.
+/// of [`options_fingerprint_parts`].
 pub const OPTIONS_COMPONENTS: [&str; 3] = ["search", "master", "pool_policy"];
 
 /// Bit-exact component fingerprints of the problem a checkpoint belongs
@@ -322,9 +308,9 @@ pub fn problem_fingerprint(inst: &Instance, set: &ScenarioSet) -> u64 {
 /// *trajectory* (anything that would make continuation diverge from the
 /// original run), in [`OPTIONS_COMPONENTS`] order: search knobs
 /// (iteration cap, pruning, γ), master configuration, and pool policy +
-/// residency. Thread count is deliberately excluded —
-/// output is thread-invariant — as are the checkpointing knobs themselves
-/// and the watchdog (wall-clock based, documented as best-effort).
+/// residency budget. Thread count is deliberately excluded — output is
+/// thread-invariant — as are the checkpointing knobs themselves and the
+/// watchdog (wall-clock based, documented as best-effort).
 pub fn options_fingerprint_parts(opts: &FlexileOptions) -> [u64; OPTIONS_COMPONENTS.len()] {
     let mut search = Fnv::new();
     search.u64(opts.max_iterations as u64);
@@ -346,7 +332,7 @@ pub fn options_fingerprint_parts(opts: &FlexileOptions) -> [u64; OPTIONS_COMPONE
         PoolPolicy::PerScenario => 0,
         PoolPolicy::Cold => 2,
     });
-    pool_policy.u64(opts.basis_residency as u64);
+    pool_policy.u64(BASIS_RESIDENCY as u64);
 
     [search.0, master.0, pool_policy.0]
 }
@@ -364,33 +350,6 @@ fn combine_parts(parts: &[u64]) -> u64 {
     h.0
 }
 
-/// Compare declared fingerprint parts against locally recomputed ones,
-/// returning a typed error naming the first diverging component. Shared
-/// by [`crate::decompose_resume`] and the distributed handshake, so a
-/// coordinator/worker disagreement is diagnosable from one log line.
-pub fn check_parts(
-    declared_problem: &[u64; PROBLEM_COMPONENTS.len()],
-    actual_problem: &[u64; PROBLEM_COMPONENTS.len()],
-    declared_options: &[u64; OPTIONS_COMPONENTS.len()],
-    actual_options: &[u64; OPTIONS_COMPONENTS.len()],
-) -> Result<(), CheckpointError> {
-    for (i, name) in PROBLEM_COMPONENTS.iter().enumerate() {
-        if declared_problem[i] != actual_problem[i] {
-            return Err(CheckpointError::ProblemMismatch { component: name });
-        }
-    }
-    for (i, name) in OPTIONS_COMPONENTS.iter().enumerate() {
-        if declared_options[i] != actual_options[i] {
-            return Err(if *name == "pool_policy" {
-                CheckpointError::PoolConfigMismatch { component: name }
-            } else {
-                CheckpointError::OptionsMismatch { component: name }
-            });
-        }
-    }
-    Ok(())
-}
-
 /// Validate that a checkpoint belongs to this problem + options, naming
 /// the diverging component on mismatch. Shape (`nf`/`nq`/`na`) counts as
 /// the `"shape"` problem component.
@@ -403,41 +362,43 @@ pub fn validate_fingerprints(
     if ck.nf != inst.num_flows() || ck.nq != set.scenarios.len() || ck.na != inst.num_arcs() {
         return Err(CheckpointError::ProblemMismatch { component: "shape" });
     }
-    check_parts(
-        &ck.problem_parts,
-        &problem_fingerprint_parts(inst, set),
-        &ck.options_parts,
-        &options_fingerprint_parts(opts),
-    )
+    let problem = problem_fingerprint_parts(inst, set);
+    for (i, name) in PROBLEM_COMPONENTS.iter().enumerate() {
+        if ck.problem_parts[i] != problem[i] {
+            return Err(CheckpointError::ProblemMismatch { component: name });
+        }
+    }
+    let options = options_fingerprint_parts(opts);
+    for (i, name) in OPTIONS_COMPONENTS.iter().enumerate() {
+        if ck.options_parts[i] != options[i] {
+            return Err(CheckpointError::OptionsMismatch { component: name });
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // Encoder
 // ---------------------------------------------------------------------------
 
-pub(crate) struct Enc {
-    pub(crate) buf: Vec<u8>,
+struct Enc {
+    buf: Vec<u8>,
 }
 
 impl Enc {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Enc { buf: Vec::with_capacity(4096) }
     }
-    pub(crate) fn u64(&mut self, v: u64) {
+    fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
-    pub(crate) fn f64(&mut self, v: f64) {
+    fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
-    pub(crate) fn bool(&mut self, v: bool) {
+    fn bool(&mut self, v: bool) {
         self.buf.push(v as u8);
     }
-    /// A length-prefixed UTF-8 string.
-    pub(crate) fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    pub(crate) fn bits(&mut self, bs: &[bool]) {
+    fn bits(&mut self, bs: &[bool]) {
         self.u64(bs.len() as u64);
         let mut byte = 0u8;
         for (i, &b) in bs.iter().enumerate() {
@@ -453,13 +414,13 @@ impl Enc {
             self.buf.push(byte);
         }
     }
-    pub(crate) fn f64s(&mut self, vs: &[f64]) {
+    fn f64s(&mut self, vs: &[f64]) {
         self.u64(vs.len() as u64);
         for &v in vs {
             self.f64(v);
         }
     }
-    pub(crate) fn opt<T>(&mut self, v: &Option<T>, f: impl FnOnce(&mut Self, &T)) {
+    fn opt<T>(&mut self, v: &Option<T>, f: impl FnOnce(&mut Self, &T)) {
         match v {
             Some(inner) => {
                 self.buf.push(1);
@@ -468,7 +429,7 @@ impl Enc {
             None => self.buf.push(0),
         }
     }
-    pub(crate) fn cut(&mut self, c: &Cut) {
+    fn cut(&mut self, c: &Cut) {
         self.f64s(&c.w);
         self.f64s(&c.u);
         self.f64(c.d_const);
@@ -479,13 +440,13 @@ impl Enc {
 // Decoder
 // ---------------------------------------------------------------------------
 
-pub(crate) struct Dec<'a> {
-    pub(crate) buf: &'a [u8],
-    pub(crate) pos: usize,
+struct Dec<'a> {
+    buf: &'a [u8],
+    pos: usize,
 }
 
 impl<'a> Dec<'a> {
-    pub(crate) fn need(&self, n: usize) -> Result<(), CheckpointError> {
+    fn need(&self, n: usize) -> Result<(), CheckpointError> {
         if self.buf.len() - self.pos < n {
             Err(CheckpointError::Truncated {
                 needed: self.pos + n,
@@ -495,28 +456,17 @@ impl<'a> Dec<'a> {
             Ok(())
         }
     }
-    pub(crate) fn u64(&mut self) -> Result<u64, CheckpointError> {
+    fn u64(&mut self) -> Result<u64, CheckpointError> {
         self.need(8)?;
         let mut b = [0u8; 8];
         b.copy_from_slice(&self.buf[self.pos..self.pos + 8]);
         self.pos += 8;
         Ok(u64::from_le_bytes(b))
     }
-    pub(crate) fn f64(&mut self) -> Result<f64, CheckpointError> {
+    fn f64(&mut self) -> Result<f64, CheckpointError> {
         Ok(f64::from_bits(self.u64()?))
     }
-    /// A length-prefixed UTF-8 string (hostile lengths and invalid UTF-8
-    /// are typed errors, like every other field).
-    pub(crate) fn str(&mut self) -> Result<String, CheckpointError> {
-        let n = self.len(1)?;
-        self.need(n)?;
-        let s = std::str::from_utf8(&self.buf[self.pos..self.pos + n])
-            .map_err(|_| CheckpointError::Malformed("invalid UTF-8 string"))?
-            .to_string();
-        self.pos += n;
-        Ok(s)
-    }
-    pub(crate) fn bool(&mut self) -> Result<bool, CheckpointError> {
+    fn bool(&mut self) -> Result<bool, CheckpointError> {
         self.need(1)?;
         let b = self.buf[self.pos];
         self.pos += 1;
@@ -528,7 +478,7 @@ impl<'a> Dec<'a> {
     }
     /// A length field, validated so that `len * elem_bytes` fits in the
     /// remaining payload (prevents attacker-controlled allocations).
-    pub(crate) fn len(&mut self, elem_bytes: usize) -> Result<usize, CheckpointError> {
+    fn len(&mut self, elem_bytes: usize) -> Result<usize, CheckpointError> {
         let n = self.u64()?;
         let remaining = (self.buf.len() - self.pos) as u64;
         if n.checked_mul(elem_bytes.max(1) as u64).is_none_or(|need| need > remaining) {
@@ -536,7 +486,7 @@ impl<'a> Dec<'a> {
         }
         Ok(n as usize)
     }
-    pub(crate) fn bits(&mut self) -> Result<Vec<bool>, CheckpointError> {
+    fn bits(&mut self) -> Result<Vec<bool>, CheckpointError> {
         let n = self.u64()? as usize;
         let bytes = n.div_ceil(8);
         self.need(bytes)?;
@@ -551,7 +501,7 @@ impl<'a> Dec<'a> {
         self.pos += bytes;
         Ok(out)
     }
-    pub(crate) fn f64s(&mut self) -> Result<Vec<f64>, CheckpointError> {
+    fn f64s(&mut self) -> Result<Vec<f64>, CheckpointError> {
         let n = self.len(8)?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
@@ -559,7 +509,7 @@ impl<'a> Dec<'a> {
         }
         Ok(out)
     }
-    pub(crate) fn opt<T>(
+    fn opt<T>(
         &mut self,
         f: impl FnOnce(&mut Self) -> Result<T, CheckpointError>,
     ) -> Result<Option<T>, CheckpointError> {
@@ -569,7 +519,7 @@ impl<'a> Dec<'a> {
             Ok(None)
         }
     }
-    pub(crate) fn cut(&mut self) -> Result<Cut, CheckpointError> {
+    fn cut(&mut self) -> Result<Cut, CheckpointError> {
         Ok(Cut { w: self.f64s()?, u: self.f64s()?, d_const: self.f64()? })
     }
 }

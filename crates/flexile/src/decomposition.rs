@@ -40,7 +40,7 @@
 
 use crate::checkpoint::{self, BestIncumbent, CheckpointError, CheckpointState};
 use crate::master::{solve_master, CutPool, MasterOptions};
-use crate::pool::{with_pool, IterationSolver, PoolCtx, PoolError, PoolSnapshot};
+use crate::pool::{with_pool, PoolCtx, PoolError, PoolHandle, PoolSnapshot};
 use crate::subproblem::{SubproblemSolution, SubproblemTemplate};
 use flexile_metrics::{perc_loss, LossMatrix};
 use flexile_scenario::ScenarioSet;
@@ -49,10 +49,6 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 pub use crate::pool::PoolPolicy;
-
-/// Alias emphasizing that these options configure the offline decomposition
-/// (scheduling policy, residency budget, master knobs).
-pub type DecompositionOptions = FlexileOptions;
 
 /// Options for the offline decomposition.
 #[derive(Debug, Clone)]
@@ -72,11 +68,6 @@ pub struct FlexileOptions {
     pub prune: bool,
     /// Subproblem scheduling / basis-reuse policy (see [`PoolPolicy`]).
     pub pool: PoolPolicy,
-    /// Maximum scenario templates (and their warm bases) kept resident
-    /// between iterations under [`PoolPolicy::PerScenario`]; LRU beyond
-    /// this. Deliberately generous: a template is small next to the
-    /// scenario set itself.
-    pub basis_residency: usize,
     /// Watchdog deadline for each subproblem's warm fast path, a
     /// wall-clock backstop behind the LP layer's deterministic restart
     /// pivot cap: a warm restart that exceeds it is abandoned, its basis
@@ -105,7 +96,6 @@ impl Default for FlexileOptions {
             gamma: None,
             prune: true,
             pool: PoolPolicy::default(),
-            basis_residency: 4096,
             watchdog: None,
             checkpoint_dir: None,
             checkpoint_every: 1,
@@ -190,13 +180,13 @@ pub fn evaluate_criticality(
 
 /// Precomputed, deterministic derivations from the problem definition
 /// (identical for a fresh run and a resume).
-pub(crate) struct Prepared {
-    pub(crate) betas: Vec<f64>,
-    pub(crate) allowed: Vec<Vec<bool>>,
-    pub(crate) loss_ub: Option<Vec<Vec<f64>>>,
+struct Prepared {
+    betas: Vec<f64>,
+    allowed: Vec<Vec<bool>>,
+    loss_ub: Option<Vec<Vec<f64>>>,
 }
 
-pub(crate) fn prepare(inst: &Instance, set: &ScenarioSet, opts: &FlexileOptions) -> Prepared {
+fn prepare(inst: &Instance, set: &ScenarioSet, opts: &FlexileOptions) -> Prepared {
     let nf = inst.num_flows();
     let betas = crate::effective_betas(inst, set);
 
@@ -297,7 +287,7 @@ pub fn decompose_resume(
     Ok(design)
 }
 
-/// Route a (fresh or restored) state through the configured scheduler.
+/// Run a (fresh or restored) state on the scenario pool.
 fn dispatch(
     inst: &Instance,
     set: &ScenarioSet,
@@ -312,12 +302,11 @@ fn dispatch(
         loss_ub: prep.loss_ub.as_deref(),
         watchdog: opts.watchdog,
     };
-    let residency = if opts.pool == PoolPolicy::Cold { 0 } else { opts.basis_residency };
-    with_pool(ctx, opts.threads.max(1), residency, |solver| {
+    with_pool(ctx, opts.threads.max(1), opts.pool, |pool| {
         if let Some((it, snap)) = &restore {
-            solver.restore(*it, snap);
+            pool.restore(*it, snap);
         }
-        run_decomposition(inst, set, opts, &prep.betas, &prep.allowed, solver, state)
+        run_decomposition(inst, set, opts, &prep.betas, &prep.allowed, pool, state)
     })
 }
 
@@ -326,7 +315,7 @@ type Incumbent = (f64, Vec<Vec<bool>>, Vec<Vec<f64>>, Vec<f64>);
 
 /// The complete mutable state of the Algorithm-1 loop, separated out so an
 /// iteration boundary can be checkpointed and restored.
-pub(crate) struct BendersState {
+struct BendersState {
     /// Last completed iteration (0 = none yet).
     it: usize,
     /// Criticality proposal for the next iteration.
@@ -342,11 +331,11 @@ pub(crate) struct BendersState {
     /// subproblems by one iteration, so iteration 1 has no bound yet.
     last_bound: Option<f64>,
     /// Converged or exhausted the iteration budget.
-    pub(crate) done: bool,
+    done: bool,
 }
 
 impl BendersState {
-    pub(crate) fn fresh(allowed: &[Vec<bool>], nq: usize) -> Self {
+    fn fresh(allowed: &[Vec<bool>], nq: usize) -> Self {
         BendersState {
             it: 0,
             // Starting heuristic: everything connected is critical.
@@ -363,7 +352,7 @@ impl BendersState {
         }
     }
 
-    pub(crate) fn from_checkpoint(ck: &CheckpointState) -> Result<Self, CheckpointError> {
+    fn from_checkpoint(ck: &CheckpointState) -> Result<Self, CheckpointError> {
         // Checkpoints are only written at iteration boundaries, where an
         // incumbent always exists; a valid-checksum file claiming otherwise
         // was hand-crafted.
@@ -451,19 +440,19 @@ impl CheckpointPlan {
     /// Write a snapshot if this boundary is due. A write failure degrades
     /// to a counter (`flexile.checkpoint_error`) rather than killing a run
     /// that is otherwise healthy.
-    fn maybe_write(&self, state: &BendersState, solver: &dyn IterationSolver, betas: &[f64]) {
+    fn maybe_write(&self, state: &BendersState, pool: &PoolHandle<'_>, betas: &[f64]) {
         let Some(path) = &self.path else { return };
         if !state.done && !state.it.is_multiple_of(self.every) {
             return;
         }
-        let ck = state.to_checkpoint(self, solver.snapshot(), betas);
+        let ck = state.to_checkpoint(self, pool.snapshot(), betas);
         if checkpoint::write_checkpoint(path, &ck).is_err() {
             flexile_obs::add("flexile.checkpoint_error", 1);
         }
     }
 }
 
-pub(crate) fn design_from_state(state: BendersState, betas: &[f64]) -> FlexileDesign {
+fn design_from_state(state: BendersState, betas: &[f64]) -> FlexileDesign {
     let (penalty, critical, offline_loss, alpha) =
         state.best.expect("at least one iteration ran");
     FlexileDesign {
@@ -476,15 +465,15 @@ pub(crate) fn design_from_state(state: BendersState, betas: &[f64]) -> FlexileDe
     }
 }
 
-/// The Algorithm-1 iteration loop, generic over how an iteration's
-/// subproblems are actually scheduled and solved.
-pub(crate) fn run_decomposition(
+/// The Algorithm-1 iteration loop; each iteration's subproblems are solved
+/// on `pool`.
+fn run_decomposition(
     inst: &Instance,
     set: &ScenarioSet,
     opts: &FlexileOptions,
     betas: &[f64],
     allowed: &[Vec<bool>],
-    solver: &mut dyn IterationSolver,
+    pool: &mut PoolHandle<'_>,
     mut state: BendersState,
 ) -> FlexileDesign {
     let nf = inst.num_flows();
@@ -514,7 +503,7 @@ pub(crate) fn run_decomposition(
             .field("iteration", it)
             .field("solved", todo.len());
 
-        // Solve subproblems through the configured scheduler. Workers never
+        // Solve subproblems on the pool. Workers never
         // panic on solver failures: each scenario's result is a `Result`,
         // and a terminal LP error — or a contained-and-retried panic that
         // exhausted its retries ([`PoolError::ScenarioPoisoned`]) — just
@@ -523,7 +512,7 @@ pub(crate) fn run_decomposition(
         // decomposition down.
         let cols: Vec<Vec<bool>> =
             todo.iter().map(|&q| (0..nf).map(|f| state.z[f][q]).collect()).collect();
-        let outputs = solver.solve_iteration(it, &todo, cols);
+        let outputs = pool.solve_iteration(it, &todo, cols);
 
         drop(sub_span);
         // Chaos hook: an armed Abort kill-point unwinds the decomposition
@@ -591,7 +580,7 @@ pub(crate) fn run_decomposition(
                 state.perfect[q] = true;
                 if opts.prune {
                     // Never solved again: drop its pooled template early.
-                    solver.retire(q);
+                    pool.retire(q);
                 }
             }
             state.cached_loss[q] = Some(sol.loss.clone());
@@ -643,9 +632,6 @@ pub(crate) fn run_decomposition(
             dual_restarts,
         });
         state.it = it;
-        // Boundary hook: distributed schedulers broadcast this iteration's
-        // cut-pool delta and the incumbent to their workers here.
-        solver.iteration_complete(it, upper, &state.z);
 
         if it == opts.max_iterations {
             state.done = true;
@@ -662,7 +648,7 @@ pub(crate) fn run_decomposition(
                 state.z = next_z;
             }
         }
-        plan.maybe_write(&state, solver, betas);
+        plan.maybe_write(&state, pool, betas);
     }
 
     design_from_state(state, betas)

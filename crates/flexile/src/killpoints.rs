@@ -40,43 +40,7 @@ pub enum KillPoint {
         /// Iteration in which the decomposition dies.
         iteration: usize,
     },
-    /// Abort the whole *worker process* (`std::process::abort`) right
-    /// before it solves `scenario` in `iteration` — the distributed
-    /// equivalent of SIGKILL mid-solve. `scenario == ANY_SCENARIO` fires
-    /// on the first assignment the worker processes for that iteration.
-    /// Armed inside worker processes via [`to_env`]/[`arm_from_env`].
-    ProcExit {
-        /// Iteration in which the worker process dies.
-        iteration: usize,
-        /// Scenario whose assignment kills the process ([`ANY_SCENARIO`]
-        /// for "the first one").
-        scenario: usize,
-    },
-    /// Hang the distributed worker at the first assignment of `iteration`:
-    /// heartbeats stop and the main loop sleeps forever, so the
-    /// coordinator's deadline machinery must detect the stall, kill the
-    /// process, and reassign its scenarios.
-    HeartbeatStall {
-        /// Iteration in which the worker hangs.
-        iteration: usize,
-    },
-    /// Corrupt the checksum of the worker's result frame for
-    /// `(iteration, scenario)` on the wire, exercising the coordinator's
-    /// frame validation and drop-the-connection containment.
-    FrameCorrupt {
-        /// Iteration of the corrupted result frame.
-        iteration: usize,
-        /// Scenario of the corrupted result frame ([`ANY_SCENARIO`] for
-        /// "the first one").
-        scenario: usize,
-    },
 }
-
-/// Wildcard scenario for [`KillPoint::ProcExit`] / [`KillPoint::FrameCorrupt`]:
-/// matches the first assignment the worker processes in the given
-/// iteration, so process-death chaos does not need to predict which
-/// scenarios land on which worker.
-pub const ANY_SCENARIO: usize = usize::MAX;
 
 /// Panic payload of a fired [`KillPoint::Abort`].
 #[derive(Debug, Clone, Copy)]
@@ -154,86 +118,6 @@ pub(crate) fn maybe_fire_abort(iteration: usize) {
     }
 }
 
-/// Worker-process check; aborts the process when a [`KillPoint::ProcExit`]
-/// is armed for `(iteration, scenario)` or `(iteration, ANY_SCENARIO)`.
-pub(crate) fn maybe_fire_proc_exit(iteration: usize, scenario: usize) {
-    if fire(KillPoint::ProcExit { iteration, scenario })
-        || fire(KillPoint::ProcExit { iteration, scenario: ANY_SCENARIO })
-    {
-        eprintln!("chaos kill-point: worker process abort at iteration {iteration}");
-        std::process::abort();
-    }
-}
-
-/// Worker-process check; consumes an armed [`KillPoint::HeartbeatStall`]
-/// for `iteration` and reports whether the worker should hang.
-pub(crate) fn fire_heartbeat_stall(iteration: usize) -> bool {
-    fire(KillPoint::HeartbeatStall { iteration })
-}
-
-/// Worker-process check; consumes an armed [`KillPoint::FrameCorrupt`] for
-/// `(iteration, scenario)` (or the wildcard) and reports whether the
-/// result frame's checksum should be corrupted.
-pub(crate) fn fire_frame_corrupt(iteration: usize, scenario: usize) -> bool {
-    fire(KillPoint::FrameCorrupt { iteration, scenario })
-        || fire(KillPoint::FrameCorrupt { iteration, scenario: ANY_SCENARIO })
-}
-
-/// Serialize kill-points for crossing a process boundary (the coordinator
-/// arms worker-side chaos through the `FLEXILE_DIST_CHAOS` environment
-/// variable). Inverse of [`arm_from_env`].
-pub fn to_env(points: &[KillPoint]) -> String {
-    let scen = |s: usize| {
-        if s == ANY_SCENARIO { "*".to_string() } else { s.to_string() }
-    };
-    points
-        .iter()
-        .map(|p| match *p {
-            KillPoint::Worker { iteration, scenario } => format!("worker:{iteration}:{}", scen(scenario)),
-            KillPoint::Abort { iteration } => format!("abort:{iteration}"),
-            KillPoint::ProcExit { iteration, scenario } => format!("exit:{iteration}:{}", scen(scenario)),
-            KillPoint::HeartbeatStall { iteration } => format!("stall:{iteration}"),
-            KillPoint::FrameCorrupt { iteration, scenario } => format!("corrupt:{iteration}:{}", scen(scenario)),
-        })
-        .collect::<Vec<_>>()
-        .join(";")
-}
-
-/// Parse a [`to_env`] encoding and arm the kill-points it carries.
-/// Malformed entries are reported as an error (a chaos harness with a typo
-/// must fail loudly, not silently run fault-free).
-pub fn arm_from_env(spec: &str) -> Result<KillGuard, String> {
-    let mut points = Vec::new();
-    for entry in spec.split(';').filter(|e| !e.is_empty()) {
-        let mut f = entry.split(':');
-        let kind = f.next().unwrap_or("");
-        let it: usize = f
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| format!("bad kill-point iteration in {entry:?}"))?;
-        let scenario = |f: &mut std::str::Split<'_, char>| -> Result<usize, String> {
-            match f.next() {
-                Some("*") => Ok(ANY_SCENARIO),
-                Some(v) => v.parse().map_err(|_| format!("bad kill-point scenario in {entry:?}")),
-                None => Err(format!("missing kill-point scenario in {entry:?}")),
-            }
-        };
-        let p = match kind {
-            "worker" => KillPoint::Worker { iteration: it, scenario: scenario(&mut f)? },
-            "abort" => KillPoint::Abort { iteration: it },
-            "exit" => KillPoint::ProcExit { iteration: it, scenario: scenario(&mut f)? },
-            "stall" => KillPoint::HeartbeatStall { iteration: it },
-            "corrupt" => KillPoint::FrameCorrupt { iteration: it, scenario: scenario(&mut f)? },
-            _ => return Err(format!("unknown kill-point kind in {entry:?}")),
-        };
-        if f.next().is_some() {
-            return Err(format!("trailing fields in kill-point {entry:?}"));
-        }
-        points.push(p);
-    }
-    Ok(arm(&points))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,28 +145,6 @@ mod tests {
             let _g = arm(&[KillPoint::Abort { iteration: 7 }]);
         }
         assert!(!fire(KillPoint::Abort { iteration: 7 }), "guard drop must disarm");
-    }
-
-    #[test]
-    fn env_round_trip_arms_process_faults() {
-        let _s = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
-        let points = [
-            KillPoint::ProcExit { iteration: 2, scenario: ANY_SCENARIO },
-            KillPoint::HeartbeatStall { iteration: 3 },
-            KillPoint::FrameCorrupt { iteration: 4, scenario: 7 },
-            KillPoint::Worker { iteration: 1, scenario: 0 },
-        ];
-        let spec = to_env(&points);
-        let guard = arm_from_env(&spec).expect("well-formed spec");
-        assert!(fire_heartbeat_stall(3));
-        assert!(!fire_heartbeat_stall(3), "consumed");
-        assert!(fire_frame_corrupt(4, 7));
-        assert!(fire(KillPoint::ProcExit { iteration: 2, scenario: ANY_SCENARIO }));
-        drop(guard);
-        assert!(disarm().is_empty());
-        assert!(arm_from_env("exit:bogus").is_err());
-        assert!(arm_from_env("nonsense:1:2").is_err());
-        disarm();
     }
 
     #[test]

@@ -31,17 +31,12 @@
 //!   snapshots of the decomposition state written at iteration boundaries
 //!   (resumed by [`decompose_resume`]), and deterministic kill-points for
 //!   chaos-testing the panic-contained scenario pool.
-//! * [`dist`] — the elastic multi-process substrate: a coordinator that
-//!   shards scenarios across worker processes over checksummed wire frames
-//!   and survives worker death, hangs, and corruption while producing the
-//!   same bits as the in-process pool ([`solve_flexile_dist`]).
 
 #![warn(missing_docs)]
 
 pub mod capacity;
 pub mod checkpoint;
 pub mod decomposition;
-pub mod dist;
 pub mod killpoints;
 pub mod lexicographic;
 pub mod master;
@@ -54,13 +49,9 @@ pub mod subproblem;
 
 pub use checkpoint::{CheckpointError, CHECKPOINT_VERSION};
 pub use decomposition::{
-    decompose_resume, solve_flexile, DecompositionOptions, FlexileDesign, FlexileOptions,
-    IterationStat, PoolPolicy,
+    decompose_resume, solve_flexile, FlexileDesign, FlexileOptions, IterationStat, PoolPolicy,
 };
-pub use dist::{
-    decompose_resume_dist, solve_flexile_dist, worker_entry, DistError, DistOptions, WorkerSpec,
-};
-pub use killpoints::{arm_from_env, to_env, DecompositionAborted, KillGuard, KillPoint, ANY_SCENARIO};
+pub use killpoints::{DecompositionAborted, KillGuard, KillPoint};
 pub use pool::{PoolError, MAX_PANIC_RETRIES};
 pub use lexicographic::{solve_flexile_lexicographic, LexicographicDesign};
 pub use model::{solve_ip, IpOptions, IpResult};

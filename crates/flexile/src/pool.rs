@@ -68,6 +68,12 @@ use std::time::{Duration, Instant};
 /// scenario is reported as poisoned for the iteration.
 pub const MAX_PANIC_RETRIES: u32 = 2;
 
+/// Scenario templates (and their warm bases) kept resident between
+/// iterations under [`PoolPolicy::PerScenario`]; LRU beyond this.
+/// Deliberately generous: a template is small next to the scenario set
+/// itself. Hashed into the checkpoint's `pool_policy` fingerprint.
+pub(crate) const BASIS_RESIDENCY: usize = 4096;
+
 /// How the decomposition schedules and reuses subproblem solves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PoolPolicy {
@@ -100,18 +106,6 @@ pub enum PoolError {
         /// Panic payload of the final attempt, stringified.
         message: String,
     },
-    /// A distributed worker process reported a solver failure over the
-    /// wire; the original [`LpError`] is carried as text (wire frames do
-    /// not round-trip the full error taxonomy). The decomposition treats
-    /// it like any other failed solve.
-    Remote {
-        /// Scenario whose remote solve failed.
-        scenario: usize,
-        /// Worker-process slot that reported the failure.
-        worker: usize,
-        /// The remote error, stringified.
-        message: String,
-    },
 }
 
 impl fmt::Display for PoolError {
@@ -123,9 +117,6 @@ impl fmt::Display for PoolError {
                 "scenario {scenario} poisoned after {attempts} panicking attempts \
                  (last on worker {worker}): {message}"
             ),
-            PoolError::Remote { scenario, worker, message } => {
-                write!(f, "remote worker {worker} failed scenario {scenario}: {message}")
-            }
         }
     }
 }
@@ -139,18 +130,18 @@ impl From<LpError> for PoolError {
 }
 
 /// One scenario's outcome in an iteration.
-pub(crate) type ScenResult = (usize, Result<(SubproblemSolution, SolveStats), PoolError>);
+type ScenResult = (usize, Result<(SubproblemSolution, SolveStats), PoolError>);
 
 /// Acquire a mutex, recovering the inner value if a previous holder
 /// panicked. Every structure guarded here stays consistent across a panic
 /// (templates are quarantined by the containment path; control queues only
 /// append), so propagating the poison would turn one contained fault into a
 /// process-wide cascade.
-pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -193,46 +184,13 @@ pub(crate) struct PoolSnapshot {
     pub chains: Vec<Vec<Vec<bool>>>,
 }
 
-/// One decomposition iteration's worth of subproblem solving, abstracted so
-/// the iteration loop is policy-independent.
-pub(crate) trait IterationSolver {
-    /// Solve every scenario in `todo` (ascending) with the matching
-    /// criticality columns `cols[i]` for `todo[i]`, as iteration `it`
-    /// (1-based). Returns one result per scenario, sorted by scenario index.
-    fn solve_iteration(&mut self, it: usize, todo: &[usize], cols: Vec<Vec<bool>>)
-        -> Vec<ScenResult>;
-
-    /// The decomposition will never solve `q` again (perfect-scenario
-    /// pruning); release whatever is retained for it.
-    fn retire(&mut self, q: usize);
-
-    /// Capture the warm-state snapshot (LRU stamps and per-scenario solve
-    /// chains) for checkpointing.
-    fn snapshot(&self) -> PoolSnapshot;
-
-    /// Restore a snapshot taken at the end of iteration `it`: replay each
-    /// scenario's solve chain to rebuild warm bases, and restore the LRU
-    /// stamps.
-    fn restore(&mut self, it: usize, snap: &PoolSnapshot);
-
-    /// Iteration-boundary hook: the decomposition finished iteration `it`
-    /// with incumbent penalty `penalty` and criticality proposal `z`. The
-    /// in-process pool has nothing to do; the distributed
-    /// coordinator broadcasts the cut-pool delta and incumbent to its
-    /// workers here.
-    fn iteration_complete(&mut self, _it: usize, _penalty: f64, _z: &[Vec<bool>]) {}
-}
-
 /// A scenario's pooled state: its long-lived template plus the solve-column
-/// history that makes the template's warm basis reconstructible. Shared
-/// with the distributed worker ([`crate::dist`]), which holds one slot per
-/// scenario it hosts so its chain/quarantine semantics are bit-identical
-/// to the in-process pool's.
+/// history that makes the template's warm basis reconstructible.
 #[derive(Default)]
-pub(crate) struct Slot {
-    pub(crate) tmpl: Option<SubproblemTemplate>,
+struct Slot {
+    tmpl: Option<SubproblemTemplate>,
     /// Columns successfully solved since `tmpl` was last built cold.
-    pub(crate) history: Vec<Vec<bool>>,
+    history: Vec<Vec<bool>>,
 }
 
 /// An epoch's work order, claimed off a shared cursor.
@@ -277,7 +235,7 @@ struct Shared {
 /// One contained solve of scenario `q`: panics inside the
 /// claim-template-and-solve region quarantine the template and retry from
 /// cold, bounded by [`MAX_PANIC_RETRIES`].
-pub(crate) fn solve_contained(
+fn solve_contained(
     slots: &[Mutex<Slot>],
     ctx: &PoolCtx<'_>,
     it: usize,
@@ -420,8 +378,9 @@ fn worker_loop(
     }
 }
 
-/// The main thread's handle to the persistent pool.
-struct PoolHandle<'a> {
+/// The main thread's handle to the persistent pool: one call per
+/// decomposition iteration, plus the checkpoint snapshot/restore hooks.
+pub(crate) struct PoolHandle<'a> {
     shared: &'a Shared,
     slots: &'a [Mutex<Slot>],
     residency: usize,
@@ -486,10 +445,11 @@ impl PoolHandle<'_> {
             self.stamp[q] = 0;
         }
     }
-}
 
-impl IterationSolver for PoolHandle<'_> {
-    fn solve_iteration(
+    /// Solve every scenario in `todo` (ascending) with the matching
+    /// criticality columns `cols[i]` for `todo[i]`, as iteration `it`
+    /// (1-based). Returns one result per scenario, sorted by scenario index.
+    pub(crate) fn solve_iteration(
         &mut self,
         it: usize,
         todo: &[usize],
@@ -507,14 +467,18 @@ impl IterationSolver for PoolHandle<'_> {
         results
     }
 
-    fn retire(&mut self, q: usize) {
+    /// The decomposition will never solve `q` again (perfect-scenario
+    /// pruning): drop its template early.
+    pub(crate) fn retire(&mut self, q: usize) {
         let mut slot = lock_recover(&self.slots[q]);
         slot.tmpl = None;
         slot.history.clear();
         self.stamp[q] = 0;
     }
 
-    fn snapshot(&self) -> PoolSnapshot {
+    /// Capture the warm-state snapshot (LRU stamps and per-scenario solve
+    /// chains) for checkpointing.
+    pub(crate) fn snapshot(&self) -> PoolSnapshot {
         // Only called at iteration boundaries (workers parked), so slot
         // contents are quiescent and consistent with `stamp`.
         PoolSnapshot {
@@ -523,7 +487,10 @@ impl IterationSolver for PoolHandle<'_> {
         }
     }
 
-    fn restore(&mut self, it: usize, snap: &PoolSnapshot) {
+    /// Restore a snapshot taken at the end of iteration `it`: replay each
+    /// scenario's solve chain to rebuild warm bases, and restore the LRU
+    /// stamps.
+    pub(crate) fn restore(&mut self, it: usize, snap: &PoolSnapshot) {
         self.it = it as u64;
         self.stamp = snap.stamps.clone();
         let todo: Vec<usize> =
@@ -541,17 +508,23 @@ impl IterationSolver for PoolHandle<'_> {
     }
 }
 
-/// Run `f` with a persistent scenario pool of `nworkers` threads and the
-/// given basis-residency budget. Workers live exactly as long as `f` —
-/// including when `f` unwinds (e.g. an armed [`crate::killpoints`] abort
-/// simulating process death): a drop guard flips the shutdown flag so the
-/// scope join cannot deadlock on parked workers.
+/// Run `f` with a persistent scenario pool of `nworkers` threads under
+/// `policy` ([`BASIS_RESIDENCY`] warm templates for
+/// [`PoolPolicy::PerScenario`], none for [`PoolPolicy::Cold`]). Workers
+/// live exactly as long as `f` — including when `f` unwinds (e.g. an armed
+/// [`crate::killpoints`] abort simulating process death): a drop guard
+/// flips the shutdown flag so the scope join cannot deadlock on parked
+/// workers.
 pub(crate) fn with_pool<R>(
     ctx: PoolCtx<'_>,
     nworkers: usize,
-    residency: usize,
-    f: impl FnOnce(&mut dyn IterationSolver) -> R,
+    policy: PoolPolicy,
+    f: impl FnOnce(&mut PoolHandle<'_>) -> R,
 ) -> R {
+    let residency = match policy {
+        PoolPolicy::PerScenario => BASIS_RESIDENCY,
+        PoolPolicy::Cold => 0,
+    };
     let nq = ctx.set.scenarios.len();
     let slots: Vec<Mutex<Slot>> = (0..nq).map(|_| Mutex::new(Slot::default())).collect();
     let shared = Shared {

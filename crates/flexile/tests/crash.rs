@@ -413,6 +413,13 @@ fn resume_refuses_mismatched_problem_or_options() {
         Err(CheckpointError::OptionsMismatch { .. })
     ));
 
+    // A different pool policy: the pool_policy component names the drift.
+    let colder = FlexileOptions { pool: PoolPolicy::Cold, ..opts.clone() };
+    assert!(matches!(
+        decompose_resume(&inst, &set, &colder),
+        Err(CheckpointError::OptionsMismatch { component: "pool_policy" })
+    ));
+
     // No directory configured at all.
     let bare = FlexileOptions::default();
     assert!(matches!(

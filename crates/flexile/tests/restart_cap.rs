@@ -7,8 +7,7 @@
 //!
 //! * across pool thread counts;
 //! * through an abort and checkpoint resume, whose chain replay re-runs
-//!   the abandoned restarts;
-//! * through the distributed coordinator's in-process fallback.
+//!   the abandoned restarts.
 //!
 //! The instance is InternetMCI at 20 pairs, MLU 0.9 and 60 scenarios: the
 //! smallest Table-2 input found whose wave abandons a restart, small
@@ -19,8 +18,7 @@
 
 use flexile_core::killpoints::arm;
 use flexile_core::{
-    decompose_resume, solve_flexile, solve_flexile_dist, DecompositionAborted, DistOptions,
-    FlexileDesign, FlexileOptions, KillPoint, WorkerSpec,
+    decompose_resume, solve_flexile, DecompositionAborted, FlexileDesign, FlexileOptions, KillPoint,
 };
 use flexile_scenario::{enumerate_scenarios, model::link_units, EnumOptions, ScenarioSet};
 use flexile_topo::{topology_by_name, zoo};
@@ -125,22 +123,4 @@ fn abandoned_restarts_replay_exactly_on_resume() {
         assert_eq!(resumed.iterations, reference.iterations, "resume after abort at {ab}");
         let _ = std::fs::remove_dir_all(&dir);
     }
-}
-
-#[test]
-fn abandoned_restarts_match_in_process_fallback() {
-    let _g = exclusive();
-    let (inst, set) = setup();
-    let opts = options(2);
-    let reference = solve_flexile(&inst, &set, &opts);
-    // No workers: the coordinator degrades to solving in-process.
-    let dopts = DistOptions::new(0, WorkerSpec::CurrentExe { args: Vec::new() });
-    flexile_obs::enable();
-    let d = solve_flexile_dist(&inst, &set, &opts, &dopts).expect("degraded solve");
-    flexile_obs::disable();
-    let t = flexile_obs::drain();
-    let counter = |n: &str| t.counters.get(n).copied().unwrap_or(0);
-    assert_eq!(counter("flexile.dist_fallback"), 1, "{:?}", t.counters);
-    assert!(counter("lp.restart_abandoned") > 0, "the fallback must hit the restart cap");
-    assert_eq!(design_bits(&d), design_bits(&reference), "in-process fallback diverged");
 }

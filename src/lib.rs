@@ -61,8 +61,8 @@ pub use flexile_traffic as traffic;
 pub mod prelude {
     pub use flexile_core::{
         effective_betas, flexile_losses, flexile_losses_with_report, online_allocate,
-        online_allocate_robust, solve_flexile, solve_ip, DecompositionOptions, DegradationLevel,
-        FlexileDesign, FlexileOptions, IpOptions, OnlineOutcome, PoolPolicy,
+        online_allocate_robust, solve_flexile, solve_ip, DegradationLevel, FlexileDesign,
+        FlexileOptions, IpOptions, OnlineOutcome, PoolPolicy,
     };
     pub use flexile_emu::{emulate_scheme, run_chaos, ChaosReport, ChaosTrace, EmuConfig};
     pub use flexile_metrics::{flow_loss, perc_loss, scen_loss, Cdf, LossMatrix};
