@@ -3,9 +3,8 @@
 //! ```text
 //! repro <experiment> [--seed N] [--max-pairs N] [--max-scenarios N]
 //!                    [--threads N] [--limit N] [--full] [--quiet]
-//!                    [--obs DIR] [--serve ADDR] [--checkpoint DIR]
-//!                    [--every N] [--resume] [--kill-iter N]
-//!                    [--kill-scenario I:K] [--baseline DIR] [--tolerance F]
+//!                    [--obs DIR] [--checkpoint DIR] [--every N] [--resume]
+//!                    [--kill-iter N] [--kill-scenario I:K]
 //!
 //! experiments:
 //!   motivation   §3 / Propositions 1-2 on the Fig. 1 triangle
@@ -23,22 +22,11 @@
 //!   fig15        offline solve time vs topology size (IP vs Flexile)
 //!   fig18        max low-priority scale with zero 99%-ile loss
 //!   lp_basis     basis-engine benchmark: dense inverse vs sparse LU
-//!   warm_restart scenario-pool policy benchmark: cold / per-scenario
 //!   checkpoint   crash-safety guard: checkpoint cadence sweep + overhead bound
 //!   crash_resume process-level kill/resume driver (see flags below)
-//!   slo          failure→plan-swap reaction latency under the chaos runner
-//!   bench-check  perf-regression guard: diff --obs records vs committed
-//!                BENCH_*.json in --baseline DIR (default .), fail beyond
-//!                --tolerance F (default 0.10)
-//!   summary      headline results incl. the FFC baseline and SLO report
+//!   summary      headline results incl. the FFC baseline and SLO compliance
 //!   all          every experiment above, in order
 //! ```
-//!
-//! `--serve ADDR` (e.g. `127.0.0.1:7077`) enables telemetry and serves the
-//! live dashboard while the experiment runs: `/` (HTML plots), `/snapshot`
-//! (JSON counters/hists), `/events` (JSONL tail), `/flight` (last flight-
-//! recorder dump). The process keeps serving after the experiment finishes
-//! until `GET /quit`.
 //!
 //! The `crash_resume` experiment drives a real process-death cycle for the
 //! CI smoke test: `--checkpoint DIR` selects the checkpoint directory,
@@ -48,8 +36,13 @@
 //! DIR in a fresh process. Penalties print at full precision so a resumed
 //! run can be compared to an uninterrupted reference by string equality.
 //!
-//! Default caps keep runs laptop-sized; `--full` removes them (hours).
+//! Default caps keep runs laptop-sized; `--full` removes them (hours) and
+//! is a usage error together with `--max-pairs` or `--max-scenarios`.
 //! All randomness is seeded: identical arguments give identical output.
+//!
+//! Design time and failover reaction time are measured by `perfbench/`,
+//! not here; CI gates the solver's deterministic counts with
+//! `ci/check_counts.sh`.
 //!
 //! `--quiet` silences the stderr progress lines (figure data on stdout is
 //! untouched). `--obs DIR` enables the telemetry sink and, per experiment,
@@ -60,6 +53,7 @@
 //! * `BENCH_<exp>_trace.json`  Chrome `trace_event` file (`chrome://tracing`
 //!   or <https://ui.perfetto.dev>)
 //! * `BENCH_<exp>_events.jsonl` one JSON object per event/counter/histogram
+//!   (histogram lines carry their full bucket arrays)
 
 use flexile_bench::checkpoint::CrashResumeArgs;
 use flexile_bench::{figs_ibm, figs_motivation, figs_perf, figs_sweep, ExpConfig};
@@ -71,9 +65,6 @@ struct Args {
     cfg: ExpConfig,
     limit: usize,
     obs: Option<PathBuf>,
-    serve: Option<String>,
-    baseline: PathBuf,
-    tolerance: f64,
     crash: CrashResumeArgs,
 }
 
@@ -82,10 +73,8 @@ fn parse_args() -> Result<Args, String> {
     let mut limit = 20usize;
     let mut experiment: Option<String> = None;
     let mut full = false;
+    let mut capped = false;
     let mut obs: Option<PathBuf> = None;
-    let mut serve: Option<String> = None;
-    let mut baseline = PathBuf::from(".");
-    let mut tolerance = 0.10f64;
     let mut crash = CrashResumeArgs { every: 1, ..Default::default() };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -101,6 +90,7 @@ fn parse_args() -> Result<Args, String> {
                 i += 1;
             }
             "--max-pairs" => {
+                capped = true;
                 cfg.max_pairs = Some(
                     next_val(i, "--max-pairs")?
                         .parse()
@@ -109,6 +99,7 @@ fn parse_args() -> Result<Args, String> {
                 i += 1;
             }
             "--max-scenarios" => {
+                capped = true;
                 cfg.max_scenarios = next_val(i, "--max-scenarios")?
                     .parse()
                     .map_err(|e| format!("--max-scenarios: {e}"))?;
@@ -127,23 +118,6 @@ fn parse_args() -> Result<Args, String> {
             "--quiet" => cfg.quiet = true,
             "--obs" => {
                 obs = Some(PathBuf::from(next_val(i, "--obs")?));
-                i += 1;
-            }
-            "--serve" => {
-                serve = Some(next_val(i, "--serve")?);
-                i += 1;
-            }
-            "--baseline" => {
-                baseline = PathBuf::from(next_val(i, "--baseline")?);
-                i += 1;
-            }
-            "--tolerance" => {
-                tolerance = next_val(i, "--tolerance")?
-                    .parse()
-                    .map_err(|e| format!("--tolerance: {e}"))?;
-                if !(0.0..10.0).contains(&tolerance) {
-                    return Err("--tolerance must be in [0, 10)".into());
-                }
                 i += 1;
             }
             "--checkpoint" => {
@@ -182,10 +156,13 @@ fn parse_args() -> Result<Args, String> {
         i += 1;
     }
     if full {
+        if capped {
+            return Err("--full lifts the caps; drop --max-pairs/--max-scenarios or --full".into());
+        }
         cfg = cfg.full();
     }
     let experiment = experiment.ok_or_else(String::new)?;
-    Ok(Args { experiment, cfg, limit, obs, serve, baseline, tolerance, crash })
+    Ok(Args { experiment, cfg, limit, obs, crash })
 }
 
 fn cfg_limit_check(limit: &mut usize, s: &str) -> Result<(), String> {
@@ -199,13 +176,12 @@ fn cfg_limit_check(limit: &mut usize, s: &str) -> Result<(), String> {
 fn usage() {
     eprintln!(
         "usage: repro <experiment> [--seed N] [--max-pairs N] [--max-scenarios N] \
-         [--threads N] [--limit N] [--full] [--quiet] [--obs DIR] [--serve ADDR]\n\
+         [--threads N] [--limit N] [--full] [--quiet] [--obs DIR]\n\
+         --full cannot be combined with --max-pairs or --max-scenarios\n\
          crash_resume flags: --checkpoint DIR [--every N] [--resume] \
          [--kill-iter N] [--kill-scenario I:K]\n\
-         bench-check flags: --obs DIR [--baseline DIR] [--tolerance F]\n\
          experiments: motivation table2 fig5 fig6 fig9a fig9b fig9c fig10 fig11 \
-         fig12 fig13 fig14 fig15 fig18 lp_basis warm_restart \
-         checkpoint crash_resume slo bench-check summary all"
+         fig12 fig13 fig14 fig15 fig18 lp_basis checkpoint crash_resume summary all"
     );
 }
 
@@ -226,9 +202,7 @@ fn run(experiment: &str, cfg: &ExpConfig, limit: usize) -> bool {
         "fig15" => figs_perf::run_fig15(cfg, limit),
         "fig18" => figs_sweep::run_fig18(cfg),
         "lp_basis" => flexile_bench::lp_basis::run_lp_basis(cfg, limit),
-        "warm_restart" => flexile_bench::warm_restart::run_warm_restart(cfg, limit),
         "checkpoint" => flexile_bench::checkpoint::run_checkpoint(cfg, limit),
-        "slo" => flexile_bench::slo::run_slo(cfg),
         "summary" => flexile_bench::summary::run_summary(cfg),
         _ => return false,
     }
@@ -238,16 +212,11 @@ fn run(experiment: &str, cfg: &ExpConfig, limit: usize) -> bool {
 /// Run one experiment (or `all`), optionally under the telemetry sink with
 /// per-experiment artifacts written into `obs`. `Ok(false)` means the
 /// experiment name is unknown; `Err` means an artifact failed to write.
-///
-/// While `serving`, artifacts come from the non-destructive
-/// [`flexile_obs::snapshot`] and the sink stays enabled, so the live
-/// dashboard keeps its data after the experiment finishes.
 fn run_traced(
     experiment: &str,
     cfg: &ExpConfig,
     limit: usize,
     obs: Option<&Path>,
-    serving: bool,
 ) -> std::io::Result<bool> {
     if experiment == "all" {
         for e in [
@@ -255,13 +224,13 @@ fn run_traced(
             "fig12", "fig13", "fig14", "fig15", "fig18",
         ] {
             cfg.progress(format!("== {e} =="));
-            run_traced(e, cfg, limit, obs, serving)?;
+            run_traced(e, cfg, limit, obs)?;
         }
         return Ok(true);
     }
-    if obs.is_none() && !serving {
+    let Some(dir) = obs else {
         return Ok(run(experiment, cfg, limit));
-    }
+    };
 
     flexile_obs::enable();
     let t0 = std::time::Instant::now();
@@ -273,18 +242,12 @@ fn run_traced(
     let ok = run(experiment, cfg, limit);
     span.set("ok", ok);
     drop(span);
-    let t = if serving {
-        flexile_obs::snapshot()
-    } else {
-        flexile_obs::disable();
-        flexile_obs::drain()
-    };
+    flexile_obs::disable();
+    let t = flexile_obs::drain();
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     if ok {
-        if let Some(dir) = obs {
-            write_artifacts(dir, experiment, cfg, wall_ms, &t)?;
-        }
+        write_artifacts(dir, experiment, cfg, wall_ms, &t)?;
         if !cfg.quiet {
             eprint!("{}", t.summary());
         }
@@ -310,12 +273,7 @@ fn write_artifacts(
         dir.join(format!("BENCH_{experiment}_trace.json")),
         t.to_chrome_trace(),
     )?;
-    // Full bucket arrays on hist lines (dashboards and distribution diffs);
-    // the legacy quantile fields stay, so the CI jq schema is unchanged.
-    std::fs::write(
-        dir.join(format!("BENCH_{experiment}_events.jsonl")),
-        flexile_obs::export::to_jsonl_opts(t, true),
-    )?;
+    std::fs::write(dir.join(format!("BENCH_{experiment}_events.jsonl")), t.to_jsonl())?;
     Ok(())
 }
 
@@ -353,21 +311,12 @@ fn perf_record(experiment: &str, cfg: &ExpConfig, wall_ms: f64, t: &flexile_obs:
         );
     }
     s.push('}');
-    // The pool-policy benchmark reports a per-run breakdown on top of the
-    // global counters; embed it so the committed artifact is self-contained.
-    let policies = flexile_bench::warm_restart::take_policy_records();
-    if !policies.is_empty() {
-        let _ = write!(s, ",\"policies\":[{}]", policies.join(","));
-    }
-    // Likewise for the checkpoint-cadence guard.
+    // The checkpoint-cadence guard reports a per-run breakdown on top of
+    // the global counters; embed it so the committed artifact is
+    // self-contained.
     let ckpt_runs = flexile_bench::checkpoint::take_checkpoint_records();
     if !ckpt_runs.is_empty() {
         let _ = write!(s, ",\"checkpoint_runs\":[{}]", ckpt_runs.join(","));
-    }
-    // And the SLO experiment's reaction-latency percentiles, which is
-    // what `bench-check` gates the p99 budget on.
-    if let Some(slo) = flexile_bench::slo::take_slo_record() {
-        let _ = write!(s, ",\"slo\":{slo}");
     }
     s.push_str("}\n");
     s
@@ -389,37 +338,7 @@ fn main() -> ExitCode {
     if args.experiment == "crash_resume" {
         return ExitCode::from(flexile_bench::checkpoint::run_crash_resume(&args.cfg, &args.crash));
     }
-    // `bench-check` is a pure artifact diff: no solve, no telemetry.
-    if args.experiment == "bench-check" {
-        let Some(obs) = args.obs.as_deref() else {
-            eprintln!("error: bench-check requires --obs DIR (the current run's records)");
-            return ExitCode::from(2);
-        };
-        return ExitCode::from(flexile_bench::bench_check::run_bench_check(
-            obs,
-            &args.baseline,
-            args.tolerance,
-        ));
-    }
-    let server = match args.serve.as_deref() {
-        Some(addr) => {
-            flexile_obs::enable();
-            match flexile_obs::serve::start(addr) {
-                Ok(h) => {
-                    eprintln!("dashboard: http://{}/ (GET /quit to exit)", h.addr());
-                    Some(h)
-                }
-                Err(e) => {
-                    eprintln!("error: --serve {addr}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => None,
-    };
-    let serving = server.is_some();
-    let code = match run_traced(&args.experiment, &args.cfg, args.limit, args.obs.as_deref(), serving)
-    {
+    match run_traced(&args.experiment, &args.cfg, args.limit, args.obs.as_deref()) {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => {
             eprintln!("error: unknown experiment '{}'", args.experiment);
@@ -430,10 +349,5 @@ fn main() -> ExitCode {
             eprintln!("error: writing telemetry artifacts: {e}");
             ExitCode::FAILURE
         }
-    };
-    if let Some(h) = server {
-        eprintln!("experiment done; dashboard still serving (GET /quit to exit)");
-        h.wait();
     }
-    code
 }

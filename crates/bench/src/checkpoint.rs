@@ -47,8 +47,8 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Hot Table-2 instances (same tuning as the `warm_restart` experiment:
-/// β pinned below max-feasible so the decomposition iterates).
+/// Hot Table-2 instances (β pinned below max-feasible so the
+/// decomposition iterates).
 const TOPOLOGIES: [(&str, f64); 2] = [("Sprint", 1.05), ("CWIX", 1.05)];
 
 /// The explicit SLO target.

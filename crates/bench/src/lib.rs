@@ -10,7 +10,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench_check;
 pub mod checkpoint;
 pub mod figs_ibm;
 pub mod figs_motivation;
@@ -18,9 +17,7 @@ pub mod figs_perf;
 pub mod figs_sweep;
 pub mod lp_basis;
 pub mod setup;
-pub mod slo;
 pub mod summary;
-pub mod warm_restart;
 
 pub use setup::{loss_matrix, rich_setup, single_class_setup, two_class_setup, ExpConfig};
 

@@ -261,8 +261,7 @@ pub fn run_chaos(
         let carry = prev.as_deref();
         // The reaction clock covers exactly the controller's work: from
         // handing over the new failure state to having a full loss vector
-        // back. The obs span mirrors it so live consumers (dashboard, SLO
-        // record) see each reaction as it lands.
+        // back. The obs span mirrors it so a trace shows each reaction.
         let mut span = flexile_obs::span("emu.reaction", "emu")
             .field("time", time)
             .field("nfailed", failed.len() as u64)

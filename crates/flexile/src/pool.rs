@@ -82,7 +82,7 @@ pub enum PoolPolicy {
     #[default]
     PerScenario,
     /// No cross-iteration reuse at all: every iteration rebuilds and solves
-    /// cold. Baseline for the `warm_restart` benchmark.
+    /// cold. The baseline warm restarts are measured against.
     Cold,
 }
 

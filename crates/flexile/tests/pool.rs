@@ -295,4 +295,23 @@ fn cold_policy_still_solves() {
     let opts = FlexileOptions { pool: PoolPolicy::Cold, ..Default::default() };
     let design = solve_flexile(&inst, &set, &opts);
     assert!(design.penalty < 1e-6, "Cold should still reach PercLoss 0, got {}", design.penalty);
+
+    // On a multi-iteration Sprint run the default pool reaches the same
+    // design as solving every scenario cold, with strictly fewer simplex
+    // iterations: warm restarts only save work.
+    let (inst, set) = sprint_setup();
+    let lp_iterations =
+        |d: &FlexileDesign| -> usize { d.iterations.iter().map(|s| s.lp_iterations).sum() };
+    let warm_opts = FlexileOptions { threads: 4, max_iterations: 3, ..Default::default() };
+    let cold_opts = FlexileOptions { pool: PoolPolicy::Cold, ..warm_opts.clone() };
+    let warm = solve_flexile(&inst, &set, &warm_opts);
+    let cold = solve_flexile(&inst, &set, &cold_opts);
+    assert!(warm.iterations.len() >= 2, "setup must produce a multi-iteration run");
+    assert_eq!(warm.penalty.to_bits(), cold.penalty.to_bits(), "Cold changed the penalty");
+    assert!(
+        lp_iterations(&warm) < lp_iterations(&cold),
+        "warm {} vs cold {} simplex iterations",
+        lp_iterations(&warm),
+        lp_iterations(&cold)
+    );
 }

@@ -155,43 +155,3 @@ fn online_degradation_emits_event() {
     );
     assert!(ev.field("error").is_some(), "terminal error is attached");
 }
-
-#[test]
-fn streaming_subscriber_preserves_bit_identity() {
-    let _g = exclusive();
-    let (inst, set) = sprint_setup();
-    let opts = FlexileOptions { max_iterations: 2, threads: 4, ..Default::default() };
-
-    // Uninstrumented baseline.
-    let plain = solve_flexile(&inst, &set, &opts);
-
-    // A live subscriber at default capacity: the publish path must not
-    // perturb solver arithmetic, and nothing may be dropped.
-    let sub = flexile_obs::stream::subscribe();
-    flexile_obs::enable();
-    let streamed = solve_flexile(&inst, &set, &opts);
-    flexile_obs::disable();
-    let mut live = sub.recv_all();
-    let t = flexile_obs::drain();
-    drop(sub);
-
-    assert_eq!(design_bits(&plain), design_bits(&streamed), "streaming changed the solve");
-    assert_eq!(t.counters.get("obs.dropped_events"), None, "default capacity must not drop");
-    live.sort_by_key(|e| (e.ts_us, e.tid));
-    assert_eq!(live, t.events, "fully-consumed stream reassembles drain()");
-
-    // Forced overflow: a tiny ring drops (and counts) events, while the
-    // solver output and the drained sink stay exactly intact.
-    let tiny = flexile_obs::stream::subscribe_with_capacity(4);
-    flexile_obs::enable();
-    let overflowed = solve_flexile(&inst, &set, &opts);
-    flexile_obs::disable();
-    let kept = tiny.recv_all();
-    let t2 = flexile_obs::drain();
-
-    assert_eq!(design_bits(&plain), design_bits(&overflowed), "overflow changed the solve");
-    assert_eq!(kept.len(), 4);
-    assert!(tiny.dropped() > 0, "the decomposition emits far more than 4 events");
-    assert_eq!(t2.counters["obs.dropped_events"], tiny.dropped());
-    assert_eq!(t2.events.len(), t.events.len(), "sink contents unaffected by stream overflow");
-}

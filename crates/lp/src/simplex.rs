@@ -1483,7 +1483,7 @@ fn solve_attempt_traced(
     // solve that ended on a refactorization boundary (or did no pivots at
     // all, the common warm-hit case) has a fresh factorization with nothing
     // to verify, and the redundant rebuild was a measurable fraction of the
-    // 1.2M refactorizations in the warm_restart record.
+    // 1.2M refactorizations in a Sprint pool-policy run.
     if w.pivots_since_refactor > 0 {
         w.refactorize()?;
         if w.primal_infeas() > 1e-5 {

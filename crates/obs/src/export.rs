@@ -11,9 +11,8 @@
 //!
 //! All writers append into one caller-provided (or internally reused)
 //! `String` buffer via `fmt::Write` — the export path performs no
-//! per-field allocations, so streaming consumers (the live dashboard's
-//! `/events` tail, the flight recorder) can serialize at event rate
-//! without churning the allocator.
+//! per-field allocations, so the flight recorder can serialize a crash's
+//! event tail without churning the allocator.
 
 use crate::hist::LogHistogram;
 use crate::{Event, EventKind, Telemetry, Value};
@@ -90,10 +89,9 @@ fn write_fields(out: &mut String, fields: &[(&'static str, Value)]) {
 }
 
 /// Append one event as a JSONL line (no trailing newline) — the
-/// `"type":"event"` schema of [`to_jsonl`]. Public so the live event
-/// stream (`obs::serve`) and the flight recorder serialize identically to
-/// the batch exporter.
-pub fn write_jsonl_event(out: &mut String, e: &Event) {
+/// `"type":"event"` schema of [`to_jsonl`]. Shared with the flight
+/// recorder so its dumps serialize identically to the batch exporter.
+pub(crate) fn write_jsonl_event(out: &mut String, e: &Event) {
     let kind = match e.kind {
         EventKind::Span => "span",
         EventKind::Instant => "instant",
@@ -111,14 +109,13 @@ pub fn write_jsonl_event(out: &mut String, e: &Event) {
     out.push('}');
 }
 
-/// Append one histogram as a JSONL line (no trailing newline). The line
-/// always carries the legacy summary stats (`count`/`sum`/`min`/`max`/
-/// `p50`/`p90`/`p99`, non-finite stats rendered as `null` — an empty
-/// histogram therefore renders `null` quantiles rather than panicking);
-/// with `buckets = true` it additionally carries the full bucket array as
-/// `"buckets":[[lo,hi,count],...]` so consumers can compare whole
+/// Append one histogram as a JSONL line (no trailing newline): summary
+/// stats (`count`/`sum`/`min`/`max`/`p50`/`p90`/`p99`, non-finite stats
+/// rendered as `null` — an empty histogram therefore renders `null`
+/// quantiles rather than panicking) plus the full bucket array as
+/// `"buckets":[[lo,hi,count],...]`, so consumers can compare whole
 /// distributions, not just three quantiles.
-pub fn write_jsonl_hist(out: &mut String, name: &str, h: &LogHistogram, buckets: bool) {
+fn write_jsonl_hist(out: &mut String, name: &str, h: &LogHistogram) {
     out.push_str("{\"type\":\"hist\",\"name\":\"");
     json_escape_into(out, name);
     let _ = write!(out, "\",\"count\":{},\"sum\":", h.count());
@@ -133,36 +130,25 @@ pub fn write_jsonl_hist(out: &mut String, name: &str, h: &LogHistogram, buckets:
     write_f64(out, h.quantile(0.90));
     out.push_str(",\"p99\":");
     write_f64(out, h.quantile(0.99));
-    if buckets {
-        out.push_str(",\"buckets\":[");
-        for (i, (lo, hi, c)) in h.buckets().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            write_f64(out, lo);
+    out.push_str(",\"buckets\":[");
+    for (i, (lo, hi, c)) in h.buckets().enumerate() {
+        if i > 0 {
             out.push(',');
-            write_f64(out, hi);
-            let _ = write!(out, ",{c}]");
         }
-        out.push(']');
+        out.push('[');
+        write_f64(out, lo);
+        out.push(',');
+        write_f64(out, hi);
+        let _ = write!(out, ",{c}]");
     }
-    out.push('}');
+    out.push_str("]}");
 }
 
 /// Export as JSONL: one JSON object per line. Event lines have
 /// `"type":"event"`; counter lines `"type":"counter"` with `name`/`value`;
-/// histogram lines `"type":"hist"` (see [`write_jsonl_hist`]). The legacy
-/// 3-quantile histogram line — no bucket array — keeps the existing CI
-/// `jq` schema stable; pass `hist_buckets = true` to [`to_jsonl_opts`]
-/// for full distributions.
+/// histogram lines `"type":"hist"` with summary stats and the full bucket
+/// array (see [`write_jsonl_hist`]).
 pub fn to_jsonl(t: &Telemetry) -> String {
-    to_jsonl_opts(t, false)
-}
-
-/// [`to_jsonl`] with control over the histogram lines: `hist_buckets`
-/// appends the full `"buckets"` array to every `"type":"hist"` line.
-pub fn to_jsonl_opts(t: &Telemetry, hist_buckets: bool) -> String {
     let mut out = String::new();
     for e in &t.events {
         write_jsonl_event(&mut out, e);
@@ -174,7 +160,7 @@ pub fn to_jsonl_opts(t: &Telemetry, hist_buckets: bool) -> String {
         let _ = writeln!(out, "\",\"value\":{v}}}");
     }
     for (name, h) in &t.hists {
-        write_jsonl_hist(&mut out, name, h, hist_buckets);
+        write_jsonl_hist(&mut out, name, h);
         out.push('\n');
     }
     out
@@ -215,59 +201,6 @@ pub fn to_chrome_trace(t: &Telemetry) -> String {
         out.push('}');
     }
     out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
-}
-
-/// A full snapshot as one JSON object: `{"ts_us":..,"counters":{..},
-/// "hists":{name:{count,...,buckets:[..]}}}`. The `/snapshot` endpoint of
-/// the live dashboard serves exactly this; histograms always carry full
-/// bucket arrays here (the dashboard plots distributions).
-pub fn snapshot_json(t: &Telemetry) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "{{\"ts_us\":{},\"events\":{},\"counters\":{{", crate::now(), t.events.len());
-    for (i, (name, v)) in t.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        json_escape_into(&mut out, name);
-        let _ = write!(out, "\":{v}");
-    }
-    out.push_str("},\"hists\":{");
-    for (i, (name, h)) in t.hists.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        json_escape_into(&mut out, name);
-        let _ = write!(out, "\":{{\"count\":{},\"sum\":", h.count());
-        write_f64(&mut out, h.sum());
-        out.push_str(",\"mean\":");
-        write_f64(&mut out, h.mean());
-        out.push_str(",\"min\":");
-        write_f64(&mut out, h.min());
-        out.push_str(",\"max\":");
-        write_f64(&mut out, h.max());
-        out.push_str(",\"p50\":");
-        write_f64(&mut out, h.quantile(0.50));
-        out.push_str(",\"p90\":");
-        write_f64(&mut out, h.quantile(0.90));
-        out.push_str(",\"p99\":");
-        write_f64(&mut out, h.quantile(0.99));
-        out.push_str(",\"buckets\":[");
-        for (j, (lo, hi, c)) in h.buckets().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            write_f64(&mut out, lo);
-            out.push(',');
-            write_f64(&mut out, hi);
-            let _ = write!(out, ",{c}]");
-        }
-        out.push_str("]}");
-    }
-    out.push_str("}}");
     out
 }
 
@@ -347,22 +280,19 @@ mod tests {
     use super::*;
 
     /// Satellite regression: exporting a telemetry snapshot with an empty
-    /// histogram (count 0, all stats NaN) must render `null` quantiles and
-    /// never panic, on both the legacy and the bucketed line.
+    /// histogram (count 0, all stats NaN) must render `null` quantiles, an
+    /// empty bucket array, and never panic.
     #[test]
     fn empty_histogram_exports_null_quantiles() {
         let mut t = Telemetry::default();
         t.hists.insert("t.empty", LogHistogram::new());
-        for jsonl in [to_jsonl(&t), to_jsonl_opts(&t, true)] {
-            let line = jsonl.lines().next().expect("one hist line");
-            assert!(line.contains("\"count\":0"), "{line}");
-            assert!(line.contains("\"p50\":null"), "{line}");
-            assert!(line.contains("\"p99\":null"), "{line}");
-            assert!(line.contains("\"min\":null"), "{line}");
-        }
-        let snap = snapshot_json(&t);
-        assert!(snap.contains("\"p99\":null"), "{snap}");
-        assert!(snap.contains("\"buckets\":[]"), "{snap}");
+        let jsonl = to_jsonl(&t);
+        let line = jsonl.lines().next().expect("one hist line");
+        assert!(line.contains("\"count\":0"), "{line}");
+        assert!(line.contains("\"p50\":null"), "{line}");
+        assert!(line.contains("\"p99\":null"), "{line}");
+        assert!(line.contains("\"min\":null"), "{line}");
+        assert!(line.contains("\"buckets\":[]"), "{line}");
         // Fully empty telemetry: all exporters yield valid (empty) output.
         let empty = Telemetry::default();
         assert_eq!(to_jsonl(&empty), "");
@@ -371,20 +301,17 @@ mod tests {
     }
 
     #[test]
-    fn bucketed_hist_line_keeps_legacy_fields() {
+    fn hist_line_carries_quantiles_and_buckets() {
         let mut h = LogHistogram::new();
         for i in 1..=100 {
             h.record(i as f64);
         }
         let mut t = Telemetry::default();
         t.hists.insert("t.h", h);
-        let full = to_jsonl_opts(&t, true);
-        let legacy = to_jsonl(&t);
-        for key in ["\"count\":100", "\"p50\":", "\"p90\":", "\"p99\":"] {
-            assert!(full.contains(key) && legacy.contains(key), "{key}");
+        let line = to_jsonl(&t);
+        for key in ["\"count\":100", "\"p50\":", "\"p90\":", "\"p99\":", "\"buckets\":[["] {
+            assert!(line.contains(key), "{key}");
         }
-        assert!(full.contains("\"buckets\":[["));
-        assert!(!legacy.contains("\"buckets\""));
         // The bucket array carries the full mass.
         let mass: u64 = t.hists["t.h"].buckets().map(|(_, _, c)| c).sum();
         assert_eq!(mass, 100);

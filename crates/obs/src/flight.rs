@@ -17,8 +17,8 @@
 //!
 //! Dumps go to the directory configured via [`set_dump_dir`] or the
 //! `FLEXILE_FLIGHT_DIR` environment variable (checked once, lazily); the
-//! most recent dump is always retained in memory for tests and for the
-//! dashboard regardless of whether a directory is configured. Recording
+//! most recent dump is always retained in memory (see [`last`]) whether
+//! or not a directory is configured. Recording
 //! costs one `VecDeque` rotation per event and can be disabled entirely
 //! with [`set_capacity`]`(0)`.
 

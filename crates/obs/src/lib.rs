@@ -45,8 +45,6 @@
 pub mod export;
 pub mod flight;
 pub mod hist;
-pub mod serve;
-pub mod stream;
 
 pub use hist::LogHistogram;
 
@@ -186,17 +184,9 @@ struct ThreadBuf {
 }
 
 /// Append `ev` to a thread buffer: the single chokepoint every recorded
-/// event goes through. Publishes to live subscribers (when any exist),
-/// maintains the flight-recorder ring, then lands the event in the
-/// drain buffer. Runs under the thread's buffer lock, so drop accounting
-/// writes `b.counters` directly instead of recursing through [`add`].
+/// event goes through. Maintains the flight-recorder ring, then lands the
+/// event in the drain buffer.
 fn push_event(b: &mut ThreadBuf, ev: Event) {
-    if stream::active() {
-        let dropped = stream::publish(&ev);
-        if dropped > 0 {
-            *b.counters.entry("obs.dropped_events").or_insert(0) += dropped;
-        }
-    }
     let cap = flight::capacity();
     if cap > 0 {
         while b.flight.len() >= cap {
@@ -421,20 +411,6 @@ impl Event {
 /// after their contents are collected. Safe to call with the sink enabled
 /// or disabled; recording continues into fresh buffers afterwards.
 pub fn drain() -> Telemetry {
-    collect(true)
-}
-
-/// Merge every thread's buffer into one [`Telemetry`] snapshot **without**
-/// clearing anything — a non-destructive peek for live consumers (the
-/// dashboard's `/snapshot` endpoint, [`stream::Subscriber::snapshot`]).
-/// Counters and histograms report their totals since the last [`drain`];
-/// a later `drain` still returns everything, so snapshotting never loses
-/// or double-counts data.
-pub fn snapshot() -> Telemetry {
-    collect(false)
-}
-
-fn collect(clear: bool) -> Telemetry {
     let mut t = Telemetry::default();
     // A worker that panicked while holding its buffer (or the registry)
     // poisons the mutex but leaves the data structurally sound — every
@@ -443,27 +419,16 @@ fn collect(clear: bool) -> Telemetry {
     let mut reg = registry().lock().unwrap_or_else(PoisonError::into_inner);
     reg.retain(|buf| {
         let mut b = buf.lock().unwrap_or_else(PoisonError::into_inner);
-        if clear {
-            t.events.append(&mut b.events);
-            for (k, v) in std::mem::take(&mut b.counters) {
-                *t.counters.entry(k).or_insert(0) += v;
-            }
-            for (k, h) in std::mem::take(&mut b.hists) {
-                t.hists.entry(k).or_default().merge(&h);
-            }
-        } else {
-            t.events.extend(b.events.iter().cloned());
-            for (k, v) in &b.counters {
-                *t.counters.entry(k).or_insert(0) += v;
-            }
-            for (k, h) in &b.hists {
-                t.hists.entry(k).or_default().merge(h);
-            }
+        t.events.append(&mut b.events);
+        for (k, v) in std::mem::take(&mut b.counters) {
+            *t.counters.entry(k).or_insert(0) += v;
+        }
+        for (k, h) in std::mem::take(&mut b.hists) {
+            t.hists.entry(k).or_default().merge(&h);
         }
         // Keep only buffers whose owning thread is still alive (the TLS
-        // slot holds one Arc; ours is the other). A snapshot must not
-        // retire anything: the drain still needs those buffers.
-        !clear || Arc::strong_count(buf) > 1
+        // slot holds one Arc; ours is the other).
+        Arc::strong_count(buf) > 1
     });
     drop(reg);
     t.events.sort_by_key(|e| (e.ts_us, e.tid));

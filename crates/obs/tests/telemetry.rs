@@ -1,7 +1,8 @@
 //! Integration tests for the telemetry sink: enable/disable semantics,
 //! multi-thread merge, histogram cross-check against the exact
-//! order-statistic percentiles in `flexile-metrics`, and exporter
-//! well-formedness (Chrome trace parsed by a hand-rolled JSON reader).
+//! order-statistic percentiles in `flexile-metrics`, exporter
+//! well-formedness (Chrome trace parsed by a hand-rolled JSON reader) and
+//! the flight recorder's last-N ring.
 //!
 //! The sink is process-global, so every test that enables/drains it runs
 //! under one mutex; `cargo test` parallelism within this binary is safe.
@@ -393,7 +394,7 @@ fn jsonl_lines_each_parse_and_follow_schema() {
                 assert!(obj.get("name").is_some() && obj.get("value").is_some());
             }
             "hist" => {
-                for key in ["name", "count", "sum", "min", "max", "p50", "p90", "p99"] {
+                for key in ["name", "count", "sum", "min", "max", "p50", "p90", "p99", "buckets"] {
                     assert!(obj.get(key).is_some(), "hist missing {key}: {line}");
                 }
             }
@@ -420,4 +421,38 @@ fn summary_table_mentions_everything() {
     let t = flexile_obs::drain();
     let s = t.summary();
     assert!(s.contains("t.step") && s.contains("t.total") && s.contains("t.ms"), "{s}");
+}
+
+#[test]
+fn flight_ring_keeps_last_n_and_dump_is_jsonl() {
+    let _g = exclusive();
+    flexile_obs::flight::clear_last();
+    let cap = flexile_obs::flight::capacity();
+    assert!(cap > 0, "flight recorder is on by default");
+    flexile_obs::enable();
+    for i in 0..(cap + 25) {
+        flexile_obs::event("flight.tick", "test").field("i", i as u64);
+    }
+    let dumped_path = flexile_obs::flight::dump("test_reason");
+    flexile_obs::disable();
+    let _ = flexile_obs::drain();
+
+    assert!(dumped_path.is_none(), "no dump dir configured in tests");
+    let dump = flexile_obs::flight::last().expect("dump retained in memory");
+    let mut lines = dump.lines();
+    let header = lines.next().unwrap();
+    assert!(header.contains("\"type\":\"flight\""));
+    assert!(header.contains("\"reason\":\"test_reason\""));
+    // The dump merges every registered thread's ring. A previous test's
+    // thread stays registered until its TLS destructor runs, which can
+    // land after this test's drain, so its ring may ride along. Rings are
+    // per-thread: check this thread's `flight.tick` events.
+    let events: Vec<&str> =
+        lines.filter(|l| l.contains("\"name\":\"flight.tick\"")).collect();
+    assert_eq!(events.len(), cap, "ring holds exactly the last N events");
+    // The ring holds the *last* N: the newest index must be present,
+    // the oldest must have been evicted.
+    assert!(events.iter().any(|l| l.contains(&format!("\"i\":{}", cap + 24))));
+    assert!(!events.iter().any(|l| l.contains("\"i\":0,") || l.ends_with("\"i\":0}")));
+    flexile_obs::flight::clear_last();
 }
