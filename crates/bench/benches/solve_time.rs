@@ -3,7 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use flexile_bench::{two_class_setup, ExpConfig};
-use flexile_core::{solve_flexile, solve_ip, FlexileOptions, IpOptions};
+use flexile_core::{solve_flexile, solve_ip, FlexileOptions};
+use flexile_lp::MipOptions;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -40,7 +41,11 @@ fn bench_ip(c: &mut Criterion) {
                 solve_ip(
                     black_box(&inst),
                     &set,
-                    &IpOptions { max_nodes: 2_000, time_limit: Duration::from_secs(30) },
+                    &MipOptions {
+                        max_nodes: 2_000,
+                        time_limit: Duration::from_secs(30),
+                        ..Default::default()
+                    },
                 )
                 .penalty
             })

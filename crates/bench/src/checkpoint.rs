@@ -114,7 +114,7 @@ fn opts_for(cfg: &ExpConfig, dir: Option<PathBuf>, every: usize) -> FlexileOptio
 }
 
 /// Run the `checkpoint` overhead-guard experiment. `limit` caps the number
-/// of topologies (in [`TOPOLOGIES`] order, so `--limit 1` is Sprint-only).
+/// of topologies (Sprint, then CWIX, so `--limit 1` is Sprint-only).
 pub fn run_checkpoint(cfg: &ExpConfig, limit: usize) {
     take_checkpoint_records(); // reset stale records from a prior experiment
     println!("section,topology,every,pass,iterations,ckpt_bytes,wall_ms,penalty");

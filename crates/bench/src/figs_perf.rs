@@ -2,7 +2,8 @@
 //! Fig. 15 (offline solve time, IP vs the decomposition).
 
 use crate::setup::{pct, two_class_setup, ExpConfig};
-use flexile_core::{solve_flexile, solve_ip, FlexileOptions, IpOptions};
+use flexile_core::{solve_flexile, solve_ip, FlexileOptions};
+use flexile_lp::MipOptions;
 use flexile_topo::TABLE2;
 use std::time::{Duration, Instant};
 
@@ -19,6 +20,12 @@ fn flexile_timing_opts(cfg: &ExpConfig) -> FlexileOptions {
         master: flexile_core::master::MasterOptions { exact_threshold: 0, ..Default::default() },
         ..Default::default()
     }
+}
+
+/// Branch-and-bound budget for the Fig. 14 IP baseline: the default node
+/// budget under a 120 s time limit.
+fn ip_options() -> MipOptions {
+    MipOptions { time_limit: Duration::from_secs(120), ..Default::default() }
 }
 
 /// Fig. 14: optimality gap (decomposition incumbent − IP optimum) after
@@ -38,7 +45,7 @@ pub fn run_fig14(cfg: &ExpConfig) {
             .field("figure", "fig14")
             .field("topology", name);
         let (inst, set) = two_class_setup(name, &ip_cfg);
-        let ip = solve_ip(&inst, &set, &IpOptions::default());
+        let ip = solve_ip(&inst, &set, &ip_options());
         let design = solve_flexile(&inst, &set, &flexile_opts(&ip_cfg));
         // Evaluate the IP's criticality with the same exact post-analysis
         // the decomposition uses, so both sides account the unenumerated
@@ -126,7 +133,11 @@ fn time_one(cfg: &ExpConfig, e: &flexile_topo::ZooEntry) -> SolveTiming {
             let r = solve_ip(
                 &inst,
                 &set,
-                &IpOptions { max_nodes: 4_000, time_limit: Duration::from_secs(60) },
+                &MipOptions {
+                    max_nodes: 4_000,
+                    time_limit: Duration::from_secs(60),
+                    ..Default::default()
+                },
             );
             if r.optimal {
                 Some(t1.elapsed())
@@ -171,7 +182,7 @@ mod tests {
     fn fig14_converges_on_sprint() {
         let cfg = ExpConfig { max_pairs: Some(8), max_scenarios: 8, ..Default::default() };
         let (inst, set) = two_class_setup("Sprint", &cfg);
-        let ip = solve_ip(&inst, &set, &IpOptions::default());
+        let ip = solve_ip(&inst, &set, &ip_options());
         let design = solve_flexile(&inst, &set, &flexile_opts(&cfg));
         if ip.optimal {
             let last = design.iterations.last().unwrap();

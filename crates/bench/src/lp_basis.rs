@@ -17,7 +17,7 @@
 
 use crate::ExpConfig;
 use flexile_lp::sparse::{DenseMat, LuFactors, SparseCol};
-use flexile_lp::{EngineKind, Model, Sense, SimplexOptions};
+use flexile_lp::{solve_robust, EngineKind, Model, Sense, SimplexOptions};
 use flexile_topo::{topology_by_name, Topology, TunnelSet};
 use flexile_traffic::Instance;
 use std::time::Instant;
@@ -174,7 +174,15 @@ fn solve_rows(name: &str, cfg: &ExpConfig, out: &mut Vec<String>) {
     for (label, engine) in [("dense", EngineKind::Dense), ("lu", EngineKind::SparseLu)] {
         let opts = SimplexOptions { engine, ..SimplexOptions::default() };
         let t0 = Instant::now();
-        let sol = model.solve_with(&opts, None).expect("min-MLU LP must solve");
+        let robust = solve_robust(&model, &opts, None);
+        // Rungs 3-4 run on the dense engine; a row labelled `lu` must
+        // time the sparse-LU engine only.
+        assert!(
+            robust.report.attempts.iter().all(|a| a.rung.on_caller_engine()),
+            "{label} solve on {name} left its engine: {:?}",
+            robust.report.attempts
+        );
+        let sol = robust.result.expect("min-MLU LP must solve");
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         out.push(format!(
             "solve,{name},{rows},{ncols},{label},{wall_ms:.3},{},{:.9}",
@@ -184,8 +192,8 @@ fn solve_rows(name: &str, cfg: &ExpConfig, out: &mut Vec<String>) {
 }
 
 /// Run the `lp_basis` experiment. `limit` caps the number of end-to-end
-/// topologies (in [`SOLVE_TOPOLOGIES`] order, so `--limit 1` is a
-/// Sprint-only smoke run). CSV schema:
+/// topologies (Sprint, BTNorthAmerica, Tinet, Deltacom in that order, so
+/// `--limit 1` is a Sprint-only smoke run). CSV schema:
 ///
 /// ```text
 /// kernel,m,dense_factor_ms,lu_factor_ms,dense_solve_ms,lu_solve_ms,lu_fill

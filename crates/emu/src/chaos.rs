@@ -395,6 +395,17 @@ mod tests {
     use flexile_traffic::{ClassConfig, Instance};
 
     fn fig1() -> (Instance, ScenarioSet, FlexileDesign) {
+        let (inst, set) = fig1_problem();
+        // Kill-points are process-global: design under the chaos lock, so
+        // a kill armed by a crash-cycle test cannot fire inside this solve.
+        let design = {
+            let _g = chaos_serial();
+            solve_flexile(&inst, &set, &FlexileOptions::default())
+        };
+        (inst, set, design)
+    }
+
+    fn fig1_problem() -> (Instance, ScenarioSet) {
         let topo = Topology::new("fig1", 3, &[(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]);
         let pairs = vec![(NodeId(0), NodeId(1)), (NodeId(0), NodeId(2))];
         let tunnels = TunnelSet::build(&topo, &pairs, TunnelClass::SingleClass);
@@ -411,8 +422,7 @@ mod tests {
             3,
             &EnumOptions { prob_cutoff: 0.0, max_scenarios: 4, coverage_target: 2.0 },
         );
-        let design = solve_flexile(&inst, &set, &FlexileOptions::default());
-        (inst, set, design)
+        (inst, set)
     }
 
     fn fail_recover_trace() -> ChaosTrace {
@@ -537,7 +547,7 @@ mod tests {
     /// master has slack to shed criticality, so the decomposition runs
     /// multiple iterations and iteration-2 kill-points actually fire.
     fn fig1_iterating() -> (Instance, ScenarioSet) {
-        let (mut inst, _, _) = fig1();
+        let (mut inst, _) = fig1_problem();
         inst.classes[0].beta = 0.99;
         inst.demands = vec![vec![1.0, 1.0]];
         let units = link_units(&inst.topo, &[0.01, 0.01, 0.01]);

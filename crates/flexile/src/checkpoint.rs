@@ -12,12 +12,14 @@
 //! large, engine-specific, and version-fragile. Instead the decomposition
 //! is deterministic given each scenario's RHS chain: scenario `q`'s
 //! template state depends only on its own solve sequence (templates are
-//! never shared across scenarios — see [`crate::pool`]), so replaying the
-//! checkpointed chain through a fresh template performs bit-for-bit the
-//! same computation the uninterrupted run did and reconstructs the exact
-//! warm basis. `decompose_resume` does this replay before continuing,
-//! which is why resumed runs reach bit-identical final objectives (the
-//! crash tests assert this via [`flexile_lp::Basis::fingerprint`]).
+//! never shared across scenarios — see the private `pool` module), so
+//! replaying the checkpointed chain through a fresh template performs
+//! bit-for-bit the same computation the uninterrupted run did and
+//! reconstructs the exact warm basis. `decompose_resume` does this replay
+//! before continuing. The pool's unit tests compare every slot's
+//! [`flexile_lp::Basis::fingerprint`] after a snapshot/restore round trip
+//! with the uninterrupted run's; the crash tests assert that resumed runs
+//! reach bit-identical final designs.
 //!
 //! The decomposition itself uses no RNG, so there is no random state to
 //! persist; determinism is documented and tested in `tests/pool.rs`.
@@ -309,8 +311,7 @@ pub fn problem_fingerprint(inst: &Instance, set: &ScenarioSet) -> u64 {
 /// original run), in [`OPTIONS_COMPONENTS`] order: search knobs
 /// (iteration cap, pruning, γ), master configuration, and pool policy +
 /// residency budget. Thread count is deliberately excluded — output is
-/// thread-invariant — as are the checkpointing knobs themselves and the
-/// watchdog (wall-clock based, documented as best-effort).
+/// thread-invariant — as are the checkpointing knobs themselves.
 pub fn options_fingerprint_parts(opts: &FlexileOptions) -> [u64; OPTIONS_COMPONENTS.len()] {
     let mut search = Fnv::new();
     search.u64(opts.max_iterations as u64);

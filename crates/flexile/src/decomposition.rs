@@ -15,7 +15,8 @@
 //!   did not change since its last solve is skipped; its cached cut and
 //!   losses remain valid.
 //! * **Persistent scenario-solve pool** — subproblems run on a pool of
-//!   workers that lives for the whole decomposition (see [`crate::pool`]):
+//!   workers that lives for the whole decomposition (the private `pool`
+//!   module):
 //!   one warm template *per scenario* so iteration `k+1` dual-restarts from
 //!   iteration `k`'s basis of the *same* scenario (the shared dual space /
 //!   warm-start trick of the reformulated `S_q`, finally applied across
@@ -30,13 +31,13 @@
 //!
 //! ## Crash safety
 //!
-//! The loop's entire mutable state lives in a [`BendersState`] that can be
-//! checkpointed at iteration boundaries (see [`crate::checkpoint`]) and
-//! restored by [`decompose_resume`], which replays each scenario's solve
-//! chain to re-warm the pool and then continues to a final solution
+//! The loop's entire mutable state lives in one private `BendersState` that
+//! can be checkpointed at iteration boundaries (see [`crate::checkpoint`])
+//! and restored by [`decompose_resume`], which replays each scenario's
+//! solve chain to re-warm the pool and then continues to a final solution
 //! bit-identical to an uninterrupted run. Worker panics are contained and
-//! quarantined inside the pool; a watchdog deadline (off by default)
-//! cold-restarts warm solves that hang.
+//! quarantined inside the pool. A warm restart cannot hang: the LP layer
+//! caps its dual repair at about a cold solve's pivots.
 
 use crate::checkpoint::{self, BestIncumbent, CheckpointError, CheckpointState};
 use crate::master::{solve_master, CutPool, MasterOptions};
@@ -46,7 +47,6 @@ use flexile_metrics::{perc_loss, LossMatrix};
 use flexile_scenario::ScenarioSet;
 use flexile_traffic::Instance;
 use std::path::PathBuf;
-use std::time::Duration;
 
 pub use crate::pool::PoolPolicy;
 
@@ -68,14 +68,6 @@ pub struct FlexileOptions {
     pub prune: bool,
     /// Subproblem scheduling / basis-reuse policy (see [`PoolPolicy`]).
     pub pool: PoolPolicy,
-    /// Watchdog deadline for each subproblem's warm fast path, a
-    /// wall-clock backstop behind the LP layer's deterministic restart
-    /// pivot cap: a warm restart that exceeds it is abandoned, its basis
-    /// quarantined, and the solve cold-restarted through the `solve_robust`
-    /// ladder (whose Bland rung terminates provably). `None` (default)
-    /// disables the watchdog and preserves exact bit-reproducibility; with
-    /// it armed, outcomes can depend on wall clock.
-    pub watchdog: Option<Duration>,
     /// Directory to write crash-recovery checkpoints into (as
     /// `flexile.ckpt`); `None` (default) disables checkpointing. The
     /// zero-fault trajectory is unaffected either way — checkpointing only
@@ -96,7 +88,6 @@ impl Default for FlexileOptions {
             gamma: None,
             prune: true,
             pool: PoolPolicy::default(),
-            watchdog: None,
             checkpoint_dir: None,
             checkpoint_every: 1,
         }
@@ -252,8 +243,7 @@ pub fn solve_flexile(inst: &Instance, set: &ScenarioSet, opts: &FlexileOptions) 
 /// with a typed [`CheckpointError`]. The pool is re-warmed by replaying
 /// each scenario's checkpointed solve chain — warm bases are never
 /// persisted — after which the continuation is bit-identical to the
-/// original trajectory (watchdog disabled; see
-/// [`FlexileOptions::watchdog`]).
+/// original trajectory.
 pub fn decompose_resume(
     inst: &Instance,
     set: &ScenarioSet,
@@ -296,12 +286,7 @@ fn dispatch(
     state: BendersState,
     restore: Option<(usize, PoolSnapshot)>,
 ) -> FlexileDesign {
-    let ctx = PoolCtx {
-        inst,
-        set,
-        loss_ub: prep.loss_ub.as_deref(),
-        watchdog: opts.watchdog,
-    };
+    let ctx = PoolCtx { inst, set, loss_ub: prep.loss_ub.as_deref() };
     with_pool(ctx, opts.threads.max(1), opts.pool, |pool| {
         if let Some((it, snap)) = &restore {
             pool.restore(*it, snap);

@@ -6,7 +6,7 @@
 //! * [`KillPoint::Worker`] panics inside a pool worker right before it
 //!   solves scenario `scenario` in iteration `iteration` — exercising the
 //!   `catch_unwind` containment, template quarantine, and bounded-retry
-//!   machinery of [`crate::pool`].
+//!   machinery of the scenario pool.
 //! * [`KillPoint::Abort`] unwinds the *whole* decomposition out of
 //!   iteration `iteration` (after the subproblem fan-out, before any state
 //!   for that iteration lands), simulating process death mid-run. The

@@ -54,7 +54,7 @@ pub use decomposition::{
 pub use killpoints::{DecompositionAborted, KillGuard, KillPoint};
 pub use pool::{PoolError, MAX_PANIC_RETRIES};
 pub use lexicographic::{solve_flexile_lexicographic, LexicographicDesign};
-pub use model::{solve_ip, IpOptions, IpResult};
+pub use model::{solve_ip, IpResult};
 pub use online::{
     carry_forward_losses, flexile_losses, flexile_losses_with_report, online_allocate,
     online_allocate_robust, proportional_share_losses, DegradationLevel, OnlineOutcome,

@@ -27,7 +27,7 @@
 //!   the end-to-end effect.
 
 use crate::subproblem::Cut;
-use flexile_lp::{solve_mip, solve_robust, MipOptions, Model, RobustOptions, Sense, VarId};
+use flexile_lp::{solve_mip, solve_robust, MipOptions, Model, Sense, SimplexOptions, VarId};
 use flexile_scenario::ScenarioSet;
 use flexile_traffic::Instance;
 use std::time::Duration;
@@ -236,7 +236,7 @@ pub fn solve_master(
     // LP relaxation + greedy rounding. The robust ladder absorbs transient
     // solver faults; a terminal failure falls back to greedy rounding on a
     // zero relaxation (pressure + probability ordering still applies).
-    let (frac, lb) = match solve_robust(&m, &RobustOptions::default(), None).result {
+    let (frac, lb) = match solve_robust(&m, &SimplexOptions::default(), None).result {
         Ok(sol) => {
             let frac: Vec<Vec<f64>> = (0..nf)
                 .map(|f| {

@@ -9,22 +9,6 @@
 use flexile_lp::{solve_mip, MipOptions, MipStatus, Model, Sense, VarId};
 use flexile_scenario::ScenarioSet;
 use flexile_traffic::Instance;
-use std::time::Duration;
-
-/// Options for the exact formulation.
-#[derive(Debug, Clone)]
-pub struct IpOptions {
-    /// Branch-and-bound node budget.
-    pub max_nodes: usize,
-    /// Wall-clock budget (the paper uses a 1-hour cap).
-    pub time_limit: Duration,
-}
-
-impl Default for IpOptions {
-    fn default() -> Self {
-        IpOptions { max_nodes: 20_000, time_limit: Duration::from_secs(120) }
-    }
-}
 
 /// Result of solving formulation (I).
 #[derive(Debug, Clone)]
@@ -115,17 +99,13 @@ fn ip_model(inst: &Instance, set: &ScenarioSet) -> (Model, Vec<Vec<Option<VarId>
     (m, z)
 }
 
-/// Solve formulation (I) exactly (within the branch-and-bound budget).
-pub fn solve_ip(inst: &Instance, set: &ScenarioSet, opts: &IpOptions) -> IpResult {
+/// Solve formulation (I) exactly, within the node and time budget of
+/// `opts` (the paper caps the IP at one hour).
+pub fn solve_ip(inst: &Instance, set: &ScenarioSet, opts: &MipOptions) -> IpResult {
     let nf = inst.num_flows();
     let nq = set.scenarios.len();
     let (m, z) = ip_model(inst, set);
-    let mip_opts = MipOptions {
-        max_nodes: opts.max_nodes,
-        time_limit: opts.time_limit,
-        ..MipOptions::default()
-    };
-    let r = solve_mip(&m, &mip_opts).expect("IP solve failed");
+    let r = solve_mip(&m, opts).expect("IP solve failed");
     let mut critical = vec![vec![false; nq]; nf];
     if !r.x.is_empty() {
         for f in 0..nf {
@@ -160,7 +140,7 @@ mod tests {
     fn ip_finds_zero_penalty_on_fig1() {
         let inst = fig1_beta99();
         let set = fig1_scenarios();
-        let r = solve_ip(&inst, &set, &IpOptions::default());
+        let r = solve_ip(&inst, &set, &MipOptions::default());
         assert!(r.optimal, "IP should prove optimality on the triangle");
         assert!(r.penalty < 1e-6, "IP penalty {}", r.penalty);
     }
@@ -181,7 +161,7 @@ mod tests {
         // 5 iterations.
         let inst = fig1_beta99();
         let set = fig1_scenarios();
-        let ip = solve_ip(&inst, &set, &IpOptions::default());
+        let ip = solve_ip(&inst, &set, &MipOptions::default());
         let dec = solve_flexile(&inst, &set, &FlexileOptions::default());
         assert!(
             (dec.penalty - ip.penalty).abs() < 1e-6,

@@ -40,7 +40,7 @@
 //! post-analysis (it is the loss the network would actually experience).
 
 use crate::decomposition::FlexileDesign;
-use flexile_lp::{solve_robust, LpError, RobustOptions, Sense, SolveReport};
+use flexile_lp::{solve_robust, LpError, Sense, SimplexOptions, SolveReport};
 use flexile_scenario::{Scenario, ScenarioSet};
 use flexile_te::alloc::ScenAlloc;
 use flexile_te::types::{clamp_loss, SchemeResult};
@@ -238,7 +238,7 @@ fn lp_allocate(
         weight *= 100.0;
     }
     let mut skipped = Vec::new();
-    let out = solve_robust(&alloc.model, &RobustOptions::default(), None);
+    let out = solve_robust(&alloc.model, &SimplexOptions::default(), None);
     reports.push(out.report);
     match out.result {
         Ok(sol) => {
@@ -315,7 +315,7 @@ fn waterfill_class(
                 _ => {}
             }
         }
-        let out = solve_robust(&m, &RobustOptions::default(), None);
+        let out = solve_robust(&m, &SimplexOptions::default(), None);
         reports.push(out.report);
         let sol = out.result?;
         let t = sol.value(t_var);
@@ -334,7 +334,7 @@ fn waterfill_class(
                 m2.set_obj(v, 1.0);
             }
         }
-        let out2 = solve_robust(&m2, &RobustOptions::default(), None);
+        let out2 = solve_robust(&m2, &SimplexOptions::default(), None);
         reports.push(out2.report);
         let sol2 = out2.result?;
         let mut newly = 0;

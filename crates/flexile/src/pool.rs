@@ -12,7 +12,7 @@
 //! * **Per-scenario templates** — one long-lived [`SubproblemTemplate`] per
 //!   scenario (γ-variant loss bounds included), so iteration `k+1` restarts
 //!   scenario `q` from scenario `q`'s own optimal basis via the explicit
-//!   dual-simplex RHS path ([`flexile_lp::solve_rhs_restart`]).
+//!   dual-simplex RHS path ([`flexile_lp::Model::solve_rhs_restart`]).
 //! * **Persistent workers** — one `thread::scope` spans the *whole*
 //!   decomposition; workers park on a condvar between iterations instead of
 //!   being respawned, and iterations are dispatched as epochs.
@@ -62,7 +62,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Contained panics tolerated per scenario *per dispatch* before the
 /// scenario is reported as poisoned for the iteration.
@@ -157,9 +157,6 @@ pub(crate) struct PoolCtx<'a> {
     pub set: &'a ScenarioSet,
     /// γ-variant per-scenario loss bounds (§4.4); `None` for the plain form.
     pub loss_ub: Option<&'a [Vec<f64>]>,
-    /// Watchdog deadline for the warm fast path (see
-    /// [`SubproblemTemplate::solve_with_stats_watchdog`]).
-    pub watchdog: Option<Duration>,
 }
 
 impl PoolCtx<'_> {
@@ -191,6 +188,14 @@ struct Slot {
     tmpl: Option<SubproblemTemplate>,
     /// Columns successfully solved since `tmpl` was last built cold.
     history: Vec<Vec<bool>>,
+}
+
+impl Slot {
+    /// Drop the template and its chain: the next solve rebuilds cold.
+    fn reset(&mut self) {
+        self.tmpl = None;
+        self.history.clear();
+    }
 }
 
 /// An epoch's work order, claimed off a shared cursor.
@@ -251,26 +256,16 @@ fn solve_contained(
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut slot = lock_recover(&slots[q]);
             let slot = &mut *slot;
-            let rebuilt = slot.tmpl.is_none();
             let tmpl = slot.tmpl.get_or_insert_with(|| ctx.build_template(q));
             if it > 0 {
                 crate::killpoints::maybe_fire_worker(it, q);
             }
             let _sq = flexile_obs::span("flexile.subproblem", "flexile").field("scenario", q);
-            let res = tmpl.solve_with_stats_scratch(
-                ctx.inst,
-                &ctx.set.scenarios[q],
-                col,
-                ctx.watchdog,
-                scratch,
-            );
-            if let Ok((_, stats)) = &res {
-                // Maintain the replayable chain: a cold (re)build or a
-                // watchdog cold-restart starts a fresh chain; every
-                // successful solve extends it.
-                if rebuilt || stats.watchdog_restart {
-                    slot.history.clear();
-                }
+            let res = tmpl.solve_with_stats(ctx.inst, &ctx.set.scenarios[q], col, scratch);
+            if res.is_ok() {
+                // Every successful solve extends the replayable chain. A
+                // template is only ever dropped by `Slot::reset`, which
+                // also empties the chain, so a cold (re)build starts empty.
                 slot.history.push(col.to_vec());
             }
             res
@@ -283,11 +278,7 @@ fn solve_contained(
                 // Quarantine: whatever state the panic left the template
                 // in, it is never used again. The next attempt (this retry
                 // or a later iteration) rebuilds cold.
-                {
-                    let mut slot = lock_recover(&slots[q]);
-                    slot.tmpl = None;
-                    slot.history.clear();
-                }
+                lock_recover(&slots[q]).reset();
                 flexile_obs::add("flexile.scenario_quarantined", 1);
                 flexile_obs::flight::dump("scenario_quarantined");
                 if attempts > MAX_PANIC_RETRIES {
@@ -357,9 +348,7 @@ fn worker_loop(
                     for col in &chains[i] {
                         last = solve_contained(slots, ctx, 0, q, col, id, &mut scratch);
                         if last.is_err() {
-                            let mut slot = lock_recover(&slots[q]);
-                            slot.tmpl = None;
-                            slot.history.clear();
+                            lock_recover(&slots[q]).reset();
                             break;
                         }
                     }
@@ -439,9 +428,7 @@ impl PoolHandle<'_> {
         live.sort_unstable();
         let excess = live.len() - self.residency;
         for &(_, q) in live.iter().take(excess) {
-            let mut slot = lock_recover(&self.slots[q]);
-            slot.tmpl = None;
-            slot.history.clear();
+            lock_recover(&self.slots[q]).reset();
             self.stamp[q] = 0;
         }
     }
@@ -470,9 +457,7 @@ impl PoolHandle<'_> {
     /// The decomposition will never solve `q` again (perfect-scenario
     /// pruning): drop its template early.
     pub(crate) fn retire(&mut self, q: usize) {
-        let mut slot = lock_recover(&self.slots[q]);
-        slot.tmpl = None;
-        slot.history.clear();
+        lock_recover(&self.slots[q]).reset();
         self.stamp[q] = 0;
     }
 
@@ -563,4 +548,52 @@ pub(crate) fn with_pool<R>(
         let _shutdown = ShutdownGuard(&shared);
         f(&mut handle)
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::subproblem::tests::{fig1_instance, fig1_scenarios};
+
+    /// Each slot's warm-basis fingerprint (`None` for an empty slot).
+    fn fingerprints(pool: &PoolHandle<'_>) -> Vec<Option<u64>> {
+        pool.slots
+            .iter()
+            .map(|s| lock_recover(s).tmpl.as_ref().and_then(|t| t.warm_basis_fingerprint()))
+            .collect()
+    }
+
+    #[test]
+    fn chain_replay_rebuilds_the_exact_bases() {
+        let inst = fig1_instance();
+        let set = fig1_scenarios();
+        let ctx = || PoolCtx { inst: &inst, set: &set, loss_ub: None };
+        let todo: Vec<usize> = (0..set.scenarios.len()).collect();
+        // Iteration 1 solves every scenario all-critical; iteration 2 flips
+        // a flow per scenario, so each basis is a two-solve chain.
+        let all = vec![vec![true, true]; todo.len()];
+        let flipped: Vec<Vec<bool>> = todo.iter().map(|&q| vec![q % 2 == 0, q % 2 == 1]).collect();
+        let (live, snap) = with_pool(ctx(), 2, PoolPolicy::PerScenario, |pool| {
+            pool.solve_iteration(1, &todo, all);
+            let results = pool.solve_iteration(2, &todo, flipped.clone());
+            assert!(results.iter().all(|(_, r)| r.is_ok()));
+            (fingerprints(pool), pool.snapshot())
+        });
+        assert!(live.iter().all(Option::is_some), "every scenario keeps a warm basis");
+        assert!(snap.chains.iter().all(|c| c.len() == 2), "two solves per chain");
+
+        let restored = with_pool(ctx(), 2, PoolPolicy::PerScenario, |pool| {
+            pool.restore(2, &snap);
+            fingerprints(pool)
+        });
+        assert_eq!(restored, live);
+
+        // The whole chain matters: solving only the last column cold ends
+        // on different bases.
+        let last_only = with_pool(ctx(), 2, PoolPolicy::PerScenario, |pool| {
+            pool.solve_iteration(1, &todo, flipped);
+            fingerprints(pool)
+        });
+        assert_ne!(last_only, live);
+    }
 }

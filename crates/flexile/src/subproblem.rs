@@ -28,8 +28,8 @@
 //! shared-dual-space cross cut (22).
 
 use flexile_lp::{
-    solve_robust, Basis, LpError, Model, RestartKind, RobustOptions, RowId, Sense,
-    SimplexOptions, Solution, SolveBudget, SolveScratch, VarId,
+    solve_robust, Basis, LpError, Model, RestartKind, RowId, Sense, SimplexOptions, Solution,
+    SolveScratch, VarId,
 };
 use flexile_scenario::Scenario;
 use flexile_traffic::Instance;
@@ -77,11 +77,6 @@ pub struct SolveStats {
     /// Simplex iterations across every attempt of this solve (restart plus
     /// any ladder fallback).
     pub iterations: usize,
-    /// The warm fast path blew its watchdog deadline and the solve was
-    /// cold-restarted through the ladder. The pool uses this to reset the
-    /// scenario's replayable solve chain: after a watchdog restart the
-    /// template's basis descends from a cold solve of *this* column only.
-    pub watchdog_restart: bool,
 }
 
 /// Result of solving one subproblem.
@@ -114,8 +109,6 @@ pub struct SubproblemTemplate {
     num_flows: usize,
     num_arcs: usize,
     warm: Option<Basis>,
-    /// Per-flow loss upper bound override (γ-variant, §4.4); 1.0 default.
-    loss_ub: Vec<f64>,
 }
 
 impl SubproblemTemplate {
@@ -193,7 +186,6 @@ impl SubproblemTemplate {
             num_flows: nf,
             num_arcs: na,
             warm: None,
-            loss_ub,
         }
     }
 
@@ -204,86 +196,38 @@ impl SubproblemTemplate {
         scen: &Scenario,
         z: &[bool],
     ) -> Result<SubproblemSolution, LpError> {
-        self.solve_with_stats(inst, scen, z).map(|(sol, _)| sol)
+        self.solve_with_stats(inst, scen, z, &mut SolveScratch::new()).map(|(sol, _)| sol)
     }
 
-    /// [`Self::solve`], additionally reporting how the solve restarted.
+    /// [`Self::solve`] on caller-owned solver scratch, additionally
+    /// reporting how the solve restarted.
     ///
     /// When a warm basis is saved from a previous solve of this template, the
     /// only thing that changed since is the RHS (criticality flips and
     /// capacity scaling — the §4.2 reformulation guarantees the LHS is
     /// scenario-independent), so the solve first goes through the explicit
-    /// [`flexile_lp::solve_rhs_restart`] dual path. A retryable failure there
-    /// falls back to the full [`solve_robust`] escalation ladder.
-    pub fn solve_with_stats(
-        &mut self,
-        inst: &Instance,
-        scen: &Scenario,
-        z: &[bool],
-    ) -> Result<(SubproblemSolution, SolveStats), LpError> {
-        self.solve_with_stats_watchdog(inst, scen, z, None)
-    }
-
-    /// [`Self::solve_with_stats`] with an optional **watchdog deadline** on
-    /// the warm fast path.
-    ///
-    /// The warm dual restart is bounded by pivots, not time: the LP layer
-    /// abandons a repair past `rows + cols` dual pivots and finishes with
-    /// the cold solve (`lp.restart_abandoned`), and the cold ladder ends in
-    /// a Bland-rule rung with a termination guarantee. The watchdog is a
-    /// wall-clock backstop on top of that bound, armed on the warm path
-    /// only: if it expires, the saved basis is quarantined (dropped),
-    /// `flexile.watchdog_restart` is counted, and the solve cold-restarts
-    /// through the full [`solve_robust`] ladder with no deadline. `None`
-    /// leaves the pivot cap as the only bound.
-    ///
-    /// Note the watchdog makes solve outcomes wall-clock dependent, so
-    /// bit-identity guarantees (across runs, and for checkpoint resume)
-    /// hold unconditionally only with the watchdog disabled.
-    pub fn solve_with_stats_watchdog(
-        &mut self,
-        inst: &Instance,
-        scen: &Scenario,
-        z: &[bool],
-        watchdog: Option<std::time::Duration>,
-    ) -> Result<(SubproblemSolution, SolveStats), LpError> {
-        let mut scratch = SolveScratch::new();
-        self.solve_with_stats_scratch(inst, scen, z, watchdog, &mut scratch)
-    }
-
-    /// [`Self::solve_with_stats_watchdog`] with caller-owned solver scratch.
+    /// [`flexile_lp::Model::solve_rhs_restart`] dual path, whose repair is
+    /// bounded by the LP layer's restart pivot cap. A retryable failure
+    /// there falls back to the full [`solve_robust`] escalation ladder.
     ///
     /// The pool threads one [`SolveScratch`] through every solve a worker
     /// performs, so the per-iteration simplex work vectors are allocated
     /// once per worker instead of once per scenario solve. Scratch reuse is
     /// bit-transparent: a recycled buffer is cleared and re-zeroed to the
     /// exact length a fresh allocation would have.
-    pub fn solve_with_stats_scratch(
+    pub fn solve_with_stats(
         &mut self,
         inst: &Instance,
         scen: &Scenario,
         z: &[bool],
-        watchdog: Option<std::time::Duration>,
         scratch: &mut SolveScratch,
     ) -> Result<(SubproblemSolution, SolveStats), LpError> {
         self.check_scenario(scen, z);
         let cap_arc = self.install_rhs(inst, scen, z);
-        let rb = Self::robust_opts();
-        // Warm fast path: the explicit dual RHS-restart, optionally under
-        // the watchdog deadline (the cold ladder below runs deadline-free —
-        // its Bland rung terminates provably).
-        let first = self.warm.as_ref().map(|warm| {
-            // Presolve follows the ladder's setting, so a restart the LP
-            // layer abandons for a cold solve produces the same duals as the
-            // ladder's cold rungs.
-            let opts = SimplexOptions {
-                presolve: rb.presolve,
-                deadline: watchdog.map(|w| std::time::Instant::now() + w),
-                ..rb.budget.simplex_options()
-            };
-            self.model.solve_rhs_restart_with(&opts, warm, scratch)
-        });
-        let (sol, stats) = self.resolve_outcome(first, watchdog, &rb)?;
+        let opts = Self::solve_opts();
+        let first =
+            self.warm.as_ref().map(|warm| self.model.solve_rhs_restart(&opts, warm, scratch));
+        let (sol, stats) = self.resolve_outcome(first, &opts)?;
         self.warm = Some(sol.basis.clone());
         Ok((self.extract(&sol, z, &cap_arc), stats))
     }
@@ -314,18 +258,14 @@ impl SubproblemTemplate {
         cap_arc
     }
 
-    /// Robust ladder with a generous iteration budget: warm fast path
-    /// first, then the cold / safe-mode / perturbation rungs. Presolve
-    /// stays off: the Benders cuts are built from this solve's dual
-    /// vector, and the cut stream must be bit-identical regardless of
-    /// which presolve reductions would have fired (warm-started solves
-    /// skip presolve anyway, so this only pins down the cold rungs).
-    fn robust_opts() -> RobustOptions {
-        RobustOptions {
-            budget: SolveBudget::with_max_iters(2_000_000),
-            presolve: false,
-            ..Default::default()
-        }
+    /// Options for the warm fast path and every ladder rung: a generous
+    /// iteration budget and no presolve. The Benders cuts are built from
+    /// this solve's dual vector, and the cut stream must be bit-identical
+    /// regardless of which presolve reductions would have fired (warm
+    /// starts skip presolve anyway, so this pins down the cold solves: the
+    /// ladder's and the one a restart past its pivot cap finishes with).
+    fn solve_opts() -> SimplexOptions {
+        SimplexOptions { max_iters: 2_000_000, presolve: false, ..Default::default() }
     }
 
     /// Continue a warm fast-path outcome (`Some`) or a cold start (`None`)
@@ -334,8 +274,7 @@ impl SubproblemTemplate {
     fn resolve_outcome(
         &mut self,
         first: Option<Result<(Solution, RestartKind), LpError>>,
-        watchdog: Option<std::time::Duration>,
-        rb: &RobustOptions,
+        opts: &SimplexOptions,
     ) -> Result<(Solution, SolveStats), LpError> {
         match first {
             Some(Ok((sol, kind))) => {
@@ -343,37 +282,22 @@ impl SubproblemTemplate {
                     warm_hit: kind != RestartKind::Cold,
                     dual_restart: kind == RestartKind::DualRestart,
                     iterations: sol.iterations,
-                    watchdog_restart: false,
                 };
                 Ok((sol, stats))
             }
             // A numerical failure escalates through the full ladder
             // (which retries the warm basis first, then colder modes).
             Some(Err(LpError::Numerical(_))) => {
-                let out = solve_robust(&self.model, rb, self.warm.as_ref());
+                let out = solve_robust(&self.model, opts, self.warm.as_ref());
                 let iterations = out.report.total_iterations();
                 Ok((out.result?, SolveStats { iterations, ..Default::default() }))
-            }
-            // The armed watchdog fired: the warm basis is presumed
-            // pathological. Quarantine it and cold-restart through
-            // the ladder.
-            Some(Err(LpError::DeadlineExceeded)) if watchdog.is_some() => {
-                self.warm = None;
-                flexile_obs::add("flexile.watchdog_restart", 1);
-                flexile_obs::flight::dump("watchdog_restart");
-                let out = solve_robust(&self.model, rb, None);
-                let iterations = out.report.total_iterations();
-                Ok((
-                    out.result?,
-                    SolveStats { iterations, watchdog_restart: true, ..Default::default() },
-                ))
             }
             // No warm basis, or the warm path ran out of iterations: the
             // same basis under the same budget would only repeat the
             // runaway, so drop it and solve cold.
             Some(Err(LpError::IterationLimit)) | None => {
                 self.warm = None;
-                let out = solve_robust(&self.model, rb, None);
+                let out = solve_robust(&self.model, opts, None);
                 let iterations = out.report.total_iterations();
                 Ok((out.result?, SolveStats { iterations, ..Default::default() }))
             }
@@ -412,23 +336,12 @@ impl SubproblemTemplate {
         }
     }
 
-    /// The per-flow loss upper bounds in effect (γ variant).
-    pub fn loss_bounds(&self) -> &[f64] {
-        &self.loss_ub
-    }
-
     /// Fingerprint of the saved warm basis, if any (see
-    /// [`flexile_lp::Basis::fingerprint`]). The crash tests use this to
+    /// [`flexile_lp::Basis::fingerprint`]). The pool's tests use this to
     /// prove that replaying a checkpointed solve chain reconstructs the
     /// *exact* basis state of an uninterrupted run.
     pub fn warm_basis_fingerprint(&self) -> Option<u64> {
         self.warm.as_ref().map(|b| b.fingerprint())
-    }
-
-    /// Drop the saved warm basis: the next solve starts cold. Used by the
-    /// pool when quarantining a template after a contained panic.
-    pub fn clear_warm_basis(&mut self) {
-        self.warm = None;
     }
 
     /// Whether this template was built for the given demand factor.

@@ -1,5 +1,5 @@
 //! Crash-safety acceptance tests: kill-point chaos, panic containment,
-//! quarantine exhaustion, checkpoint/resume bit-identity, and the watchdog.
+//! quarantine exhaustion, and checkpoint/resume bit-identity.
 //!
 //! * **Worker kill sweep** — a worker panic at any (iteration, scenario) is
 //!   contained, quarantined, retried from a cold template, and the
@@ -13,9 +13,6 @@
 //!   reconstructed by replaying its checkpointed solve chain.
 //! * **Zero-fault identity** — checkpointing on (any cadence) vs. off does
 //!   not perturb the trajectory by a single bit.
-//! * **Watchdog** — a zero deadline deterministically fails every warm
-//!   restart, so the run degrades to exactly the cold-every-iteration
-//!   policy, bit for bit.
 //!
 //! Kill-points and the obs sink are process-global, so every test here
 //! serializes on one mutex.
@@ -31,7 +28,6 @@ use flexile_traffic::{ClassConfig, Instance};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Mutex, Once};
-use std::time::Duration;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -431,34 +427,4 @@ fn resume_refuses_mismatched_problem_or_options() {
     let resumed = decompose_resume(&inst, &set, &opts).expect("matching resume");
     assert!(resumed.penalty < 1e-6);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-// ---------------------------------------------------------------------------
-// Watchdog
-// ---------------------------------------------------------------------------
-
-#[test]
-fn zero_watchdog_degrades_to_cold_policy_bitwise() {
-    let _g = exclusive();
-    let (inst, set) = sprint_setup();
-    let cold = solve_flexile(
-        &inst,
-        &set,
-        &FlexileOptions { max_iterations: 3, pool: PoolPolicy::Cold, ..Default::default() },
-    );
-    let watchdog_opts = FlexileOptions {
-        max_iterations: 3,
-        watchdog: Some(Duration::ZERO),
-        ..Default::default()
-    };
-    flexile_obs::enable();
-    let d = solve_flexile(&inst, &set, &watchdog_opts);
-    flexile_obs::disable();
-    let t = flexile_obs::drain();
-    // An already-expired deadline fails every warm restart up front, so
-    // each solve cold-restarts through the ladder — exactly what the Cold
-    // policy does — and the deadline never interferes with the cold path.
-    assert_eq!(design_bits(&d), design_bits(&cold), "watchdog-always vs Cold policy");
-    let restarts = t.counters.get("flexile.watchdog_restart").copied().unwrap_or(0);
-    assert!(restarts > 0, "warm attempts must have tripped the watchdog");
 }

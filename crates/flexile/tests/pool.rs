@@ -18,6 +18,7 @@
 
 use flexile_core::subproblem::SubproblemTemplate;
 use flexile_core::{solve_flexile, FlexileDesign, FlexileOptions, PoolPolicy};
+use flexile_lp::SolveScratch;
 use flexile_scenario::{enumerate_scenarios, model::link_units, EnumOptions, ScenarioSet};
 use flexile_topo::{NodeId, Topology, TunnelClass, TunnelSet};
 use flexile_traffic::{ClassConfig, Instance};
@@ -147,11 +148,12 @@ fn warm_restart_matches_cold_solves() {
         // One persistent template carries its basis through the whole trace;
         // the cold reference rebuilds from scratch every step.
         let mut warm_tmpl = SubproblemTemplate::for_demand_factor(&inst, None, scen.demand_factor);
+        let mut scratch = SolveScratch::new();
         let mut warm_sols = Vec::new();
         let mut cold_sols = Vec::new();
         for z in &trace {
             let (warm_sol, stats) = warm_tmpl
-                .solve_with_stats(&inst, scen, z)
+                .solve_with_stats(&inst, scen, z, &mut scratch)
                 .expect("warm solve");
             let mut cold_tmpl =
                 SubproblemTemplate::for_demand_factor(&inst, None, scen.demand_factor);

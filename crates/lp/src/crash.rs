@@ -21,9 +21,8 @@
 //! lexicographically.
 
 use crate::model::Model;
+use crate::tol::FEAS_TOL;
 
-/// Violation threshold matching the simplex feasibility tolerance.
-const VIOL_TOL: f64 = 1e-7;
 /// Greedy passes over the columns. Two passes catch the common
 /// chained-flip patterns (e.g. a loss variable fixing a demand row and the
 /// scenario's criticality variable then fixing the rows the first flip
@@ -89,7 +88,7 @@ pub(crate) fn bound_shift(
     }
 
     let violated_rows = |s: &[f64]| -> usize {
-        (0..m).filter(|&i| violation(s[i], lb[n + i], ub[n + i]) > VIOL_TOL).count()
+        (0..m).filter(|&i| violation(s[i], lb[n + i], ub[n + i]) > FEAS_TOL).count()
     };
     let before = violated_rows(&s);
     if before == 0 {
@@ -113,7 +112,7 @@ pub(crate) fn bound_shift(
                 let old = violation(s[i], sl, su);
                 let new = violation(s[i] - a * dx, sl, su);
                 mag_delta += new - old;
-                count_delta += (new > VIOL_TOL) as isize - (old > VIOL_TOL) as isize;
+                count_delta += (new > FEAS_TOL) as isize - (old > FEAS_TOL) as isize;
             }
             if count_delta < 0 || (count_delta == 0 && mag_delta < -1e-9) {
                 for (i, a) in model.cols.col(j).iter() {

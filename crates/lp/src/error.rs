@@ -12,8 +12,10 @@ pub enum LpError {
     Unbounded,
     /// The iteration limit was exceeded before reaching optimality.
     IterationLimit,
-    /// The wall-clock deadline of the [`crate::SolveBudget`] passed before
-    /// reaching optimality.
+    /// A wall-clock deadline passed before reaching optimality. The simplex
+    /// has no clock of its own; this is the terminal, non-retryable error
+    /// that fault injection ([`crate::FaultKind::DeadlineExceeded`]) uses to
+    /// exercise a caller's timeout handling.
     DeadlineExceeded,
     /// A variable id or row id referenced a different model.
     BadIndex(String),

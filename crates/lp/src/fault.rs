@@ -8,8 +8,8 @@
 //! and every low-level simplex attempt polls it on entry.
 //!
 //! Granularity: one poll per *solve attempt* (each escalation rung of
-//! [`crate::solve_robust`] and each internal retry of [`crate::Model::solve`]
-//! is its own attempt). A fault scheduled at index `i` therefore kills
+//! [`crate::solve_robust`], which [`crate::Model::solve`] runs, is its own
+//! attempt). A fault scheduled at index `i` therefore kills
 //! exactly one attempt; later rungs see later indices, which is what lets
 //! chaos tests drive each rung of the degradation ladder in turn, or use
 //! [`FaultInjector::always`] to push a failure all the way to terminal.

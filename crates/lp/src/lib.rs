@@ -22,19 +22,21 @@
 //! * [`mip`] — a best-first branch-and-bound solver for models with binary /
 //!   integer variables, with a fix-and-dive rounding heuristic for incumbents.
 //! * [`rowgen`] — a lazy-constraint driver: repeatedly solve, ask an oracle
-//!   for violated rows, add them, and warm-start the next solve. Used for the
-//!   large scenario-bundled LPs (Teavar, CVaR variants) whose full row set
-//!   would dwarf the active set.
-//! * [`budget`] / [`robust`] / [`fault`] — the robustness layer: iteration +
-//!   wall-clock [`SolveBudget`]s, the [`solve_robust`] escalation ladder
-//!   (warm → cold refactor → Bland safe mode → bound perturbation) with an
-//!   auditable [`SolveReport`], and a deterministic [`FaultInjector`] for
-//!   chaos-testing every failure path.
+//!   for violated rows, add them, and solve again. Used for the large
+//!   scenario-bundled LPs (Teavar, CVaR variants) whose full row set would
+//!   dwarf the active set.
+//! * [`robust`] / [`fault`] — the robustness layer: the [`solve_robust`]
+//!   escalation ladder (warm → cold refactor → Bland safe mode → bound
+//!   perturbation) with an auditable [`SolveReport`], and a deterministic
+//!   [`FaultInjector`] for chaos-testing every failure path. The ladder is
+//!   the only retry policy: [`Model::solve`] and [`Model::solve_with`] run
+//!   it, and one [`SimplexOptions`] (iteration cap, engine, pricing,
+//!   presolve) configures every rung.
 //!
-//! The solver is exact up to a configurable feasibility/optimality tolerance
-//! (default `1e-7`). With the sparse LU basis engine the per-pivot cost
-//! scales with the factor fill rather than O(m²), so the basis dimension can
-//! reach the low thousands; very large scenario-bundled LPs still go through
+//! The solver is exact up to the feasibility tolerance [`tol::FEAS_TOL`]
+//! (`1e-7`). With the sparse LU basis engine the per-pivot cost scales with
+//! the factor fill rather than O(m²), so the basis dimension can reach the
+//! low thousands; very large scenario-bundled LPs still go through
 //! [`rowgen`] to keep the active row set small.
 //!
 //! ## Quick example
@@ -55,7 +57,6 @@
 #![warn(missing_docs)]
 
 pub mod basis;
-pub mod budget;
 pub mod crash;
 pub mod error;
 pub mod fault;
@@ -66,22 +67,13 @@ pub mod robust;
 pub mod rowgen;
 pub mod simplex;
 pub mod sparse;
+pub mod tol;
 
 pub use basis::{BasisEngine, EngineKind};
-pub use budget::SolveBudget;
 pub use error::LpError;
 pub use fault::{FaultInjector, FaultKind};
 pub use mip::{solve_mip, MipOptions, MipResult, MipStatus};
 pub use model::{Cmp, Model, RowId, Sense, VarId};
-pub use robust::{solve_robust, RobustOptions, RobustOutcome, Rung, RungAttempt, SolveReport};
+pub use robust::{solve_robust, RobustOutcome, Rung, RungAttempt, SolveReport};
 pub use rowgen::{solve_with_rowgen, RowGenOptions, RowGenResult, RowSpec};
-pub use simplex::{
-    solve_rhs_restart, solve_rhs_restart_with, Basis, Pricing, RestartKind, SimplexOptions,
-    Solution, SolveScratch, SolveStatus,
-};
-
-/// Default feasibility / optimality tolerance used across the workspace.
-pub const TOL: f64 = 1e-7;
-
-/// Default integrality tolerance for the MIP solver.
-pub const INT_TOL: f64 = 1e-6;
+pub use simplex::{Basis, Pricing, RestartKind, SimplexOptions, Solution, SolveScratch, SolveStatus};

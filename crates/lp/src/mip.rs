@@ -23,11 +23,10 @@
 //! unexplored frontier (`MipStatus::Feasible`, or `Unknown` without an
 //! incumbent).
 
-use crate::basis::EngineKind;
 use crate::error::LpError;
 use crate::model::{Model, Sense, VarId};
 use crate::simplex::{Basis, SimplexOptions, Solution};
-use crate::INT_TOL;
+use crate::tol::INT_TOL;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
@@ -48,8 +47,6 @@ pub struct MipOptions {
     /// Prune a node whose bound is within `rel_gap · |incumbent|` of the
     /// incumbent.
     pub rel_gap: f64,
-    /// Basis engine used for every node LP relaxation.
-    pub engine: EngineKind,
     /// Run the LP presolve on the cold solves: the root relaxation and the
     /// rounding heuristic, whose fixed integer columns the presolve
     /// eliminates. Warm nodes and dives never presolve.
@@ -63,7 +60,6 @@ impl Default for MipOptions {
             time_limit: Duration::from_secs(60),
             abs_gap: 1e-6,
             rel_gap: 1e-6,
-            engine: EngineKind::default(),
             presolve: true,
         }
     }
@@ -312,11 +308,7 @@ pub fn solve_mip(model: &Model, opts: &MipOptions) -> Result<MipResult, LpError>
         });
     }
 
-    let cold = SimplexOptions {
-        engine: opts.engine,
-        presolve: opts.presolve,
-        ..SimplexOptions::default()
-    };
+    let cold = SimplexOptions { presolve: opts.presolve, ..SimplexOptions::default() };
     let mut s = Search {
         work: model.clone(),
         ints,

@@ -6,7 +6,7 @@
 //! [`Model::solve`] solves the continuous relaxation.
 
 use crate::error::LpError;
-use crate::simplex::{self, Basis, RestartKind, SimplexOptions, Solution};
+use crate::simplex::{self, Basis, RestartKind, SimplexOptions, Solution, SolveScratch};
 use crate::sparse::{ColMatrix, SparseCol};
 
 /// Optimization direction.
@@ -222,47 +222,44 @@ impl Model {
         self.cols.col(j).iter().collect()
     }
 
-    /// Solve the continuous relaxation with default options.
+    /// Solve the continuous relaxation with default options, through the
+    /// escalation ladder of [`crate::solve_robust`].
     pub fn solve(&self) -> Result<Solution, LpError> {
-        simplex::solve(self, &SimplexOptions::default(), None)
+        self.solve_with(&SimplexOptions::default(), None)
     }
 
     /// Solve the continuous relaxation with explicit options and an optional
     /// warm-start basis from a previous solve of a structurally identical
-    /// model.
+    /// model. A failed attempt is retried only as [`crate::solve_robust`]
+    /// escalates it; call that directly to also get the audit trail. Only a
+    /// solve that escalates emits `lp.rung` events.
     pub fn solve_with(
         &self,
         opts: &SimplexOptions,
         warm: Option<&Basis>,
     ) -> Result<Solution, LpError> {
-        simplex::solve(self, opts, warm)
+        crate::robust::ladder(self, opts, warm, true).result
     }
 
     /// Re-solve after an RHS-only change, restarting from `warm`.
     ///
     /// The caller asserts that nothing but row right-hand sides changed since
-    /// `warm` was captured (see [`Model::set_rhs`]); the solver then skips the
-    /// dual-feasibility scan and repairs the basis with dual-simplex pivots
-    /// directly. One attempt, no internal retry — see
-    /// [`simplex::solve_rhs_restart`].
+    /// `warm` was captured (see [`Model::set_rhs`]). An RHS-only delta keeps
+    /// the saved basis dual feasible by construction, so the solver skips
+    /// the dual-feasibility scan and repairs the basis with dual-simplex
+    /// pivots directly. Exactly one attempt (one fault-injection poll) with
+    /// no retry: callers that want the escalation ladder fall back to
+    /// [`crate::solve_robust`] on a retryable error. `scratch` holds the
+    /// work vectors, so a pool worker performing many restarts back to back
+    /// reuses them across solves. Returns the solution together with how
+    /// the restart was actually satisfied.
     pub fn solve_rhs_restart(
         &self,
         opts: &SimplexOptions,
         warm: &Basis,
+        scratch: &mut SolveScratch,
     ) -> Result<(Solution, RestartKind), LpError> {
-        simplex::solve_rhs_restart(self, opts, warm)
-    }
-
-    /// [`Model::solve_rhs_restart`] with caller-owned scratch buffers (see
-    /// [`simplex::solve_rhs_restart_with`]): a pool worker performing many
-    /// restarts back to back reuses its work vectors across solves.
-    pub fn solve_rhs_restart_with(
-        &self,
-        opts: &SimplexOptions,
-        warm: &Basis,
-        scratch: &mut crate::SolveScratch,
-    ) -> Result<(Solution, RestartKind), LpError> {
-        simplex::solve_rhs_restart_with(self, opts, warm, scratch)
+        simplex::rhs_restart(self, opts, warm, scratch)
     }
 
     /// Evaluate the objective at a point.

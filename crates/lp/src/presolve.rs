@@ -34,13 +34,12 @@
 
 use crate::error::LpError;
 use crate::model::{Cmp, Model, Sense};
-use crate::simplex::{Basis, SimplexOptions, Solution, SolveStatus, VarStatus};
+use crate::simplex::{Basis, Mode, SimplexOptions, Solution, SolveStatus, VarStatus};
 use crate::sparse::{ColMatrix, SparseCol};
+use crate::tol::FEAS_TOL;
 
 /// Tolerance for treating a bound pair as fixed.
 const FIX_TOL: f64 = 1e-11;
-/// Tolerance on presolve feasibility verdicts (matches the simplex).
-const FEAS_TOL: f64 = 1e-7;
 /// Reduced-cost magnitude worth repairing into a dual.
 const REPAIR_TOL: f64 = 1e-9;
 /// Minimum relative improvement for a capacity-row bound tightening; keeps
@@ -127,7 +126,7 @@ enum Presolved {
 pub(crate) fn try_solve_presolved(
     model: &Model,
     opts: &SimplexOptions,
-    refactor_every: usize,
+    mode: Mode,
     poll: bool,
 ) -> Result<Option<Solution>, LpError> {
     // Malformed bounds are left to the main path so the error (and the
@@ -161,7 +160,7 @@ pub(crate) fn try_solve_presolved(
         Presolved::Reduced(red) => {
             red.observe();
             let inner = SimplexOptions { presolve: false, ..*opts };
-            let rsol = crate::simplex::solve_reduced(&red.reduced, &inner, refactor_every, poll)?;
+            let rsol = crate::simplex::solve_reduced(&red.reduced, &inner, mode, poll)?;
             Ok(Some(red.postsolve(model, Some(rsol))))
         }
     }

@@ -1,20 +1,23 @@
-//! Escalating solve ladder with an auditable report.
+//! Escalating solve ladder with an auditable report: the crate's one retry
+//! policy.
 //!
 //! [`solve_robust`] wraps the simplex in four escalation rungs, each one
-//! trading speed for numerical robustness:
+//! trading speed for numerical robustness. [`crate::Model::solve`] and
+//! [`crate::Model::solve_with`] are this ladder without the report. The
+//! caller's [`SimplexOptions`] apply to every rung; the rungs vary only the
+//! warm basis, the pricing rule, the engine, the refactorization interval
+//! and Bland's rule:
 //!
-//! 1. **Warm** — the caller's options and warm basis: devex pricing,
-//!    presolve on cold starts, default refactorization interval. Identical
-//!    to the first attempt of [`crate::Model::solve`].
+//! 1. **Warm** — the caller's options and warm basis: presolve on cold
+//!    starts if enabled, the default refactorization interval (60 pivots).
 //! 2. **ColdRefactor** — cold start, Dantzig pricing (no devex weight
-//!    state), refactorize every 8 pivots. Identical to the internal retry
-//!    of [`crate::Model::solve`], so a zero-fault `solve_robust`
-//!    reproduces `solve` bit for bit.
+//!    state), refactorize every 8 pivots.
 //! 3. **BlandSafe** — cold start, Bland's rule from the first pivot, tight
 //!    refactorization, on the *dense* basis engine
-//!    ([`crate::EngineKind::Dense`]). Cycle-proof and independent of the
-//!    default sparse-LU representation, so a numerical failure inside the
-//!    LU/eta path cannot recur here; the slowest exact mode.
+//!    ([`crate::EngineKind::Dense`]), no presolve and no crash. Cycle-proof
+//!    and independent of the default sparse-LU representation, so a
+//!    numerical failure inside the LU/eta path cannot recur here; the
+//!    slowest exact mode.
 //! 4. **Perturb** — solve a copy with deterministically jittered finite
 //!    bounds/RHS to break pathological degeneracy, then re-solve the
 //!    original warm from the perturbed basis. If even the clean-up solve
@@ -28,11 +31,21 @@
 //! recorded in the returned [`SolveReport`], which is what lets the online
 //! controller's degradation chain (and the chaos tests) assert exactly
 //! which rung rescued a faulted solve.
+//!
+//! [`solve_robust`] also emits one `lp.rung` telemetry event per attempt.
+//! `Model::solve` emits them only for a solve that escalated: a solve its
+//! first rung settles (an optimum, or a verdict such as an infeasible
+//! branch-and-bound node) leaves no `lp.rung` event, so the events and the
+//! flight recorder's ring count retries, not every LP.
 
-use crate::budget::SolveBudget;
 use crate::error::LpError;
 use crate::model::Model;
-use crate::simplex::{solve_single, Basis, SimplexOptions, Solution};
+use crate::simplex::{attempt, Basis, Mode, Pricing, SimplexOptions, Solution};
+use crate::EngineKind;
+use std::time::Instant;
+
+/// Relative magnitude of the rung-4 bound/RHS jitter.
+const PERTURB: f64 = 1e-7;
 
 /// One rung of the escalation ladder, in escalation order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -60,6 +73,13 @@ impl Rung {
             Rung::Perturb => "perturb",
         }
     }
+
+    /// Whether the rung runs on the caller's [`SimplexOptions::engine`].
+    /// Rungs 3 and 4 switch to the dense oracle, so tests and benches that
+    /// measure one engine check that no attempt reached them.
+    pub fn on_caller_engine(self) -> bool {
+        self <= Rung::ColdRefactor
+    }
 }
 
 /// One attempted rung and how it ended.
@@ -70,7 +90,7 @@ pub struct RungAttempt {
     /// `None` if the attempt succeeded; the error otherwise.
     pub error: Option<LpError>,
     /// Simplex iterations the attempt used (0 when the solve failed before
-    /// reporting a count — e.g. an injected fault or a deadline hit).
+    /// reporting a count — e.g. an injected fault).
     pub iterations: usize,
     /// Wall-clock time the attempt took, success or not.
     pub elapsed: std::time::Duration,
@@ -110,14 +130,18 @@ impl SolveReport {
         self.attempts.iter().map(|a| a.elapsed).sum()
     }
 
+    /// Record one attempt. With `quiet`, the `lp.rung` event is emitted
+    /// only if the attempt escalates the solve or comes after one that did.
     fn record(
         &mut self,
+        quiet: bool,
         rung: Rung,
         error: Option<LpError>,
         iterations: usize,
         elapsed: std::time::Duration,
     ) {
-        if flexile_obs::enabled() {
+        let escalates = error.as_ref().is_some_and(retryable);
+        if flexile_obs::enabled() && (!quiet || escalates || rung != Rung::Warm) {
             let mut ev = flexile_obs::event("lp.rung", "lp")
                 .field("rung", rung.name())
                 .field("ok", error.is_none())
@@ -129,28 +153,6 @@ impl SolveReport {
             drop(ev); // recorded on drop
         }
         self.attempts.push(RungAttempt { rung, error, iterations, elapsed });
-    }
-}
-
-/// Options for [`solve_robust`].
-#[derive(Debug, Clone, Copy)]
-pub struct RobustOptions {
-    /// Iteration/deadline budget. The deadline is absolute, so it bounds
-    /// the whole ladder, not each rung.
-    pub budget: SolveBudget,
-    /// Relative magnitude of the rung-4 bound/RHS jitter.
-    pub perturb: f64,
-    /// Run the presolve pass on cold solves (rungs 1–2). On by default;
-    /// callers that need the *unreduced* dual vector bit-for-bit — e.g. the
-    /// Benders cut extraction, whose cuts must not depend on which
-    /// reductions fired — turn it off. Rung 3 (Bland safe mode) never
-    /// presolves regardless.
-    pub presolve: bool,
-}
-
-impl Default for RobustOptions {
-    fn default() -> Self {
-        RobustOptions { budget: SolveBudget::unlimited(), perturb: 1e-7, presolve: true }
     }
 }
 
@@ -211,86 +213,58 @@ fn perturbed_model(model: &Model, scale: f64) -> Model {
 
 /// Solve `model` through the escalation ladder described in the module
 /// docs, recording every attempt in the returned report.
-pub fn solve_robust(
+pub fn solve_robust(model: &Model, opts: &SimplexOptions, warm: Option<&Basis>) -> RobustOutcome {
+    ladder(model, opts, warm, false)
+}
+
+/// The ladder behind [`solve_robust`] and `Model::solve`; `quiet` is the
+/// latter's telemetry rule (see the module docs).
+pub(crate) fn ladder(
     model: &Model,
-    opts: &RobustOptions,
+    opts: &SimplexOptions,
     warm: Option<&Basis>,
+    quiet: bool,
 ) -> RobustOutcome {
     let mut report = SolveReport::default();
-    let base = SimplexOptions { presolve: opts.presolve, ..opts.budget.simplex_options() };
+    let cold = SimplexOptions { pricing: Pricing::Dantzig, ..*opts };
+    // Bland safe mode on the dense oracle engine, so a failure tied to the
+    // sparse LU/eta representation cannot reproduce itself here.
+    let bland = SimplexOptions { engine: EngineKind::Dense, ..*opts };
 
-    // Rung 1: warm, default interval (== first attempt of Model::solve).
-    let t0 = std::time::Instant::now();
-    match solve_single(model, &base, warm) {
-        Ok(sol) => {
-            report.record(Rung::Warm, None, sol.iterations, t0.elapsed());
-            return RobustOutcome { result: Ok(sol), report };
-        }
-        Err(e) => {
-            let terminal = !retryable(&e);
-            report.record(Rung::Warm, Some(e.clone()), 0, t0.elapsed());
-            if terminal {
-                return RobustOutcome { result: Err(e), report };
+    let rungs = [
+        (Rung::Warm, opts, warm, Mode::DEFAULT),
+        (Rung::ColdRefactor, &cold, None, Mode::SHORT_REFACTOR),
+        (Rung::BlandSafe, &bland, None, Mode::BLAND),
+    ];
+    for (rung, o, w, mode) in rungs {
+        let t0 = Instant::now();
+        match attempt(model, o, w, mode) {
+            Ok(sol) => {
+                report.record(quiet, rung, None, sol.iterations, t0.elapsed());
+                return RobustOutcome { result: Ok(sol), report };
             }
-        }
-    }
-
-    // Rung 2: cold start, Dantzig pricing, refactorize every 8
-    // (== Model::solve's internal retry, kept behaviourally identical).
-    let cold = SimplexOptions {
-        pricing: crate::simplex::Pricing::Dantzig,
-        refactor_every: Some(8),
-        ..base
-    };
-    let t0 = std::time::Instant::now();
-    match solve_single(model, &cold, None) {
-        Ok(sol) => {
-            report.record(Rung::ColdRefactor, None, sol.iterations, t0.elapsed());
-            return RobustOutcome { result: Ok(sol), report };
-        }
-        Err(e) => {
-            let terminal = !retryable(&e);
-            report.record(Rung::ColdRefactor, Some(e.clone()), 0, t0.elapsed());
-            if terminal {
-                return RobustOutcome { result: Err(e), report };
-            }
-        }
-    }
-
-    // Rung 3: Bland safe mode on the dense oracle engine, so a failure tied
-    // to the sparse LU/eta representation cannot reproduce itself here.
-    let bland = SimplexOptions {
-        force_bland: true,
-        refactor_every: Some(8),
-        engine: crate::EngineKind::Dense,
-        ..base
-    };
-    let t0 = std::time::Instant::now();
-    match solve_single(model, &bland, None) {
-        Ok(sol) => {
-            report.record(Rung::BlandSafe, None, sol.iterations, t0.elapsed());
-            return RobustOutcome { result: Ok(sol), report };
-        }
-        Err(e) => {
-            let terminal = !retryable(&e);
-            report.record(Rung::BlandSafe, Some(e.clone()), 0, t0.elapsed());
-            if terminal {
-                return RobustOutcome { result: Err(e), report };
+            Err(e) => {
+                let terminal = !retryable(&e);
+                report.record(quiet, rung, Some(e.clone()), 0, t0.elapsed());
+                if terminal {
+                    return RobustOutcome { result: Err(e), report };
+                }
             }
         }
     }
 
     // Rung 4: perturbation retry. Iterations/elapsed cover both the
     // perturbed solve and the clean-up re-solve.
-    let perturbed = perturbed_model(model, opts.perturb);
-    let t0 = std::time::Instant::now();
-    match solve_single(&perturbed, &bland, None) {
+    let perturbed = perturbed_model(model, PERTURB);
+    let t0 = Instant::now();
+    match attempt(&perturbed, &bland, None, Mode::BLAND) {
         Ok(psol) => {
             // Clean-up: re-solve the *original* model warm from the
             // perturbed basis; usually a handful of pivots.
-            match solve_single(model, &cold, Some(&psol.basis)) {
+            match attempt(model, &cold, Some(&psol.basis), Mode::SHORT_REFACTOR) {
                 Ok(sol) => {
                     report.record(
+                        quiet,
                         Rung::Perturb,
                         None,
                         psol.iterations + sol.iterations,
@@ -300,14 +274,14 @@ pub fn solve_robust(
                 }
                 Err(_) => {
                     // The perturbed solution is feasible for the original
-                    // up to O(perturb); better than nothing, still Ok.
-                    report.record(Rung::Perturb, None, psol.iterations, t0.elapsed());
+                    // up to O(PERTURB); better than nothing, still Ok.
+                    report.record(quiet, Rung::Perturb, None, psol.iterations, t0.elapsed());
                     RobustOutcome { result: Ok(psol), report }
                 }
             }
         }
         Err(e) => {
-            report.record(Rung::Perturb, Some(e.clone()), 0, t0.elapsed());
+            report.record(quiet, Rung::Perturb, Some(e.clone()), 0, t0.elapsed());
             RobustOutcome { result: Err(e), report }
         }
     }
@@ -331,7 +305,7 @@ mod tests {
     #[test]
     fn clean_solve_uses_first_rung() {
         let m = small_model();
-        let out = solve_robust(&m, &RobustOptions::default(), None);
+        let out = solve_robust(&m, &SimplexOptions::default(), None);
         let sol = out.result.expect("clean solve");
         assert!((sol.objective - 4.0).abs() < 1e-9);
         assert_eq!(out.report.succeeded_rung(), Some(Rung::Warm));
@@ -343,7 +317,7 @@ mod tests {
         let m = small_model();
         let (out, used) =
             fault::with_injector(FaultInjector::new().at(0, FaultKind::Numerical), || {
-                solve_robust(&m, &RobustOptions::default(), None)
+                solve_robust(&m, &SimplexOptions::default(), None)
             });
         assert_eq!(used.injected().len(), 1);
         let sol = out.result.expect("recovered solve");
@@ -359,7 +333,7 @@ mod tests {
             .at(0, FaultKind::IterationLimit)
             .at(1, FaultKind::Numerical);
         let (out, _) = fault::with_injector(inj, || {
-            solve_robust(&m, &RobustOptions::default(), None)
+            solve_robust(&m, &SimplexOptions::default(), None)
         });
         assert!((out.result.expect("recovered").objective - 4.0).abs() < 1e-9);
         assert_eq!(out.report.succeeded_rung(), Some(Rung::BlandSafe));
@@ -373,7 +347,7 @@ mod tests {
             .at(1, FaultKind::SingularBasis)
             .at(2, FaultKind::Numerical);
         let (out, _) = fault::with_injector(inj, || {
-            solve_robust(&m, &RobustOptions::default(), None)
+            solve_robust(&m, &SimplexOptions::default(), None)
         });
         let sol = out.result.expect("perturb rung should rescue");
         assert!((sol.objective - 4.0).abs() < 1e-4);
@@ -385,7 +359,7 @@ mod tests {
     fn persistent_fault_is_terminal_with_full_report() {
         let m = small_model();
         let (out, used) = fault::with_injector(FaultInjector::always(FaultKind::Numerical), || {
-            solve_robust(&m, &RobustOptions::default(), None)
+            solve_robust(&m, &SimplexOptions::default(), None)
         });
         assert!(matches!(out.result, Err(LpError::Numerical(_))));
         // All four rungs tried (perturb polls twice only on success paths).
@@ -399,7 +373,7 @@ mod tests {
         let m = small_model();
         let (out, _) =
             fault::with_injector(FaultInjector::new().at(0, FaultKind::DeadlineExceeded), || {
-                solve_robust(&m, &RobustOptions::default(), None)
+                solve_robust(&m, &SimplexOptions::default(), None)
             });
         assert!(matches!(out.result, Err(LpError::DeadlineExceeded)));
         assert_eq!(out.report.attempts.len(), 1);
@@ -410,7 +384,7 @@ mod tests {
         let mut m = Model::new(Sense::Max);
         let x = m.add_var("x", 0.0, 1.0, 1.0);
         m.add_row_ge(&[(x, 1.0)], 2.0);
-        let out = solve_robust(&m, &RobustOptions::default(), None);
+        let out = solve_robust(&m, &SimplexOptions::default(), None);
         assert!(matches!(out.result, Err(LpError::Infeasible)));
         assert_eq!(out.report.attempts.len(), 1);
     }
@@ -418,7 +392,7 @@ mod tests {
     #[test]
     fn success_path_records_iterations_and_elapsed() {
         let m = small_model();
-        let out = solve_robust(&m, &RobustOptions::default(), None);
+        let out = solve_robust(&m, &SimplexOptions::default(), None);
         let sol = out.result.expect("clean solve");
         assert_eq!(out.report.attempts.len(), 1);
         let a = &out.report.attempts[0];
@@ -434,7 +408,7 @@ mod tests {
         let m = small_model();
         let (out, _) =
             fault::with_injector(FaultInjector::new().at(0, FaultKind::Numerical), || {
-                solve_robust(&m, &RobustOptions::default(), None)
+                solve_robust(&m, &SimplexOptions::default(), None)
             });
         let report = out.report;
         assert_eq!(report.attempts.len(), 2);
@@ -446,13 +420,13 @@ mod tests {
     #[test]
     fn perturbed_model_stays_close() {
         let m = small_model();
-        let p = perturbed_model(&m, 1e-7);
+        let p = perturbed_model(&m, PERTURB);
         for j in 0..m.lb.len() {
             assert!((m.lb[j] - p.lb[j]).abs() <= 1e-6);
             assert!(p.lb[j] <= p.ub[j]);
         }
         // Deterministic: same perturbation every time.
-        let p2 = perturbed_model(&m, 1e-7);
+        let p2 = perturbed_model(&m, PERTURB);
         assert_eq!(p.rhs, p2.rhs);
     }
 }

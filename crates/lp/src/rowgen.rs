@@ -5,15 +5,13 @@
 //! at the optimum. Solving them with every row materialized would blow up
 //! the dense basis inverse, so we solve a relaxation with a small active row
 //! set, ask a caller-supplied *oracle* which constraints the tentative
-//! solution violates, add those, and re-solve warm-started from the previous
-//! basis — converging to the optimum of the full model because every added
-//! row is a valid constraint of it.
+//! solution violates, add those, and re-solve — converging to the optimum
+//! of the full model because every added row is a valid constraint of it.
+//! Each round is a cold solve: a grown model has a different basis shape.
 
-use crate::basis::EngineKind;
-use crate::budget::SolveBudget;
 use crate::error::LpError;
 use crate::model::{Cmp, Model, VarId};
-use crate::simplex::{Basis, Solution};
+use crate::simplex::Solution;
 
 /// A row produced by a violation oracle.
 #[derive(Debug, Clone)]
@@ -45,22 +43,11 @@ pub struct RowGenOptions {
     /// Cap on rows added per round (the oracle may return more; the most
     /// violated are kept). `0` means unlimited.
     pub rows_per_round: usize,
-    /// Work budget. The iteration cap applies per solve; the deadline (an
-    /// absolute instant) bounds the whole loop — a round that starts past
-    /// it fails with [`LpError::DeadlineExceeded`].
-    pub budget: SolveBudget,
-    /// Basis engine used for every round's solve.
-    pub engine: EngineKind,
 }
 
 impl Default for RowGenOptions {
     fn default() -> Self {
-        RowGenOptions {
-            max_rounds: 200,
-            rows_per_round: 0,
-            budget: SolveBudget::unlimited(),
-            engine: EngineKind::default(),
-        }
+        RowGenOptions { max_rounds: 200, rows_per_round: 0 }
     }
 }
 
@@ -92,15 +79,9 @@ pub fn solve_with_rowgen<F>(
 where
     F: FnMut(&Solution) -> Vec<RowSpec>,
 {
-    let mut simplex_opts = opts.budget.simplex_options();
-    simplex_opts.engine = opts.engine;
-    let mut warm: Option<Basis> = None;
     let mut rows_added = 0usize;
     for round in 1..=opts.max_rounds {
-        if opts.budget.expired() {
-            return Err(LpError::DeadlineExceeded);
-        }
-        let sol = model.solve_with(&simplex_opts, warm.as_ref())?;
+        let sol = model.solve()?;
         let mut violated = oracle(&sol);
         if violated.is_empty() {
             return Ok(RowGenResult { solution: sol, converged: true, rounds: round, rows_added });
@@ -118,13 +99,9 @@ where
             model.add_row(&r.coeffs, r.cmp, r.rhs);
             rows_added += 1;
         }
-        // A grown model invalidates the basis shape; the simplex warm-start
-        // path requires identical dimensions, so only the statuses carry
-        // over via a fresh cold start. (Kept simple: cold start each round.)
-        warm = None;
     }
     // Out of rounds: return the last relaxation solution, flagged.
-    let sol = model.solve_with(&simplex_opts, None)?;
+    let sol = model.solve()?;
     Ok(RowGenResult {
         solution: sol,
         converged: false,
@@ -185,7 +162,7 @@ mod tests {
         let mut m = Model::new(Sense::Max);
         let x = m.add_var("x", 0.0, 100.0, 1.0);
         let mut revealed = false;
-        let opts = RowGenOptions { max_rounds: 10, rows_per_round: 1, ..Default::default() };
+        let opts = RowGenOptions { max_rounds: 10, rows_per_round: 1 };
         let res = solve_with_rowgen(&mut m, &opts, |sol| {
             if sol.x[x.index()] > 3.0 + 1e-9 && !revealed {
                 revealed = true;

@@ -35,24 +35,27 @@
 //!   breakpoints it crosses, which is what keeps RHS-only scenario
 //!   restarts to a handful of pivots.
 //! * Warm starts: [`Solution::basis`] can be fed back into
-//!   [`solve`] for a structurally identical model (same variables and rows,
-//!   possibly different RHS/bounds/objective). If the saved basis is not
-//!   primal feasible for the new data the solver silently falls back to a
-//!   cold start, so warm starting is always safe.
+//!   [`crate::Model::solve_with`] for a structurally identical model (same
+//!   variables and rows, possibly different RHS/bounds/objective). If the
+//!   saved basis is not primal feasible for the new data the solver
+//!   silently falls back to a cold start, so warm starting is always safe.
 //! * A warm dual-simplex repair may spend at most `rows + cols` pivots
-//!   ([`restart_pivot_cap`]), about what a cold solve of the same model
+//!   (`restart_pivot_cap`), about what a cold solve of the same model
 //!   costs. Past the cap the basis is dropped (`lp.restart_abandoned`) and
-//!   the call finishes with exactly the cold solve [`solve`] would run, so
-//!   no restart costs more than a bounded multiple of a cold solve and the
-//!   rule is a deterministic function of the input.
+//!   the call finishes with exactly the cold solve the same attempt would
+//!   run without a basis, so no restart costs more than a bounded multiple
+//!   of a cold solve and the rule is a deterministic function of the input.
+//! * This module runs exactly one attempt per call and never retries: how a
+//!   failed attempt is retried is decided only by the escalation ladder in
+//!   [`crate::solve_robust`], which picks each attempt's refactorization
+//!   interval and whether it runs under Bland's rule.
 
 use crate::basis::{make_engine, BasisEngine, EngineKind};
 use crate::error::LpError;
 use crate::model::{Cmp, Model, Sense};
 use crate::sparse::SparseCol;
+use crate::tol::FEAS_TOL;
 
-/// Feasibility tolerance on variable bounds.
-const FEAS_TOL: f64 = 1e-7;
 /// Reduced-cost (dual) tolerance.
 const DUAL_TOL: f64 = 1e-7;
 /// Minimum pivot magnitude accepted in the ratio test. Too small a pivot
@@ -60,8 +63,6 @@ const DUAL_TOL: f64 = 1e-7;
 const PIVOT_TOL: f64 = 5e-8;
 /// Consecutive degenerate pivots before switching to Bland's rule.
 const DEGEN_SWITCH: usize = 60;
-/// Pivots between basis refactorizations (default; halved in safe mode).
-const REFACTOR_EVERY: usize = 60;
 
 #[cfg(test)]
 thread_local! {
@@ -112,9 +113,8 @@ pub enum Pricing {
     /// needs far fewer pivots than a plain most-negative-cost rule.
     Devex,
     /// Classic Dantzig pricing (most negative reduced cost). Retained as the
-    /// fallback rule for the numerical-retry path of [`solve`] and the
-    /// cold-refactor rung of [`crate::solve_robust`]; Bland's rule remains
-    /// the final anti-cycling fallback behind both.
+    /// rule of the cold-refactor rung of [`crate::solve_robust`]; Bland's
+    /// rule remains the final anti-cycling fallback behind it.
     Dantzig,
 }
 
@@ -142,46 +142,49 @@ pub struct SimplexOptions {
     /// Hard cap on simplex iterations (phases combined). `0` means automatic
     /// (`50 · (rows + cols) + 10_000`).
     pub max_iters: usize,
-    /// Absolute wall-clock deadline. Checked once per pivot; crossing it
-    /// aborts the solve with [`LpError::DeadlineExceeded`].
-    pub deadline: Option<std::time::Instant>,
-    /// Use Bland's rule from the first pivot and never leave it. Slower but
-    /// cycle-proof; the safe-mode rung of [`crate::solve_robust`].
-    pub force_bland: bool,
-    /// Pivots between basis refactorizations for the first attempt. `None`
-    /// means the default interval; small values trade speed for numerical
-    /// robustness.
-    pub refactor_every: Option<usize>,
     /// Basis representation. Defaults to the sparse LU engine; the dense
     /// inverse remains selectable as a differential-testing oracle and is
     /// what the Bland-safe rung of [`crate::solve_robust`] uses.
     pub engine: EngineKind,
-    /// Primal pricing rule (see [`Pricing`]). Ignored under `force_bland`.
+    /// Primal pricing rule (see [`Pricing`]). Ignored on the Bland-safe rung.
     pub pricing: Pricing,
     /// Run the presolve/postsolve pass ([`crate::presolve`]) before a cold
-    /// solve. On by default; automatically skipped for warm-started solves
-    /// (the saved basis addresses the full column space) and under
-    /// `force_bland` (the safe rung runs the textbook path unmodified).
+    /// solve. On by default; callers that need the *unreduced* dual vector
+    /// bit-for-bit (the Benders cut extraction) turn it off. Always skipped
+    /// for warm-started solves (the saved basis addresses the full column
+    /// space) and on the Bland-safe rung (the textbook path, unmodified).
     pub presolve: bool,
-    /// Run the bound-shift crash ([`crate::crash`]) before installing
-    /// phase-1 artificials on a cold start. On by default; skipped under
-    /// `force_bland` for the same reason as presolve.
-    pub crash: bool,
 }
 
 impl Default for SimplexOptions {
     fn default() -> Self {
         SimplexOptions {
             max_iters: 0,
-            deadline: None,
-            force_bland: false,
-            refactor_every: None,
             engine: EngineKind::default(),
             pricing: Pricing::default(),
             presolve: true,
-            crash: true,
         }
     }
+}
+
+/// The rung-only settings of one attempt. Only the escalation ladder
+/// ([`crate::solve_robust`]) chooses them; callers set [`SimplexOptions`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Mode {
+    /// Pivots between basis refactorizations (the eta-chain-length trigger).
+    pub refactor_every: usize,
+    /// Bland's rule from the first pivot, never left. Cycle-proof but slow;
+    /// also skips presolve and the bound-shift crash ([`crate::crash`]).
+    pub bland: bool,
+}
+
+impl Mode {
+    /// Rung 1: the measured default refactorization interval.
+    pub const DEFAULT: Mode = Mode { refactor_every: 60, bland: false };
+    /// Rungs 2 and 4: refactorize every 8 pivots.
+    pub const SHORT_REFACTOR: Mode = Mode { refactor_every: 8, bland: false };
+    /// Rung 3: Bland's rule under the short interval.
+    pub const BLAND: Mode = Mode { refactor_every: 8, bland: true };
 }
 
 /// A basis snapshot usable for warm-starting a later solve.
@@ -235,9 +238,9 @@ impl Basis {
 }
 
 /// How a warm-started solve actually restarted (reported by
-/// [`solve_rhs_restart`]). The decomposition's scenario pool uses this to
-/// count cross-iteration basis reuse explicitly instead of inferring it
-/// from telemetry.
+/// [`crate::Model::solve_rhs_restart`]). The decomposition's scenario pool
+/// uses this to count cross-iteration basis reuse explicitly instead of
+/// inferring it from telemetry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RestartKind {
     /// The saved basis was still primal feasible; phase 2 continued from it
@@ -481,15 +484,8 @@ enum PhaseEnd {
 /// Per-attempt pivot-loop controls shared by the primal and dual phases.
 #[derive(Clone, Copy)]
 struct PhaseCtl {
-    deadline: Option<std::time::Instant>,
-    force_bland: bool,
+    bland: bool,
     pricing: Pricing,
-}
-
-impl PhaseCtl {
-    fn past_deadline(&self) -> bool {
-        self.deadline.is_some_and(|d| std::time::Instant::now() >= d)
-    }
 }
 
 /// Price nonbasic column `j`: `Some((|d|, dir))` if it is attractive.
@@ -525,8 +521,8 @@ fn run_phase(
     let mut ftran = scratch.grab(m);
     let mut cb = scratch.grab(m);
     let mut degen_run = 0usize;
-    let mut bland = ctl.force_bland;
-    let devex = ctl.pricing == Pricing::Devex && !ctl.force_bland;
+    let mut bland = ctl.bland;
+    let devex = ctl.pricing == Pricing::Devex && !ctl.bland;
 
     // Candidate-list partial pricing: a refill pass stashes attractive
     // columns; later iterations re-price only the list until it runs dry.
@@ -554,14 +550,11 @@ fn run_phase(
     let mut devex_row: Vec<f64> = if devex { scratch.grab(m) } else { Vec::new() };
 
     // The pivot loop runs inside a closure so every exit path (optimal,
-    // unbounded, budget, deadline, numerical error) falls through to the
+    // unbounded, budget, numerical error) falls through to the
     // buffer stash below.
     let result = (|| loop {
         if *iter_budget == 0 {
             return Ok(PhaseEnd::IterLimit);
-        }
-        if ctl.past_deadline() {
-            return Err(LpError::DeadlineExceeded);
         }
         *iter_budget -= 1;
         *total_iters += 1;
@@ -719,7 +712,7 @@ fn run_phase(
             }
         } else {
             degen_run = 0;
-            bland = ctl.force_bland;
+            bland = ctl.bland;
         }
 
         match leave {
@@ -840,7 +833,6 @@ fn run_dual_phase(
     iter_budget: &mut usize,
     total_iters: &mut usize,
     refactor_every: usize,
-    ctl: PhaseCtl,
     scratch: &mut SolveScratch,
 ) -> Result<DualEnd, LpError> {
     let m = w.m;
@@ -858,9 +850,6 @@ fn run_dual_phase(
     let result = (|| loop {
         if *iter_budget == 0 {
             return Ok(DualEnd::IterLimit);
-        }
-        if ctl.past_deadline() {
-            return Err(LpError::DeadlineExceeded);
         }
         *iter_budget -= 1;
         *total_iters += 1;
@@ -1057,94 +1046,32 @@ fn dual_feasible(w: &mut Work, cost: &[f64]) -> bool {
     true
 }
 
-/// Solve `model`, optionally warm-starting from `warm`.
-///
-/// On a numerical failure (feasibility drift, singular basis) the solve is
-/// retried from a cold start with a much shorter refactorization interval;
-/// only a second failure is surfaced to the caller.
-pub fn solve(
+/// One solve attempt, cold or warm from `warm`: exactly one
+/// fault-injection poll, no retry. Each rung of [`crate::solve_robust`] is
+/// one call.
+pub(crate) fn attempt(
     model: &Model,
     opts: &SimplexOptions,
     warm: Option<&Basis>,
+    mode: Mode,
 ) -> Result<Solution, LpError> {
-    match solve_attempt(model, opts, warm, opts.refactor_every.unwrap_or(REFACTOR_EVERY)) {
-        Err(LpError::Numerical(_)) => {
-            // Retry on the conservative rule set: Dantzig pricing (no weight
-            // state to go stale) and a short refactorization interval. This
-            // mirrors rung 2 of [`crate::solve_robust`], so the internal
-            // retry and the ladder rung stay behaviourally identical.
-            let retry = SimplexOptions { pricing: Pricing::Dantzig, ..*opts };
-            solve_attempt(model, &retry, None, 8)
-        }
-        other => other,
+    let mut scratch = SolveScratch::new();
+    match warm {
+        None => solve_cold(model, opts, mode, &mut scratch, true),
+        Some(_) => solve_attempt_traced(model, opts, warm, mode, false, &mut scratch, true)
+            .map(|(sol, _)| sol),
     }
 }
 
-/// Run exactly one solve attempt, with no internal numerical retry. The
-/// escalation ladder in [`crate::solve_robust`] uses this so each rung is
-/// one attempt (and one fault-injection poll).
-pub(crate) fn solve_single(
-    model: &Model,
-    opts: &SimplexOptions,
-    warm: Option<&Basis>,
-) -> Result<Solution, LpError> {
-    solve_attempt(model, opts, warm, opts.refactor_every.unwrap_or(REFACTOR_EVERY))
-}
-
-/// Solve a model whose only change since `warm` was captured is the RHS
-/// (the paper's reformulated per-scenario subproblem: criticality rows and
-/// capacity rows move, the matrix / bounds / objective do not).
-///
-/// An RHS-only delta preserves dual feasibility of the saved basis *by
-/// construction*, so this entry point skips the O(cols) dual-feasibility
-/// scan and goes straight to the dual-simplex repair when the basis is no
-/// longer primal feasible. Exactly one attempt (one fault-injection poll),
-/// no internal numerical retry: callers that want the escalation ladder
-/// fall back to [`crate::solve_robust`] on a retryable error. Returns the
-/// solution together with how the restart was actually satisfied.
-pub fn solve_rhs_restart(
-    model: &Model,
-    opts: &SimplexOptions,
-    warm: &Basis,
-) -> Result<(Solution, RestartKind), LpError> {
-    let mut scratch = SolveScratch::new();
-    solve_rhs_restart_with(model, opts, warm, &mut scratch)
-}
-
-/// [`solve_rhs_restart`] with caller-owned scratch buffers, so a worker
-/// performing many restarts back to back (the decomposition pool) reuses
-/// its FTRAN/BTRAN work vectors instead of reallocating them per solve.
-pub fn solve_rhs_restart_with(
+/// The RHS-only restart behind [`crate::Model::solve_rhs_restart`]: one
+/// attempt at the default mode that skips the dual-feasibility scan.
+pub(crate) fn rhs_restart(
     model: &Model,
     opts: &SimplexOptions,
     warm: &Basis,
     scratch: &mut SolveScratch,
 ) -> Result<(Solution, RestartKind), LpError> {
-    solve_attempt_traced(
-        model,
-        opts,
-        Some(warm),
-        opts.refactor_every.unwrap_or(REFACTOR_EVERY),
-        true,
-        scratch,
-        true,
-    )
-}
-
-fn solve_attempt(
-    model: &Model,
-    opts: &SimplexOptions,
-    warm: Option<&Basis>,
-    refactor_every: usize,
-) -> Result<Solution, LpError> {
-    let mut scratch = SolveScratch::new();
-    match warm {
-        None => solve_cold(model, opts, refactor_every, &mut scratch, true),
-        Some(_) => {
-            solve_attempt_traced(model, opts, warm, refactor_every, false, &mut scratch, true)
-                .map(|(sol, _)| sol)
-        }
-    }
+    solve_attempt_traced(model, opts, Some(warm), Mode::DEFAULT, true, scratch, true)
 }
 
 /// One cold attempt: presolve when enabled, then the two-phase simplex from
@@ -1159,17 +1086,16 @@ fn solve_attempt(
 fn solve_cold(
     model: &Model,
     opts: &SimplexOptions,
-    refactor_every: usize,
+    mode: Mode,
     scratch: &mut SolveScratch,
     poll: bool,
 ) -> Result<Solution, LpError> {
-    if opts.presolve && !opts.force_bland {
-        if let Some(sol) = crate::presolve::try_solve_presolved(model, opts, refactor_every, poll)? {
+    if opts.presolve && !mode.bland {
+        if let Some(sol) = crate::presolve::try_solve_presolved(model, opts, mode, poll)? {
             return Ok(sol);
         }
     }
-    solve_attempt_traced(model, opts, None, refactor_every, false, scratch, poll)
-        .map(|(sol, _)| sol)
+    solve_attempt_traced(model, opts, None, mode, false, scratch, poll).map(|(sol, _)| sol)
 }
 
 /// Solve an already-presolved model directly, bypassing the presolve hook
@@ -1177,36 +1103,32 @@ fn solve_cold(
 pub(crate) fn solve_reduced(
     model: &Model,
     opts: &SimplexOptions,
-    refactor_every: usize,
+    mode: Mode,
     poll: bool,
 ) -> Result<Solution, LpError> {
     let mut scratch = SolveScratch::new();
-    solve_attempt_traced(model, opts, None, refactor_every, false, &mut scratch, poll)
-        .map(|(sol, _)| sol)
+    solve_attempt_traced(model, opts, None, mode, false, &mut scratch, poll).map(|(sol, _)| sol)
 }
 
 fn solve_attempt_traced(
     model: &Model,
     opts: &SimplexOptions,
     warm: Option<&Basis>,
-    refactor_every: usize,
+    mode: Mode,
     rhs_only: bool,
     scratch: &mut SolveScratch,
     poll: bool,
 ) -> Result<(Solution, RestartKind), LpError> {
+    let refactor_every = mode.refactor_every;
     if poll {
         if let Some(kind) = crate::fault::poll() {
             return Err(kind.to_error());
         }
     }
     let ctl = PhaseCtl {
-        deadline: opts.deadline,
-        force_bland: opts.force_bland,
+        bland: mode.bland,
         pricing: resolve_pricing(opts.pricing, model, warm.is_some()),
     };
-    if ctl.past_deadline() {
-        return Err(LpError::DeadlineExceeded);
-    }
     let n = model.num_vars();
     let m = model.num_rows();
     let mut solve_span = flexile_obs::span("lp.solve", "lp").field("rows", m).field("cols", n);
@@ -1321,7 +1243,6 @@ fn solve_attempt_traced(
                             &mut dual_budget,
                             &mut total_iters,
                             refactor_every,
-                            ctl,
                             scratch,
                         );
                         let spent = total_iters - dual_from;
@@ -1340,14 +1261,11 @@ fn solve_attempt_traced(
                                 flexile_obs::add("lp.warm.miss", 1);
                                 solve_span.set("abandoned", spent);
                                 drop(solve_span);
-                                let mut sol =
-                                    solve_cold(model, opts, refactor_every, scratch, false)?;
+                                let mut sol = solve_cold(model, opts, mode, scratch, false)?;
                                 sol.iterations += spent;
                                 return Ok((sol, RestartKind::Cold));
                             }
                             Ok(DualEnd::IterLimit) => {}
-                            // A cold start cannot beat an expired clock.
-                            Err(e @ LpError::DeadlineExceeded) => return Err(e),
                             Err(_) => {} // fall back to a cold start
                         }
                         flexile_obs::add("lp.pivots.dual", spent as u64);
@@ -1377,7 +1295,7 @@ fn solve_attempt_traced(
         // leaves fewer slack rows violated, so fewer artificials get
         // installed below and phase 1 starts near-feasible. Statuses are
         // only rewritten where the crash actually chose a different side.
-        if opts.crash && !ctl.force_bland {
+        if !ctl.bland {
             let mut at_upper: Vec<bool> =
                 (0..n).map(|j| w.status[j] == VarStatus::AtUpper).collect();
             let stats = crate::crash::bound_shift(model, &w.lb, &w.ub, &mut at_upper);
@@ -1556,6 +1474,17 @@ fn initial_status(lb: f64, ub: f64, prefer: VarStatus) -> VarStatus {
 #[cfg(test)]
 mod tests {
     use crate::model::{Model, Sense};
+    use super::{Basis, Solution};
+    use crate::SolveScratch;
+
+    /// One RHS-only restart on fresh scratch buffers.
+    fn restart(
+        m: &Model,
+        opts: &crate::SimplexOptions,
+        warm: &super::Basis,
+    ) -> Result<(super::Solution, super::RestartKind), crate::LpError> {
+        m.solve_rhs_restart(opts, warm, &mut SolveScratch::new())
+    }
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "expected {b}, got {a}");
@@ -1785,9 +1714,7 @@ mod tests {
         m.add_row_le(&[(y, 2.0)], 12.0);
         m.add_row_le(&[(x, 3.0), (y, 2.0)], 18.0);
         let s1 = m.solve().unwrap();
-        let (s2, kind) = m
-            .solve_rhs_restart(&crate::SimplexOptions::default(), &s1.basis)
-            .unwrap();
+        let (s2, kind) = restart(&m, &crate::SimplexOptions::default(), &s1.basis).unwrap();
         assert_eq!(kind, crate::simplex::RestartKind::PrimalWarm);
         assert_close(s2.objective, s1.objective);
         // At most a degenerate touch-up pivot; no cold two-phase work.
@@ -1806,9 +1733,7 @@ mod tests {
         // but stays dual feasible, so the repair must go through the dual
         // simplex — and land on the same optimum as a cold solve.
         m.set_rhs(cap, 5.0);
-        let (warm, kind) = m
-            .solve_rhs_restart(&crate::SimplexOptions::default(), &s1.basis)
-            .unwrap();
+        let (warm, kind) = restart(&m, &crate::SimplexOptions::default(), &s1.basis).unwrap();
         assert_eq!(kind, crate::simplex::RestartKind::DualRestart);
         let cold = m.solve().unwrap();
         assert!((warm.objective - cold.objective).abs() < 1e-9);
@@ -1823,7 +1748,7 @@ mod tests {
         m.add_row_ge(&[(x, 1.0)], 6.0);
         let s1 = m.solve().unwrap();
         m.set_rhs(r1, 4.0);
-        let res = m.solve_rhs_restart(&crate::SimplexOptions::default(), &s1.basis);
+        let res = restart(&m, &crate::SimplexOptions::default(), &s1.basis);
         assert!(matches!(res, Err(crate::LpError::Infeasible)), "{res:?}");
     }
 
@@ -1872,7 +1797,7 @@ mod tests {
         let need = (0..=m.num_vars() + m.num_rows())
             .find(|&cap| {
                 let (_, kind) =
-                    with_restart_cap(Some(cap), || m.solve_rhs_restart(&opts, &s1.basis).unwrap());
+                    with_restart_cap(Some(cap), || restart(&m, &opts, &s1.basis).unwrap());
                 kind == super::RestartKind::DualRestart
             })
             .expect("the restart completes under the default cap");
@@ -1888,9 +1813,9 @@ mod tests {
         let (m, warm, need) = runaway_setup();
         assert!(need >= 3, "the cut must take a chain of dual pivots, took {need}");
         let opts = crate::SimplexOptions::default();
-        let cold = crate::simplex::solve(&m, &opts, None).unwrap();
+        let cold = m.solve_with(&opts, None).unwrap();
         let (rhs_path, kind) =
-            with_restart_cap(Some(need - 1), || m.solve_rhs_restart(&opts, &warm).unwrap());
+            with_restart_cap(Some(need - 1), || restart(&m, &opts, &warm).unwrap());
         let general_path =
             with_restart_cap(Some(need - 1), || m.solve_with(&opts, Some(&warm)).unwrap());
         assert_eq!(kind, super::RestartKind::Cold);
@@ -1908,9 +1833,9 @@ mod tests {
     fn restart_under_cap_keeps_its_pivots() {
         let (m, warm, need) = runaway_setup();
         let opts = crate::SimplexOptions::default();
-        let (free, free_kind) = m.solve_rhs_restart(&opts, &warm).unwrap();
+        let (free, free_kind) = restart(&m, &opts, &warm).unwrap();
         let (capped, kind) =
-            with_restart_cap(Some(need), || m.solve_rhs_restart(&opts, &warm).unwrap());
+            with_restart_cap(Some(need), || restart(&m, &opts, &warm).unwrap());
         assert_eq!(free_kind, super::RestartKind::DualRestart);
         assert_eq!(kind, super::RestartKind::DualRestart);
         assert_eq!(capped.iterations, free.iterations);
@@ -1929,6 +1854,19 @@ mod tests {
         assert_close(s.value(y), 3.0);
     }
 
+    /// Solve on `opts.engine` alone: the ladder's rungs 3 and 4 switch to
+    /// the dense oracle, so no attempt may reach them.
+    fn solve_on(m: &Model, opts: &crate::SimplexOptions, warm: Option<&Basis>) -> Solution {
+        let out = crate::solve_robust(m, opts, warm);
+        assert!(
+            out.report.attempts.iter().all(|a| a.rung.on_caller_engine()),
+            "{:?} solve left its engine: {:?}",
+            opts.engine,
+            out.report.attempts
+        );
+        out.result.unwrap()
+    }
+
     #[test]
     fn dense_engine_remains_selectable() {
         use crate::basis::EngineKind;
@@ -1939,8 +1877,8 @@ mod tests {
         m.add_row_le(&[(y, 2.0)], 12.0);
         m.add_row_le(&[(x, 3.0), (y, 2.0)], 18.0);
         let opts = crate::SimplexOptions { engine: EngineKind::Dense, ..Default::default() };
-        let dense = m.solve_with(&opts, None).unwrap();
-        let lu = m.solve().unwrap();
+        let dense = solve_on(&m, &opts, None);
+        let lu = solve_on(&m, &crate::SimplexOptions::default(), None);
         assert_close(dense.objective, 36.0);
         assert!((dense.objective - lu.objective).abs() < 1e-9);
         for (a, b) in dense.x.iter().zip(lu.x.iter()) {
@@ -1964,11 +1902,9 @@ mod tests {
         m.add_row_le(&[(x, 3.0), (y, 2.0)], 18.0);
         let dense_opts =
             crate::SimplexOptions { engine: EngineKind::Dense, ..Default::default() };
-        let s1 = m.solve_with(&dense_opts, None).unwrap();
+        let s1 = solve_on(&m, &dense_opts, None);
         m.set_rhs(r2, 11.0);
-        let s2 = m
-            .solve_with(&crate::SimplexOptions::default(), Some(&s1.basis))
-            .unwrap();
+        let s2 = solve_on(&m, &crate::SimplexOptions::default(), Some(&s1.basis));
         assert_close(s2.objective, 3.0 * (7.0 / 3.0) + 5.0 * 5.5);
         assert!(s2.iterations <= s1.iterations + 2);
     }

@@ -9,13 +9,27 @@
 //! rather than componentwise, because degenerate LPs have multiple optimal
 //! vertices and the two engines may legitimately pick different ones.
 
-use flexile_lp::{Cmp, EngineKind, LpError, Model, Sense, SimplexOptions, Solution};
+use flexile_lp::{
+    solve_robust, Basis, Cmp, EngineKind, LpError, Model, Sense, SimplexOptions, Solution,
+    SolveScratch,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn opts(engine: EngineKind) -> SimplexOptions {
     SimplexOptions { engine, ..SimplexOptions::default() }
+}
+
+/// Solve on `engine` alone. The ladder's rungs 3 and 4 run on the dense
+/// oracle, so an attempt that reached them would compare the oracle
+/// against itself: only the warm and cold-refactor rungs may answer.
+fn solve_on(m: &Model, engine: EngineKind, warm: Option<&Basis>) -> Result<Solution, LpError> {
+    let out = solve_robust(m, &opts(engine), warm);
+    if let Some(a) = out.report.attempts.iter().find(|a| !a.rung.on_caller_engine()) {
+        panic!("{engine:?} solve escalated to rung {:?}: {:?}", a.rung, out.report.attempts);
+    }
+    out.result
 }
 
 /// Random bounded-variable LP, feasible by construction. Returns the model
@@ -69,8 +83,8 @@ fn random_lp(seed: u64) -> (Model, Vec<flexile_lp::RowId>) {
 }
 
 fn assert_engines_agree(m: &Model, seed: u64) -> (Solution, Solution) {
-    let dense = m.solve_with(&opts(EngineKind::Dense), None);
-    let lu = m.solve_with(&opts(EngineKind::SparseLu), None);
+    let dense = solve_on(m, EngineKind::Dense, None);
+    let lu = solve_on(m, EngineKind::SparseLu, None);
     let (dense, lu) = match (dense, lu) {
         (Ok(d), Ok(l)) => (d, l),
         (d, l) => panic!("seed {seed}: engines disagree on solvability: dense {d:?} lu {l:?}"),
@@ -119,8 +133,8 @@ proptest! {
         for &r in &rows {
             m.set_rhs(r, m.rhs_of(r) + rng.random_range(-1e-3..1e-3));
         }
-        let wd = m.solve_with(&opts(EngineKind::Dense), Some(&dense.basis));
-        let wl = m.solve_with(&opts(EngineKind::SparseLu), Some(&lu.basis));
+        let wd = solve_on(&m, EngineKind::Dense, Some(&dense.basis));
+        let wl = solve_on(&m, EngineKind::SparseLu, Some(&lu.basis));
         let (wd, wl) = match (wd, wl) {
             (Ok(d), Ok(l)) => (d, l),
             // A 1e-3 RHS nudge can push a tight model infeasible; that is a
@@ -147,7 +161,7 @@ proptest! {
     fn rhs_restart_matches_cold_solve_after_random_rhs_change(seed in 0u64..100_000) {
         let (mut m, rows) = random_lp(seed);
         let lu = opts(EngineKind::SparseLu);
-        let first = m.solve_with(&lu, None).expect("feasible by construction");
+        let first = solve_on(&m, EngineKind::SparseLu, None).expect("feasible by construction");
         let mut rng = StdRng::seed_from_u64(seed ^ 0xca9);
         let scale = [1e-3, 0.1, 1.0, 3.0][rng.random_range(0..4usize)];
         for &r in &rows {
@@ -155,8 +169,8 @@ proptest! {
                 m.set_rhs(r, m.rhs_of(r) + scale * rng.random_range(-1.0..1.0));
             }
         }
-        let warm = m.solve_rhs_restart(&lu, &first.basis);
-        let cold = m.solve_with(&lu, None);
+        let warm = m.solve_rhs_restart(&lu, &first.basis, &mut SolveScratch::new());
+        let cold = solve_on(&m, EngineKind::SparseLu, None);
         let (warm, cold) = match (warm, cold) {
             (Ok((w, _)), Ok(c)) => (w, c),
             (Err(LpError::Infeasible), Err(LpError::Infeasible)) => return Ok(()),
@@ -212,8 +226,8 @@ fn engines_agree_on_fixture_lps() {
     fixtures.push(m);
 
     for (k, m) in fixtures.iter().enumerate() {
-        let d = m.solve_with(&opts(EngineKind::Dense), None).unwrap();
-        let l = m.solve_with(&opts(EngineKind::SparseLu), None).unwrap();
+        let d = solve_on(m, EngineKind::Dense, None).unwrap();
+        let l = solve_on(m, EngineKind::SparseLu, None).unwrap();
         assert!(
             (d.objective - l.objective).abs() <= 1e-9,
             "fixture {k}: objective {} vs {}",

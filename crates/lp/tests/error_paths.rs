@@ -3,10 +3,7 @@
 //! and must never panic.
 
 use flexile_lp::fault::{self, FaultInjector, FaultKind};
-use flexile_lp::{
-    solve_robust, LpError, Model, RobustOptions, Sense, SimplexOptions, SolveBudget,
-};
-use std::time::{Duration, Instant};
+use flexile_lp::{solve_robust, LpError, Model, Sense, SimplexOptions};
 
 /// max x + y s.t. x + y <= 10 — bounded, feasible.
 fn healthy_model() -> Model {
@@ -49,38 +46,32 @@ fn tiny_iteration_cap_reports_iteration_limit() {
 }
 
 #[test]
-fn elapsed_deadline_reports_deadline_exceeded() {
+fn injected_deadline_is_terminal_through_solve_and_ladder() {
     let m = healthy_model();
-    let opts = SimplexOptions {
-        deadline: Some(Instant::now() - Duration::from_millis(1)),
-        ..Default::default()
-    };
-    assert!(matches!(m.solve_with(&opts, None), Err(LpError::DeadlineExceeded)));
-}
-
-#[test]
-fn expired_budget_fails_robust_ladder_with_deadline() {
-    let m = healthy_model();
-    let opts = RobustOptions {
-        budget: SolveBudget::with_timeout(Duration::ZERO),
-        ..Default::default()
-    };
-    std::thread::sleep(Duration::from_millis(2));
-    let out = solve_robust(&m, &opts, None);
+    // Deadline exhaustion is terminal: no pointless escalation, through
+    // either entry point.
+    let (res, used) =
+        fault::with_injector(FaultInjector::always(FaultKind::DeadlineExceeded), || m.solve());
+    assert!(matches!(res, Err(LpError::DeadlineExceeded)));
+    assert_eq!(used.calls(), 1);
+    let (out, _) =
+        fault::with_injector(FaultInjector::always(FaultKind::DeadlineExceeded), || {
+            solve_robust(&m, &SimplexOptions::default(), None)
+        });
     assert!(matches!(out.result, Err(LpError::DeadlineExceeded)));
-    // Deadline exhaustion is terminal: no pointless escalation.
     assert_eq!(out.report.attempts.len(), 1);
 }
 
 #[test]
 fn injected_numerical_surfaces_right_variant_through_solve() {
     let m = healthy_model();
-    // Model::solve retries once internally; fault both attempts.
+    // Model::solve is the escalation ladder; fault every attempt. A failing
+    // perturb rung polls once (its clean-up solve never runs).
     let (res, used) = fault::with_injector(FaultInjector::always(FaultKind::Numerical), || {
         m.solve()
     });
     assert!(matches!(res, Err(LpError::Numerical(_))));
-    assert_eq!(used.calls(), 2, "solve() is exactly two attempts");
+    assert_eq!(used.calls(), 4, "solve() is the four-rung ladder");
 }
 
 #[test]
@@ -89,7 +80,7 @@ fn injected_singular_basis_never_panics() {
     for idx in 0..4 {
         let inj = FaultInjector::new().at(idx, FaultKind::SingularBasis);
         let (out, _) = fault::with_injector(inj, || {
-            solve_robust(&m, &RobustOptions::default(), None)
+            solve_robust(&m, &SimplexOptions::default(), None)
         });
         // A single fault anywhere in the ladder is always absorbed.
         let sol = out.result.expect("one fault must be recoverable");

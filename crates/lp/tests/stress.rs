@@ -137,7 +137,7 @@ fn rowgen_converges_on_polytope_approximation() {
     let y = m.add_var("y", -2.0, 2.0, 1.0);
     let res = solve_with_rowgen(
         &mut m,
-        &RowGenOptions { max_rounds: 100, rows_per_round: 0, ..Default::default() },
+        &RowGenOptions { max_rounds: 100, rows_per_round: 0 },
         |sol| {
             let (vx, vy) = (sol.x[0], sol.x[1]);
             let norm = (vx * vx + vy * vy).sqrt();

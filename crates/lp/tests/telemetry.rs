@@ -6,7 +6,7 @@
 //!
 //! The sink is process-global; tests in this binary serialize on a mutex.
 
-use flexile_lp::{Model, RobustOptions, Sense};
+use flexile_lp::{Model, Sense, SimplexOptions};
 use std::sync::Mutex;
 
 static SINK: Mutex<()> = Mutex::new(());
@@ -84,13 +84,14 @@ fn warm_restart_hit_and_rung_events_are_recorded() {
     let _s2 = m
         .solve_with(&flexile_lp::SimplexOptions::default(), Some(&s1.basis))
         .expect("warm solve");
-    let out = flexile_lp::solve_robust(&m, &RobustOptions::default(), None);
+    let out = flexile_lp::solve_robust(&m, &SimplexOptions::default(), None);
     out.result.expect("robust solve");
     flexile_obs::disable();
     let t = flexile_obs::drain();
 
     assert_eq!(t.counters.get("lp.warm.hit").copied().unwrap_or(0), 1);
     assert_eq!(t.counters.get("lp.dual_restarts").copied().unwrap_or(0), 1);
+    // `solve` and `solve_with` settled on their first rung: no event.
     let rungs: Vec<_> = t.events_named("lp.rung").collect();
     assert_eq!(rungs.len(), 1, "clean robust solve = one rung event");
     assert_eq!(
@@ -99,4 +100,38 @@ fn warm_restart_hit_and_rung_events_are_recorded() {
     );
     assert_eq!(rungs[0].field("ok"), Some(&flexile_obs::Value::Bool(true)));
     assert!(rungs[0].num_field("iterations").unwrap_or(0.0) > 0.0);
+}
+
+#[test]
+fn model_solve_emits_rung_events_only_when_it_escalates() {
+    use flexile_lp::fault::{self, FaultInjector, FaultKind};
+    use flexile_obs::Value;
+    let _g = exclusive();
+    let mut m = Model::new(Sense::Max);
+    let x = m.add_var("x", 0.0, 1.0, 1.0);
+    let r = m.add_row_le(&[(x, 1.0)], 1.0);
+
+    flexile_obs::enable();
+    // An injected numerical fault on the first rung: the cold-refactor rung
+    // answers, and both attempts are reported.
+    let (sol, _) =
+        fault::with_injector(FaultInjector::new().at(0, FaultKind::Numerical), || m.solve());
+    sol.expect("recovered solve");
+    // A verdict about the model on the first rung is not a rung failure.
+    m.set_rhs(r, -1.0);
+    assert!(matches!(m.solve(), Err(flexile_lp::LpError::Infeasible)));
+    flexile_obs::disable();
+    let t = flexile_obs::drain();
+
+    let rungs: Vec<_> = t
+        .events_named("lp.rung")
+        .map(|e| (e.field("rung").cloned(), e.field("ok").cloned()))
+        .collect();
+    assert_eq!(
+        rungs,
+        [
+            (Some(Value::Str("warm".into())), Some(Value::Bool(false))),
+            (Some(Value::Str("cold_refactor".into())), Some(Value::Bool(true))),
+        ]
+    );
 }

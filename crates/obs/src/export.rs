@@ -146,8 +146,9 @@ fn write_jsonl_hist(out: &mut String, name: &str, h: &LogHistogram) {
 
 /// Export as JSONL: one JSON object per line. Event lines have
 /// `"type":"event"`; counter lines `"type":"counter"` with `name`/`value`;
-/// histogram lines `"type":"hist"` with summary stats and the full bucket
-/// array (see [`write_jsonl_hist`]).
+/// histogram lines `"type":"hist"` with summary stats (`count`, `sum`,
+/// `min`, `max`, `p50`, `p90`, `p99`) and the full bucket array as
+/// `"buckets":[[lo,hi,count],...]`.
 pub fn to_jsonl(t: &Telemetry) -> String {
     let mut out = String::new();
     for e in &t.events {

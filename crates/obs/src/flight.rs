@@ -4,8 +4,8 @@
 //! Unlike the main event buffer (which grows until [`crate::drain`]) the
 //! flight ring is bounded and survives even when nobody plans to drain:
 //! its job is to hold the immediate pre-history of a crash. The crash
-//! containment machinery (`flexile::pool` worker panics, scenario
-//! quarantine, the subproblem watchdog) calls [`dump`] with a reason;
+//! containment machinery (scenario-pool worker panics and scenario
+//! quarantine) calls [`dump`] with a reason;
 //! the recorder merges every thread's ring, sorts by `(ts_us, tid)` and
 //! writes a JSONL black-box trace:
 //!

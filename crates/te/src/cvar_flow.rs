@@ -111,7 +111,7 @@ pub fn cvar_flow_st(inst: &Instance, set: &ScenarioSet, opts: &CvarOptions) -> S
     }
 
     let dead_masks: Vec<Vec<bool>> = set.scenarios.iter().map(|x| x.dead_mask()).collect();
-    let rg = RowGenOptions { max_rounds: 300, rows_per_round: 60, ..Default::default() };
+    let rg = RowGenOptions { max_rounds: 300, rows_per_round: 60 };
     let res = solve_with_rowgen(&mut m, &rg, |sol| {
         let mut rows = Vec::new();
         for (q, dead) in dead_masks.iter().enumerate() {

@@ -80,7 +80,7 @@ pub fn ffc_design(inst: &Instance, f: usize) -> FfcDesign {
     let protection = f;
     let res = solve_with_rowgen(
         &mut m,
-        &RowGenOptions { max_rounds: 200, rows_per_round: 100, ..Default::default() },
+        &RowGenOptions { max_rounds: 200, rows_per_round: 100 },
         |sol| {
             let mut rows = Vec::new();
             for p in 0..np {

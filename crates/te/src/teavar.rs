@@ -86,7 +86,7 @@ pub fn teavar_design(inst: &Instance, set: &ScenarioSet, beta: f64) -> TeavarDes
     // Tunnel liveness per scenario, reused by the oracle.
     let dead_masks: Vec<Vec<bool>> = set.scenarios.iter().map(|s| s.dead_mask()).collect();
 
-    let opts = RowGenOptions { max_rounds: 300, rows_per_round: 50, ..Default::default() };
+    let opts = RowGenOptions { max_rounds: 300, rows_per_round: 50 };
     let res = solve_with_rowgen(&mut m, &opts, |sol| {
         let mut rows = Vec::new();
         let a_val = sol.value(alpha);

@@ -62,9 +62,10 @@ pub mod prelude {
     pub use flexile_core::{
         effective_betas, flexile_losses, flexile_losses_with_report, online_allocate,
         online_allocate_robust, solve_flexile, solve_ip, DegradationLevel, FlexileDesign,
-        FlexileOptions, IpOptions, OnlineOutcome, PoolPolicy,
+        FlexileOptions, OnlineOutcome, PoolPolicy,
     };
     pub use flexile_emu::{emulate_scheme, run_chaos, ChaosReport, ChaosTrace, EmuConfig};
+    pub use flexile_lp::MipOptions;
     pub use flexile_metrics::{flow_loss, perc_loss, scen_loss, Cdf, LossMatrix};
     pub use flexile_scenario::{
         enumerate_scenarios, link_failure_probs, EnumOptions, FailureUnit, Scenario, ScenarioSet,
