@@ -6,6 +6,10 @@
 //!   network-style sparse bases (diagonally dominant, 0/1-heavy off-diagonal
 //!   pattern): one refactorization plus a fixed budget of FTRAN/BTRAN solves
 //!   per engine, for `m ∈ {100, 500, 1000}`.
+//! * `kernel_slack` rows time the same kernels on bases in the shape the
+//!   simplex actually refactors: ~88% unit (slack) columns and ~1.7
+//!   non-zeros per column, for `m ∈ {180, 1000}` (180 is the mean basis
+//!   dimension of the online failover LPs).
 //! * `solve` rows time the full simplex on min-MLU routing LPs (the same LP
 //!   class [`flexile_traffic::mlu::min_mlu`] solves) over Sprint plus the
 //!   three largest Table-2 topologies, once per engine. Iteration counts are
@@ -24,6 +28,12 @@ use std::time::Instant;
 
 /// Kernel sizes for the synthetic-basis section.
 const KERNEL_SIZES: [usize; 3] = [100, 500, 1000];
+/// Kernel sizes for the slack-dominated section.
+const SLACK_KERNEL_SIZES: [usize; 2] = [180, 1000];
+/// Share of unit columns in a slack-dominated basis, and the entries of
+/// each structural column, so the basis has ~1.7 non-zeros per column.
+const SLACK_SHARE: f64 = 0.88;
+const STRUCTURAL_NNZ: usize = 7;
 /// Triangular solves timed per engine per size.
 const KERNEL_SOLVES: usize = 200;
 /// Sprint (the harness default) plus the three largest Table-2 topologies.
@@ -54,10 +64,46 @@ fn synthetic_basis(m: usize, seed: u64) -> Vec<Vec<(u32, f64)>> {
     cols
 }
 
-/// One kernel row: factor the same basis with both engines, then run the
-/// same FTRAN/BTRAN budget through each. Returns CSV.
-fn kernel_row(m: usize, seed: u64) -> String {
-    let cols = synthetic_basis(m, seed);
+/// Deterministic basis in the shape the simplex refactors: slack columns
+/// `±e_i` and structural columns with a unit entry on their own row plus up
+/// to `STRUCTURAL_NNZ - 1` off-diagonals, mostly `1.0` link-tunnel entries
+/// and some `-capacity` coefficients. Off-diagonals only reach rows later in
+/// a hidden shuffled row order, so the basis is a permuted triangle and
+/// never singular. Columns are shuffled.
+fn slack_basis(m: usize, seed: u64) -> Vec<Vec<(u32, f64)>> {
+    let mut st = seed.wrapping_mul(0xbf58_476d_1ce4_e5b9).wrapping_add(3);
+    let below = |n: usize, st: &mut u64| (lcg(st) * n as f64) as usize % n;
+    let mut perm: Vec<u32> = (0..m as u32).collect();
+    for i in (1..m).rev() {
+        perm.swap(i, below(i + 1, &mut st));
+    }
+    let mut cols: Vec<Vec<(u32, f64)>> = Vec::with_capacity(m);
+    for (k, &own) in perm.iter().enumerate() {
+        if lcg(&mut st) < SLACK_SHARE || k + 1 == m {
+            cols.push(vec![(own, if lcg(&mut st) < 0.9 { 1.0 } else { -1.0 })]);
+            continue;
+        }
+        let mut col = vec![(own, 1.0)];
+        for _ in 1..STRUCTURAL_NNZ {
+            let r = perm[k + 1 + below(m - k - 1, &mut st)];
+            if !col.iter().any(|&(rr, _)| rr == r) {
+                let v = if lcg(&mut st) < 0.8 { 1.0 } else { -(1.0 + 99.0 * lcg(&mut st)) };
+                col.push((r, v));
+            }
+        }
+        col.sort_by_key(|&(r, _)| r);
+        cols.push(col);
+    }
+    for i in (1..m).rev() {
+        cols.swap(i, below(i + 1, &mut st));
+    }
+    cols
+}
+
+/// One kernel row for `cols`: factor the same basis with both engines, then
+/// run the same FTRAN/BTRAN budget through each. Returns CSV.
+fn kernel_row(section: &str, cols: &[Vec<(u32, f64)>], seed: u64) -> String {
+    let m = cols.len();
     let rhs: Vec<SparseCol> = (0..KERNEL_SOLVES)
         .map(|k| {
             let mut st = seed.wrapping_add(k as u64 + 1).wrapping_mul(0x2545_f491_4f6c_dd1d);
@@ -114,7 +160,7 @@ fn kernel_row(m: usize, seed: u64) -> String {
 
     let fill = lu.nnz() as f64 / m as f64;
     format!(
-        "kernel,{m},{dense_factor_ms:.3},{lu_factor_ms:.3},{dense_solve_ms:.3},\
+        "{section},{m},{dense_factor_ms:.3},{lu_factor_ms:.3},{dense_solve_ms:.3},\
          {lu_solve_ms:.3},{fill:.2}"
     )
 }
@@ -197,13 +243,18 @@ fn solve_rows(name: &str, cfg: &ExpConfig, out: &mut Vec<String>) {
 ///
 /// ```text
 /// kernel,m,dense_factor_ms,lu_factor_ms,dense_solve_ms,lu_solve_ms,lu_fill
+/// kernel_slack,m,dense_factor_ms,lu_factor_ms,dense_solve_ms,lu_solve_ms,lu_fill
 /// solve,topology,rows,cols,engine,wall_ms,iters,objective
 /// ```
 pub fn run_lp_basis(cfg: &ExpConfig, limit: usize) {
     println!("section,key,a,b,c,d,e");
     for &m in &KERNEL_SIZES {
         cfg.progress(format!("lp_basis: kernel m={m}"));
-        println!("{}", kernel_row(m, cfg.seed));
+        println!("{}", kernel_row("kernel", &synthetic_basis(m, cfg.seed), cfg.seed));
+    }
+    for &m in &SLACK_KERNEL_SIZES {
+        cfg.progress(format!("lp_basis: kernel_slack m={m}"));
+        println!("{}", kernel_row("kernel_slack", &slack_basis(m, cfg.seed), cfg.seed));
     }
     let mut rows = Vec::new();
     for name in SOLVE_TOPOLOGIES.iter().take(limit.max(1)) {
@@ -212,5 +263,23 @@ pub fn run_lp_basis(cfg: &ExpConfig, limit: usize) {
     }
     for r in rows {
         println!("{r}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn slack_basis_has_the_simplex_shape() {
+        for m in SLACK_KERNEL_SIZES {
+            let cols = slack_basis(m, 1);
+            let units = cols.iter().filter(|c| c.len() == 1).count() as f64 / m as f64;
+            let per_col = cols.iter().map(Vec::len).sum::<usize>() as f64 / m as f64;
+            assert!((0.84..0.92).contains(&units), "m={m}: unit share {units}");
+            assert!((1.5..1.9).contains(&per_col), "m={m}: {per_col} non-zeros per column");
+            let mut lu = LuFactors::new();
+            assert!(lu.factorize(m, &mut |j, out| out.extend_from_slice(&cols[j])));
+        }
     }
 }

@@ -443,9 +443,13 @@ impl<'a> Work<'a> {
         }
         let Work { model, arts, basis, engine, n, m, .. } = self;
         let (n, m) = (*n, *m);
+        // The factorization alone, so the ledger shows it apart from the
+        // FTRAN that recomputes the basic values.
+        let span = flexile_obs::span("lp.refactor", "lp");
         engine.refactor(m, &mut |pos, out| {
             push_col_entries(model, arts, n, m, basis[pos], out)
         })?;
+        drop(span);
         self.pivots_since_refactor = 0;
         self.recompute_xb();
         Ok(())

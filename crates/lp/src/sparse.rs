@@ -14,6 +14,17 @@
 //!   hypersparse bases that the Flexile LPs produce the factor nnz stays
 //!   near the basis nnz, so refactorization and both solves run in roughly
 //!   O(nnz) instead of O(m²)/O(m³).
+//!
+//! Markowitz candidates come from count buckets (`ColCounts`): every
+//! active column sits in a bitset bucket for its active count, so the 8
+//! smallest `(count, column)` pairs read off the lowest non-empty buckets in
+//! ascending bit order — `O(m/64)` words per pivot step where a scan of all
+//! `m` columns used to be. A candidate whose entries and rows are unchanged
+//! since it was last evaluated keeps its best entry instead of being
+//! rescanned. Both shortcuts pick exactly the pivot the full scan picks, so
+//! the factors are bit-identical to it. The elimination workspace
+//! (`LuWork`) is owned by the [`LuFactors`], cleared rather than
+//! reallocated per basis, and handed back clean however a call ends.
 
 /// Column supplier used by factorization: `col_of(j, out)` pushes the
 /// `(row, value)` entries of column `j` into `out` (already cleared).
@@ -327,6 +338,184 @@ const MARKOWITZ_TAU: f64 = 0.1;
 const LU_SINGULAR_TOL: f64 = 1e-11;
 /// Active columns examined per pivot step, in ascending active-count order.
 const MARKOWITZ_CANDIDATES: usize = 8;
+/// Count buckets of [`ColCounts`]: counts `0..BUCKETS - 1` each have their
+/// own, the last holds every larger count. 64 buckets make the non-empty
+/// summary one word.
+const BUCKETS: usize = 64;
+
+/// Active-column counts of the factorization's active submatrix, with every
+/// active column also filed in a bitset bucket by its count. The
+/// `MARKOWITZ_CANDIDATES` smallest `(count, column)` pairs then read off the
+/// lowest non-empty buckets in ascending bit order, instead of a scan of all
+/// `m` columns per pivot. Every count change goes through [`ColCounts::set`],
+/// which keeps the bucket in step with the count.
+#[derive(Debug, Clone, Default)]
+struct ColCounts {
+    count: Vec<u32>,
+    /// `u64` words per bucket bitset.
+    words: usize,
+    /// `BUCKETS` bitsets of `words` words each, bucket `b` at `b * words`.
+    bits: Vec<u64>,
+    /// Members per bucket.
+    len: Vec<u32>,
+    /// Bit `b` set iff bucket `b` has a member.
+    nonempty: u64,
+}
+
+impl ColCounts {
+    fn bucket(count: u32) -> usize {
+        (count as usize).min(BUCKETS - 1)
+    }
+
+    /// Size for `m` columns, none of them active yet. Expects every bucket
+    /// empty, which each factorization leaves behind (see [`Self::clear`]).
+    fn reset(&mut self, m: usize) {
+        debug_assert!(self.is_clear());
+        self.count.clear();
+        self.count.resize(m, 0);
+        self.words = m.div_ceil(64);
+        self.bits.resize(BUCKETS * self.words, 0);
+        self.len.resize(BUCKETS, 0);
+    }
+
+    fn get(&self, j: usize) -> u32 {
+        self.count[j]
+    }
+
+    fn file(&mut self, j: usize, b: usize) {
+        self.bits[b * self.words + j / 64] |= 1 << (j % 64);
+        self.len[b] += 1;
+        self.nonempty |= 1 << b;
+    }
+
+    fn unfile(&mut self, j: usize, b: usize) {
+        debug_assert!(self.bits[b * self.words + j / 64] & (1 << (j % 64)) != 0);
+        self.bits[b * self.words + j / 64] &= !(1 << (j % 64));
+        self.len[b] -= 1;
+        if self.len[b] == 0 {
+            self.nonempty &= !(1 << b);
+        }
+    }
+
+    /// Make column `j` active with `count`.
+    fn activate(&mut self, j: usize, count: u32) {
+        self.count[j] = count;
+        self.file(j, Self::bucket(count));
+    }
+
+    /// Set the count of active column `j`.
+    fn set(&mut self, j: usize, count: u32) {
+        let (old, new) = (Self::bucket(self.count[j]), Self::bucket(count));
+        if old != new {
+            self.unfile(j, old);
+            self.file(j, new);
+        }
+        self.count[j] = count;
+    }
+
+    /// Column `j` was pivoted: it leaves the active submatrix.
+    fn retire(&mut self, j: usize) {
+        self.unfile(j, Self::bucket(self.count[j]));
+    }
+
+    /// The `k` smallest `(count, column)` pairs among active columns,
+    /// ascending, into `out` (ties keep the lower column index).
+    fn smallest(&self, k: usize, out: &mut Vec<u32>) {
+        out.clear();
+        let mut buckets = self.nonempty;
+        while buckets != 0 && out.len() < k {
+            let b = buckets.trailing_zeros() as usize;
+            buckets &= buckets - 1;
+            let members = &self.bits[b * self.words..(b + 1) * self.words];
+            if b < BUCKETS - 1 {
+                // One count: ascending column order is ascending bit order.
+                let mut left = self.len[b];
+                for (w, &word) in members.iter().enumerate() {
+                    let mut x = word;
+                    while x != 0 && out.len() < k {
+                        out.push((w * 64) as u32 + x.trailing_zeros());
+                        x &= x - 1;
+                        left -= 1;
+                    }
+                    if left == 0 || out.len() == k {
+                        break;
+                    }
+                }
+            } else {
+                // Mixed large counts: pick each next-smallest pair in turn.
+                let mut last: Option<(u32, u32)> = None;
+                while out.len() < k {
+                    let mut next: Option<(u32, u32)> = None;
+                    for (w, &word) in members.iter().enumerate() {
+                        let mut x = word;
+                        while x != 0 {
+                            let j = (w * 64) as u32 + x.trailing_zeros();
+                            x &= x - 1;
+                            let key = (self.count[j as usize], j);
+                            if last.is_none_or(|l| key > l) && next.is_none_or(|n| key < n) {
+                                next = Some(key);
+                            }
+                        }
+                    }
+                    let Some(key) = next else { break };
+                    out.push(key.1);
+                    last = Some(key);
+                }
+            }
+        }
+    }
+
+    /// Empty every bucket (a factorization that stopped with columns still
+    /// active).
+    fn clear(&mut self) {
+        self.bits.fill(0);
+        self.len.fill(0);
+        self.nonempty = 0;
+    }
+
+    fn is_clear(&self) -> bool {
+        self.nonempty == 0 && self.bits.iter().all(|&w| w == 0) && self.len.iter().all(|&n| n == 0)
+    }
+}
+
+/// Markowitz preference of a pivot candidate over the incumbent: lower cost,
+/// then larger magnitude; a tie keeps the incumbent.
+fn beats(cost: u64, v: f64, incumbent: Option<(u64, f64)>) -> bool {
+    match incumbent {
+        None => true,
+        Some((bcost, bv)) => cost < bcost || (cost == bcost && v.abs() > bv.abs()),
+    }
+}
+
+/// Factorization workspace, reused across [`LuFactors::factorize`] calls:
+/// cleared (capacity kept) on entry, never reallocated per basis, dropped
+/// with its [`LuFactors`]. Between calls `scratch` is all zeros, `mark` all
+/// false and every count bucket empty, whichever way the call ended.
+#[derive(Debug, Clone, Default)]
+struct LuWork {
+    /// Active rows with their values.
+    rows: Vec<Vec<(u32, f64)>>,
+    /// Per column, its (lazily stale) candidate rows.
+    col_rows: Vec<Vec<u32>>,
+    row_count: Vec<u32>,
+    row_done: Vec<bool>,
+    cols: ColCounts,
+    /// Per column, whether `col_best` still holds: set when the column is
+    /// evaluated as a candidate, cleared when any of its entries or their
+    /// rows' counts change.
+    fresh: Vec<bool>,
+    /// Per column, its best pivot `(row, value, cost)` when last evaluated.
+    col_best: Vec<(u32, f64, u64)>,
+    scratch: Vec<f64>,
+    mark: Vec<bool>,
+    entries: Vec<(u32, f64)>,
+    pattern: Vec<u32>,
+    cvals: Vec<(u32, f64)>,
+    pivot_entries: Vec<(u32, f64)>,
+    cand: Vec<u32>,
+    row_pos: Vec<u32>,
+    col_pos: Vec<u32>,
+}
 
 /// Sparse LU factorization of a square basis matrix, `P B Q = L U`, built
 /// with Markowitz ordering (minimize `(r_i − 1)(c_j − 1)` fill estimate)
@@ -352,6 +541,7 @@ pub struct LuFactors {
     u_cvals: Vec<f64>,
     rowperm: Vec<u32>,
     colperm: Vec<u32>,
+    ws: LuWork,
 }
 
 impl LuFactors {
@@ -378,125 +568,141 @@ impl LuFactors {
         m: usize,
         col_of: &mut ColSource<'_>,
     ) -> bool {
+        let ok = self.eliminate(m, col_of);
+        if ok {
+            self.lay_out();
+        } else {
+            self.ws.cols.clear();
+        }
+        ok
+    }
+
+    /// Markowitz elimination. Writes `rowperm`, `colperm`, `u_diag`, `L` in
+    /// original row ids and `U` row-wise in original column ids; on `false`
+    /// leaves only the count buckets to clear.
+    fn eliminate(&mut self, m: usize, col_of: &mut ColSource<'_>) -> bool {
         self.m = m;
+        let ws = &mut self.ws;
         // Active submatrix: rows carry values; columns are (lazily stale)
         // lists of candidate rows. Counts are maintained exactly so the
-        // Markowitz scan never needs to validate a whole column up front.
-        let mut rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); m];
-        let mut col_rows: Vec<Vec<u32>> = vec![Vec::new(); m];
-        let mut entries: Vec<(u32, f64)> = Vec::new();
+        // Markowitz search never needs to validate a whole column up front.
+        ws.rows.truncate(m);
+        ws.rows.iter_mut().for_each(Vec::clear);
+        ws.rows.resize_with(m, Vec::new);
+        ws.col_rows.truncate(m);
+        ws.col_rows.iter_mut().for_each(Vec::clear);
+        ws.col_rows.resize_with(m, Vec::new);
         for j in 0..m {
-            entries.clear();
-            col_of(j, &mut entries);
-            for &(r, v) in &entries {
+            ws.entries.clear();
+            col_of(j, &mut ws.entries);
+            for &(r, v) in &ws.entries {
                 if v != 0.0 {
-                    rows[r as usize].push((j as u32, v));
-                    col_rows[j].push(r);
+                    ws.rows[r as usize].push((j as u32, v));
+                    ws.col_rows[j].push(r);
                 }
             }
         }
-        let mut row_count: Vec<u32> = rows.iter().map(|r| r.len() as u32).collect();
-        let mut col_count: Vec<u32> = col_rows.iter().map(|c| c.len() as u32).collect();
-        let mut row_done = vec![false; m];
-        let mut col_done = vec![false; m];
+        ws.row_count.clear();
+        ws.row_count.extend(ws.rows.iter().map(|r| r.len() as u32));
+        ws.row_done.clear();
+        ws.row_done.resize(m, false);
+        ws.fresh.clear();
+        ws.fresh.resize(m, false);
+        ws.col_best.resize(m, (0, 0.0, 0));
+        ws.cols.reset(m);
+        for (j, rows) in ws.col_rows.iter().enumerate() {
+            ws.cols.activate(j, rows.len() as u32);
+        }
+        debug_assert!(ws.scratch.iter().all(|&v| v == 0.0) && !ws.mark.contains(&true));
+        ws.scratch.resize(m, 0.0);
+        ws.mark.resize(m, false);
 
-        // Per-step factors in *original* indices; remapped to pivot order
-        // once the permutations are complete.
-        let mut l_steps: Vec<Vec<(u32, f64)>> = Vec::with_capacity(m);
-        let mut u_steps: Vec<Vec<(u32, f64)>> = Vec::with_capacity(m);
         self.u_diag.clear();
         self.rowperm.clear();
         self.colperm.clear();
-
-        let mut scratch = vec![0.0f64; m];
-        let mut mark = vec![false; m];
-        let mut pattern: Vec<u32> = Vec::new();
-        let mut cvals: Vec<(u32, f64)> = Vec::new();
-        let mut pivot_entries: Vec<(u32, f64)> = Vec::new();
-        let mut cand: Vec<u32> = Vec::new();
+        self.l_colptr.clear();
+        self.l_rows.clear();
+        self.l_vals.clear();
+        self.u_rowptr.clear();
+        self.u_cols.clear();
+        self.u_rvals.clear();
+        self.l_colptr.push(0);
+        self.u_rowptr.push(0);
 
         for _step in 0..m {
-            // The few active columns with the smallest counts, ascending
-            // (ties keep the lower column index, so the order — and hence
-            // the whole factorization — is deterministic).
-            cand.clear();
-            for j in 0..m {
-                if col_done[j] {
-                    continue;
-                }
-                let c = col_count[j];
-                let pos = cand.iter().position(|&k| c < col_count[k as usize]);
-                match pos {
-                    Some(p) => {
-                        cand.insert(p, j as u32);
-                        if cand.len() > MARKOWITZ_CANDIDATES {
-                            cand.pop();
-                        }
-                    }
-                    None => {
-                        if cand.len() < MARKOWITZ_CANDIDATES {
-                            cand.push(j as u32);
-                        }
-                    }
-                }
-            }
+            ws.cols.smallest(MARKOWITZ_CANDIDATES, &mut ws.cand);
 
             // Markowitz cost over the candidates, restricted to entries that
             // pass the stability threshold against their column max.
             let mut best: Option<(u32, u32, f64, u64)> = None; // (col, row, val, cost)
-            for &jc in &cand {
+            for &jc in &ws.cand {
                 let j = jc as usize;
+                if ws.fresh[j] {
+                    // Nothing in the column changed since it was last
+                    // evaluated: its own best entry stands for all of it.
+                    let (r, v, cost) = ws.col_best[j];
+                    if beats(cost, v, best.map(|b| (b.3, b.2))) {
+                        best = Some((jc, r, v, cost));
+                    }
+                    continue;
+                }
                 // Validate + compact the stale row list, collecting values.
                 // The list can hold a row twice (entry exactly cancelled,
                 // then re-created by fill-in), so dedupe with the `mark`
                 // scratch — a duplicate here would later eliminate that row
                 // twice and silently corrupt the factors.
-                cvals.clear();
+                ws.cvals.clear();
                 {
-                    let cr = &mut col_rows[j];
+                    let cr = &mut ws.col_rows[j];
                     let mut w = 0;
                     for idx in 0..cr.len() {
                         let r = cr[idx];
-                        if row_done[r as usize] || mark[r as usize] {
+                        if ws.row_done[r as usize] || ws.mark[r as usize] {
                             continue;
                         }
                         if let Some(&(_, v)) =
-                            rows[r as usize].iter().find(|&&(c, _)| c == jc)
+                            ws.rows[r as usize].iter().find(|&&(c, _)| c == jc)
                         {
-                            mark[r as usize] = true;
+                            ws.mark[r as usize] = true;
                             cr[w] = r;
                             w += 1;
-                            cvals.push((r, v));
+                            ws.cvals.push((r, v));
                         }
                     }
                     cr.truncate(w);
-                    for &(r, _) in &cvals {
-                        mark[r as usize] = false;
+                    for &(r, _) in &ws.cvals {
+                        ws.mark[r as usize] = false;
                     }
                 }
-                col_count[j] = cvals.len() as u32;
-                if cvals.is_empty() {
+                ws.cols.set(j, ws.cvals.len() as u32);
+                if ws.cvals.is_empty() {
                     return false; // structurally empty active column
                 }
-                let colmax = cvals.iter().fold(0.0f64, |a, &(_, v)| a.max(v.abs()));
+                let colmax = ws.cvals.iter().fold(0.0f64, |a, &(_, v)| a.max(v.abs()));
                 if colmax < LU_SINGULAR_TOL {
                     return false;
                 }
-                let cc = (cvals.len() - 1) as u64;
-                for &(r, v) in &cvals {
+                let cc = (ws.cvals.len() - 1) as u64;
+                let mut own: Option<(u32, f64, u64)> = None;
+                let mut nan = false;
+                for &(r, v) in &ws.cvals {
                     if v.abs() < MARKOWITZ_TAU * colmax {
                         continue;
                     }
-                    let cost = (row_count[r as usize].saturating_sub(1)) as u64 * cc;
-                    let better = match best {
-                        None => true,
-                        Some((_, _, bv, bcost)) => {
-                            cost < bcost || (cost == bcost && v.abs() > bv.abs())
-                        }
-                    };
-                    if better {
+                    nan |= v.is_nan();
+                    let cost = (ws.row_count[r as usize].saturating_sub(1)) as u64 * cc;
+                    if beats(cost, v, best.map(|b| (b.3, b.2))) {
                         best = Some((jc, r, v, cost));
                     }
+                    if beats(cost, v, own.map(|o| (o.2, o.1))) {
+                        own = Some((r, v, cost));
+                    }
+                }
+                // A NaN breaks the order `beats` relies on to stand one
+                // entry for the column, so such a column is always rescanned.
+                if let (Some(o), false) = (own, nan) {
+                    ws.col_best[j] = o;
+                    ws.fresh[j] = true;
                 }
             }
             let (pc, pr, apq, _) = match best {
@@ -507,132 +713,129 @@ impl LuFactors {
             self.rowperm.push(pr);
             self.colperm.push(pc);
             self.u_diag.push(apq);
-            row_done[pru] = true;
-            col_done[pcu] = true;
+            ws.row_done[pru] = true;
+            ws.cols.retire(pcu);
 
             // Rows to eliminate: the pivot column's live entries (list was
             // just compacted while evaluating the candidate).
-            pivot_entries.clear();
-            for &r in &col_rows[pcu] {
+            ws.pivot_entries.clear();
+            for &r in &ws.col_rows[pcu] {
                 if r == pr {
                     continue;
                 }
-                if let Some(&(_, v)) = rows[r as usize].iter().find(|&&(c, _)| c == pc) {
-                    pivot_entries.push((r, v));
+                if let Some(&(_, v)) = ws.rows[r as usize].iter().find(|&&(c, _)| c == pc) {
+                    ws.pivot_entries.push((r, v));
                 }
             }
 
-            let prow = std::mem::take(&mut rows[pru]);
-            let mut urow: Vec<(u32, f64)> = Vec::with_capacity(prow.len());
-            for &(c, v) in &prow {
+            // The pivot row, less its pivot entry, is this step's row of U.
+            let ustart = self.u_cols.len();
+            for &(c, v) in &ws.rows[pru] {
                 if c != pc {
-                    urow.push((c, v));
-                    col_count[c as usize] -= 1; // pivot row leaves column c
+                    self.u_cols.push(c);
+                    self.u_rvals.push(v);
+                    let cu = c as usize;
+                    ws.cols.set(cu, ws.cols.get(cu) - 1); // pivot row leaves column c
+                    ws.fresh[cu] = false;
                 }
             }
+            ws.rows[pru].clear();
+            let urow = || self.u_cols[ustart..].iter().zip(&self.u_rvals[ustart..]);
 
             let inv_apq = 1.0 / apq;
-            let mut lstep: Vec<(u32, f64)> = Vec::with_capacity(pivot_entries.len());
-            for &(r, arv) in &pivot_entries {
+            for &(r, arv) in &ws.pivot_entries {
                 let ru = r as usize;
                 let l = arv * inv_apq;
-                lstep.push((r, l));
+                self.l_rows.push(r);
+                self.l_vals.push(l);
                 // row_r ← row_r − l · pivot_row, dropping the pivot-column
                 // entry exactly (no float cancellation residue).
-                pattern.clear();
-                for &(c, v) in &rows[ru] {
+                ws.pattern.clear();
+                for &(c, v) in &ws.rows[ru] {
                     if c == pc {
                         continue;
                     }
                     let cu = c as usize;
-                    scratch[cu] = v;
-                    mark[cu] = true;
-                    pattern.push(c);
+                    ws.scratch[cu] = v;
+                    ws.mark[cu] = true;
+                    ws.pattern.push(c);
                 }
-                for &(c, v) in &urow {
+                for (&c, &v) in urow() {
                     let cu = c as usize;
-                    if !mark[cu] {
-                        mark[cu] = true;
-                        scratch[cu] = 0.0;
-                        pattern.push(c);
-                        col_rows[cu].push(r); // fill-in
-                        col_count[cu] += 1;
+                    if !ws.mark[cu] {
+                        ws.mark[cu] = true;
+                        ws.scratch[cu] = 0.0;
+                        ws.pattern.push(c);
+                        ws.col_rows[cu].push(r); // fill-in
+                        ws.cols.set(cu, ws.cols.get(cu) + 1);
                     }
-                    scratch[cu] -= l * v;
+                    ws.scratch[cu] -= l * v;
                 }
-                let row = &mut rows[ru];
+                let row = &mut ws.rows[ru];
                 row.clear();
-                for &c in &pattern {
+                for &c in &ws.pattern {
                     let cu = c as usize;
-                    mark[cu] = false;
-                    let v = scratch[cu];
-                    scratch[cu] = 0.0;
+                    ws.mark[cu] = false;
+                    ws.fresh[cu] = false; // value or row count changed
+                    let v = ws.scratch[cu];
+                    ws.scratch[cu] = 0.0;
                     if v != 0.0 {
                         row.push((c, v));
                     } else {
-                        col_count[cu] -= 1; // exact cancellation
+                        ws.cols.set(cu, ws.cols.get(cu) - 1); // exact cancellation
                     }
                 }
-                row_count[ru] = row.len() as u32;
-            }
-            l_steps.push(lstep);
-            u_steps.push(urow);
-        }
-
-        // Remap original row/column ids to pivot-order positions.
-        let mut row_pos = vec![0u32; m];
-        let mut col_pos = vec![0u32; m];
-        for k in 0..m {
-            row_pos[self.rowperm[k] as usize] = k as u32;
-            col_pos[self.colperm[k] as usize] = k as u32;
-        }
-        self.l_colptr.clear();
-        self.l_rows.clear();
-        self.l_vals.clear();
-        self.l_colptr.push(0);
-        for lstep in &l_steps {
-            for &(r, l) in lstep {
-                self.l_rows.push(row_pos[r as usize]);
-                self.l_vals.push(l);
+                ws.row_count[ru] = row.len() as u32;
             }
             self.l_colptr.push(self.l_rows.len());
-        }
-        self.u_rowptr.clear();
-        self.u_cols.clear();
-        self.u_rvals.clear();
-        self.u_rowptr.push(0);
-        for ustep in &u_steps {
-            for &(c, v) in ustep {
-                self.u_cols.push(col_pos[c as usize]);
-                self.u_rvals.push(v);
-            }
             self.u_rowptr.push(self.u_cols.len());
         }
-        // Column-wise copy of U via counting sort (rows stay ascending).
+        true
+    }
+
+    /// Remap `L`/`U` from original ids to pivot-order positions and build
+    /// the column-wise copy of `U`.
+    fn lay_out(&mut self) {
+        let m = self.m;
+        let ws = &mut self.ws;
+        ws.row_pos.resize(m, 0);
+        ws.col_pos.resize(m, 0);
+        for k in 0..m {
+            ws.row_pos[self.rowperm[k] as usize] = k as u32;
+            ws.col_pos[self.colperm[k] as usize] = k as u32;
+        }
+        for r in &mut self.l_rows {
+            *r = ws.row_pos[*r as usize];
+        }
+        for c in &mut self.u_cols {
+            *c = ws.col_pos[*c as usize];
+        }
+        // Column-wise copy of U via counting sort (rows stay ascending):
+        // `u_colptr[c]` serves as column c's fill cursor, then shifts back.
         let unnz = self.u_cols.len();
-        let mut count = vec![0usize; m + 1];
+        self.u_colptr.clear();
+        self.u_colptr.resize(m + 1, 0);
         for &c in &self.u_cols {
-            count[c as usize + 1] += 1;
+            self.u_colptr[c as usize + 1] += 1;
         }
         for k in 0..m {
-            count[k + 1] += count[k];
+            self.u_colptr[k + 1] += self.u_colptr[k];
         }
-        self.u_colptr.clone_from(&count);
         self.u_rows.clear();
         self.u_rows.resize(unnz, 0);
         self.u_cvals.clear();
         self.u_cvals.resize(unnz, 0.0);
-        let mut next = count;
         for k in 0..m {
             for idx in self.u_rowptr[k]..self.u_rowptr[k + 1] {
                 let c = self.u_cols[idx] as usize;
-                let p = next[c];
+                let p = self.u_colptr[c];
                 self.u_rows[p] = k as u32;
                 self.u_cvals[p] = self.u_rvals[idx];
-                next[c] += 1;
+                self.u_colptr[c] += 1;
             }
         }
-        true
+        self.u_colptr.copy_within(0..m, 1);
+        self.u_colptr[0] = 0;
     }
 
     /// In-place FTRAN: on entry `x` holds the right-hand side `a` (indexed
@@ -946,6 +1149,279 @@ mod tests {
                 let want = if i == j { 1.0 } else { 0.0 };
                 assert!((v - want).abs() < 1e-12, "col {j} row {i}: {v}");
             }
+        }
+    }
+
+    /// Every word of a factorization: its outcome and, on success, the
+    /// permutations, the bits of `U`'s diagonal and every `L`/`U` index and
+    /// value. Two factorizations are bit-identical iff their snapshots are.
+    fn snapshot(lu: &LuFactors, ok: bool) -> Vec<u64> {
+        let mut s = vec![ok as u64, lu.m as u64];
+        if !ok {
+            return s;
+        }
+        let idx = [&lu.rowperm, &lu.colperm, &lu.l_rows, &lu.u_cols, &lu.u_rows];
+        for v in idx {
+            s.push(v.len() as u64);
+            s.extend(v.iter().map(|&x| x as u64));
+        }
+        for v in [&lu.l_colptr, &lu.u_rowptr, &lu.u_colptr] {
+            s.push(v.len() as u64);
+            s.extend(v.iter().map(|&x| x as u64));
+        }
+        for v in [&lu.u_diag, &lu.l_vals, &lu.u_rvals, &lu.u_cvals] {
+            s.push(v.len() as u64);
+            s.extend(v.iter().map(|x| x.to_bits()));
+        }
+        s
+    }
+
+    /// FNV-1a over the snapshot words, for a golden value.
+    fn fnv(words: &[u64], mut h: u64) -> u64 {
+        for w in words {
+            for b in w.to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// A basis as its columns' `(row, value)` entries.
+    type Basis = Vec<Vec<(u32, f64)>>;
+
+    struct Lcg(u64);
+    impl Lcg {
+        fn new(seed: u64) -> Self {
+            Lcg(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1))
+        }
+        /// Uniform in [0, 1).
+        fn f(&mut self) -> f64 {
+            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (self.0 >> 11) as f64 / (1u64 << 53) as f64
+        }
+        /// Uniform in 0..n.
+        fn below(&mut self, n: usize) -> usize {
+            (self.f() * n as f64) as usize % n
+        }
+    }
+
+    /// Simplex-shaped basis: ~88% unit (slack) columns on a random row
+    /// permutation, the rest structural columns with a "diagonal" entry on
+    /// their own row plus a few 0/1-heavy off-diagonals, columns shuffled.
+    fn slack_basis(m: usize, g: &mut Lcg) -> Basis {
+        let mut perm: Vec<u32> = (0..m as u32).collect();
+        for i in (1..m).rev() {
+            perm.swap(i, g.below(i + 1));
+        }
+        let mut cols: Vec<Vec<(u32, f64)>> = (0..m)
+            .map(|j| {
+                let mut col = vec![(perm[j], if g.f() < 0.9 { 1.0 } else { -1.0 })];
+                if g.f() >= 0.88 {
+                    col[0].1 = if g.f() < 0.7 { 1.0 } else { 0.5 + g.f() * 40.0 };
+                    for _ in 0..1 + g.below(4) {
+                        let r = g.below(m) as u32;
+                        if !col.iter().any(|&(rr, _)| rr == r) {
+                            let v = if g.f() < 0.7 { 1.0 } else { -(1.0 + g.f() * 99.0) };
+                            col.push((r, v));
+                        }
+                    }
+                }
+                col
+            })
+            .collect();
+        for i in (1..m).rev() {
+            cols.swap(i, g.below(i + 1));
+        }
+        cols
+    }
+
+    /// Small 0/1-heavy network basis whose eliminations cancel exactly and
+    /// then refill (the `lu_survives_exact_cancellation_then_fill_in` shape),
+    /// with a unit entry on each column's own row so most bases factor.
+    fn cancel_basis(m: usize, g: &mut Lcg) -> Basis {
+        (0..m)
+            .map(|j| {
+                let mut col = vec![(j as u32, 1.0)];
+                for _ in 0..1 + g.below(4) {
+                    let r = g.below(m) as u32;
+                    if !col.iter().any(|&(rr, _)| rr == r) {
+                        let v = if g.f() < 0.85 { 1.0 } else { g.f() * 2.0 - 1.0 };
+                        col.push((r, v));
+                    }
+                }
+                col.sort_by_key(|&(r, _)| r);
+                col
+            })
+            .collect()
+    }
+
+    /// Diagonally dominant sparse basis with one fully dense column.
+    fn dense_col_basis(m: usize, g: &mut Lcg) -> Basis {
+        let mut cols = test_matrix(m, g.0);
+        let d = g.below(m);
+        cols[d] = (0..m as u32).map(|r| (r, g.f() * 2.0 - 1.0)).collect();
+        cols[d][d].1 += 8.0;
+        cols
+    }
+
+    /// A slack-shaped basis made singular one of four ways: an empty column,
+    /// a column of tiny entries, a repeated column, or an empty row.
+    fn singular_basis(m: usize, g: &mut Lcg, kind: usize) -> Basis {
+        let mut cols = if kind.is_multiple_of(2) { slack_basis(m, g) } else { cancel_basis(m, g) };
+        let a = g.below(m);
+        let b = (a + 1 + g.below(m - 1)) % m;
+        match kind {
+            0 => cols[a].clear(),
+            1 => {
+                let r = g.below(m);
+                cols[a] = vec![(r as u32, 1e-13), (((r + 1) % m) as u32, -3e-12)];
+            }
+            2 => cols[b] = cols[a].clone(),
+            _ => {
+                let r = g.below(m) as u32;
+                for col in &mut cols {
+                    col.retain(|&(rr, _)| rr != r);
+                }
+            }
+        }
+        cols
+    }
+
+    /// The four golden shapes, 100 seeded bases each, as `(singular, basis)`.
+    fn golden_bases() -> Vec<(bool, Basis)> {
+        let mut out = Vec::new();
+        for seed in 0..100u64 {
+            let mut g = Lcg::new(seed);
+            let m = 20 + g.below(200);
+            out.push((false, slack_basis(m, &mut g)));
+            let m = 4 + g.below(14);
+            out.push((false, cancel_basis(m, &mut g)));
+            let m = 10 + g.below(110);
+            out.push((false, dense_col_basis(m, &mut g)));
+            let m = 5 + g.below(60);
+            out.push((true, singular_basis(m, &mut g, seed as usize % 4)));
+        }
+        out
+    }
+
+    #[test]
+    fn lu_pivot_order_is_pinned() {
+        // Golden hash of every factor word over 400 seeded bases. A change
+        // here means the Markowitz pivot order (or the arithmetic) moved,
+        // which moves every LP's pivot sequence and every count downstream.
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut factored = 0;
+        for (i, (singular, cols)) in golden_bases().iter().enumerate() {
+            let mut lu = LuFactors::new();
+            let ok = lu.factorize(cols.len(), &mut |j, out| out.extend_from_slice(&cols[j]));
+            assert!(!(ok && *singular), "singular basis {i} factored");
+            factored += usize::from(ok);
+            h = fnv(&snapshot(&lu, ok), h);
+        }
+        assert!(factored > 250, "most bases must factor, got {factored}");
+        assert_eq!(h, 0x835d_ac93_cefd_249e, "pivot-order golden hash");
+    }
+
+    #[test]
+    fn count_buckets_yield_the_smallest_pairs() {
+        // Random activations, count changes across the exact buckets and the
+        // shared large-count bucket, and retirements: the candidates must
+        // always be the smallest `(count, column)` pairs of a full sort.
+        let mut g = Lcg::new(5);
+        let mut cc = ColCounts::default();
+        let mut cand = Vec::new();
+        for round in 0..40 {
+            let m = 1 + g.below(300);
+            cc.reset(m);
+            let mut active: Vec<bool> = vec![true; m];
+            // A third of the counts land in the shared large-count bucket.
+            let count = |g: &mut Lcg| {
+                (if g.f() < 0.3 { 50 + g.below(100) } else { g.below(6) }) as u32
+            };
+            for j in 0..m {
+                let c = count(&mut g);
+                cc.activate(j, c);
+            }
+            for _ in 0..4 * m {
+                let j = g.below(m);
+                if active[j] {
+                    if g.f() < 0.1 {
+                        cc.retire(j);
+                        active[j] = false;
+                    } else {
+                        let c = count(&mut g);
+                        cc.set(j, c);
+                    }
+                }
+                cc.smallest(MARKOWITZ_CANDIDATES, &mut cand);
+                let mut want: Vec<(u32, u32)> =
+                    (0..m).filter(|&j| active[j]).map(|j| (cc.get(j), j as u32)).collect();
+                want.sort_unstable();
+                let want: Vec<u32> =
+                    want.iter().take(MARKOWITZ_CANDIDATES).map(|&(_, j)| j).collect();
+                assert_eq!(cand, want, "round {round}");
+            }
+            if round % 2 == 0 {
+                cc.clear();
+            } else {
+                (0..m).filter(|&j| active[j]).for_each(|j| cc.retire(j));
+            }
+            assert!(cc.is_clear(), "round {round}");
+        }
+    }
+
+    #[test]
+    fn lu_workspace_reuse_matches_fresh_factors() {
+        // One `LuFactors` runs bases that fail at both reachable exits (an
+        // empty active column, a numerically tiny one), at the first step
+        // and deep into the elimination, between nonsingular bases of
+        // larger and smaller `m`. Each result must be bit-identical to a
+        // fresh `LuFactors`, and each call must hand its workspace back clean.
+        // (The third exit, no candidate entry passing the threshold, cannot
+        // fire: a column's largest entry always passes.)
+        let unit = |m: usize| -> Basis {
+            (0..m).map(|j| vec![(j as u32, 1.0)]).collect()
+        };
+        let pair = |second: f64| {
+            let mut cols = unit(4);
+            cols[0] = vec![(0, 1.0), (1, 1.0)];
+            cols[1] = vec![(0, 1.0), (1, second)];
+            cols
+        };
+        let mut empty_first = unit(6);
+        empty_first[3].clear();
+        let mut tiny_first = unit(5);
+        tiny_first[2] = vec![(2, 1e-13)];
+        let mut g = Lcg::new(99);
+        // (basis, pivot steps completed before the exit; `None` = factors)
+        let sequence: Vec<(Basis, Option<usize>)> = vec![
+            (tiny_first, Some(0)),
+            (slack_basis(150, &mut g), None),
+            (empty_first, Some(0)),
+            (cancel_basis(7, &mut g), None),
+            (pair(1.0 + 1e-13), Some(3)), // cancels to ~1e-13
+            (dense_col_basis(60, &mut g), None),
+            (pair(1.0), Some(3)), // cancels exactly to an empty column
+            (slack_basis(200, &mut g), None),
+            (cancel_basis(12, &mut g), None),
+        ];
+        let mut lu = LuFactors::new();
+        for (i, (cols, fails_at)) in sequence.iter().enumerate() {
+            let m = cols.len();
+            let ok = lu.factorize(m, &mut |j, out| out.extend_from_slice(&cols[j]));
+            let mut fresh = LuFactors::new();
+            let ok_fresh = fresh.factorize(m, &mut |j, out| out.extend_from_slice(&cols[j]));
+            assert_eq!(ok, fails_at.is_none(), "basis {i}");
+            assert_eq!(snapshot(&lu, ok), snapshot(&fresh, ok_fresh), "basis {i}");
+            if let Some(step) = fails_at {
+                assert_eq!(lu.rowperm.len(), *step, "basis {i} exit step");
+                assert_eq!(fresh.rowperm.len(), *step, "basis {i} exit step");
+            }
+            let ws = &lu.ws;
+            assert!(ws.scratch.iter().all(|&v| v == 0.0), "basis {i}: scratch");
+            assert!(!ws.mark.contains(&true), "basis {i}: mark");
+            assert!(ws.cols.is_clear(), "basis {i}: count buckets");
         }
     }
 
