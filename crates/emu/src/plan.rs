@@ -16,9 +16,10 @@ pub struct FlowPlan {
 }
 
 /// Reconstruct tunnel-level forwarding state from a scheme's per-flow
-/// served bandwidth in `scen`: re-solve the scenario allocation LP with the
-/// served amounts pinned, then quantize each flow's tunnel split into
-/// integer weights out of `levels` (OVS select-group style).
+/// served bandwidth in `scen`: route the served amounts on the shared
+/// pinned hop-minimal routing ([`ScenAlloc::route_pinned`]), then quantize
+/// each flow's tunnel split into integer weights out of `levels` (OVS
+/// select-group style). A flow is admitted at most its demand in `scen`.
 ///
 /// `served[f]` is indexed by the instance flow convention.
 pub fn plans_from_served(
@@ -29,49 +30,24 @@ pub fn plans_from_served(
 ) -> Vec<Vec<FlowPlan>> {
     assert!(levels >= 1);
     assert_eq!(served.len(), inst.num_flows());
-    let mut alloc = ScenAlloc::new(inst, scen, Sense::Max);
-    // Pin served amounts (≥ served − slack, ≤ demand) and minimize total
-    // bandwidth·hops for a canonical, short-path-preferring split. The
-    // shared elastic slack keeps the LP feasible even when a caller passes
-    // physically unachievable targets (heavily penalized, so it stays 0
-    // for real scheme outputs).
-    let eps = alloc.model.add_var("eps", 0.0, 1.0, -1e6);
-    for k in 0..inst.num_classes() {
-        for p in 0..inst.num_pairs() {
-            if !alloc.pair_alive[k][p] || inst.demands[k][p] <= 0.0 {
-                continue;
-            }
-            let f = inst.flow_index(k, p);
-            let d = inst.demands[k][p];
-            let coeffs = alloc.served_coeffs(k, p);
-            alloc.model.add_row_le(&coeffs, d);
-            let mut floor = coeffs.clone();
-            floor.push((eps, d));
-            alloc.model.add_row_ge(&floor, (served[f] - 1e-7).max(0.0));
-            for (t, &v) in alloc.x[k][p].iter().enumerate() {
-                let hops = (inst.tunnels[k].tunnels[p][t].len() as f64).max(1.0);
-                alloc.model.set_obj(v, -hops);
-            }
-        }
-    }
-    let sol = alloc
-        .model
-        .solve()
-        .expect("elastic plan-extraction LP is always feasible");
-
-    let mut plans = Vec::with_capacity(inst.num_classes());
-    for k in 0..inst.num_classes() {
-        let mut row = Vec::with_capacity(inst.num_pairs());
-        for p in 0..inst.num_pairs() {
-            let f = inst.flow_index(k, p);
-            let xs: Vec<f64> = alloc.x[k][p].iter().map(|&v| sol.value(v)).collect();
-            let total: f64 = xs.iter().sum();
-            let weights = quantize_weights(&xs, total, levels);
-            row.push(FlowPlan { admitted: served[f].min(inst.demands[k][p]), weights });
-        }
-        plans.push(row);
-    }
-    plans
+    let alloc = ScenAlloc::new(inst, scen, Sense::Max);
+    let admitted: Vec<f64> = (0..inst.num_flows())
+        .map(|f| served[f].min(alloc.demand(inst.flow_class(f), inst.flow_pair(f))))
+        .collect();
+    let rates = alloc.route_pinned(served);
+    rates
+        .iter()
+        .enumerate()
+        .map(|(k, rk)| {
+            rk.iter()
+                .enumerate()
+                .map(|(p, xs)| FlowPlan {
+                    admitted: admitted[inst.flow_index(k, p)],
+                    weights: quantize_weights(xs, xs.iter().sum(), levels),
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Largest-remainder quantization of a fractional split into integer

@@ -3,7 +3,7 @@
 use crate::fluid::{propagate, TunnelInjection};
 use crate::plan::plans_from_served;
 use flexile_scenario::ScenarioSet;
-use flexile_te::types::clamp_loss;
+use flexile_te::alloc::served_loss;
 use flexile_te::SchemeResult;
 use flexile_traffic::Instance;
 use rand::rngs::StdRng;
@@ -34,7 +34,8 @@ impl Default for EmuConfig {
 /// emulator reconstructs tunnel weights, quantizes them, perturbs rates,
 /// and measures delivered bandwidth against the *original* demand —
 /// "accounting for both throttling required by the TE scheme, and losses
-/// in the testbed" (§6).
+/// in the testbed" (§6). Demands are the scenario's: the instance demand
+/// scaled by the scenario's demand factor (§4.4).
 pub fn emulate_scheme(
     inst: &Instance,
     set: &ScenarioSet,
@@ -46,12 +47,12 @@ pub fn emulate_scheme(
     let nq = set.scenarios.len();
     assert_eq!(model.loss.len(), nf);
 
+    let demand = |f: usize, q: usize| inst.flow_demand(f) * set.scenarios[q].demand_factor;
     // Forwarding state per scenario is computed once; jitter varies by run.
     let mut per_scenario_plans = Vec::with_capacity(nq);
     for (q, scen) in set.scenarios.iter().enumerate() {
-        let served: Vec<f64> = (0..nf)
-            .map(|f| (1.0 - model.loss[f][q]).max(0.0) * inst.flow_demand(f))
-            .collect();
+        let served: Vec<f64> =
+            (0..nf).map(|f| (1.0 - model.loss[f][q]).max(0.0) * demand(f, q)).collect();
         per_scenario_plans.push(plans_from_served(inst, scen, &served, cfg.weight_levels));
     }
 
@@ -96,12 +97,9 @@ pub fn emulate_scheme(
                 }
                 let delivered = propagate(inst, scen, &injections, nf);
                 for f in 0..nf {
-                    let d = inst.flow_demand(f);
-                    loss[f][q] = if d <= 0.0 {
-                        0.0
-                    } else {
-                        clamp_loss(1.0 - delivered[f] / d)
-                    };
+                    let (k, p) = (inst.flow_class(f), inst.flow_pair(f));
+                    let alive = inst.tunnels[k].pair_alive(p, &dead);
+                    loss[f][q] = served_loss(demand(f, q), alive, delivered[f]);
                 }
             }
             SchemeResult::new(&format!("{}-emu-run{}", model.name, run), loss)

@@ -12,17 +12,19 @@
 //! 3. design the lower class with the high class's per-scenario bandwidth
 //!    pinned as a hard constraint.
 //!
-//! We realize step 3 by measuring the high class's per-arc usage in each
-//! scenario (the same canonical-routing extraction the emulator uses) and
-//! shrinking the scenario's capacity factors accordingly before running
-//! the lower-class design. The approach generalizes to any number of
-//! classes by folding each designed class into the residual capacities.
+//! We realize step 3 by routing the high class's served amounts in each
+//! scenario on the shared pinned hop-minimal routing
+//! ([`ScenAlloc::route_pinned`], the one the emulator and SWAN use) and
+//! shrinking the scenario's capacity factors by that usage
+//! ([`consume_capacity`]) before running the lower-class design. The
+//! approach generalizes to any number of classes by folding each designed
+//! class into the residual capacities.
 
 use crate::decomposition::{solve_flexile, FlexileDesign, FlexileOptions};
 use crate::online::online_allocate;
 use flexile_lp::Sense;
-use flexile_scenario::{Scenario, ScenarioSet};
-use flexile_te::alloc::ScenAlloc;
+use flexile_scenario::ScenarioSet;
+use flexile_te::alloc::{consume_capacity, ScenAlloc};
 use flexile_traffic::{ClassConfig, Instance};
 
 /// Result of the lexicographic design: one per-class [`FlexileDesign`]
@@ -45,42 +47,6 @@ fn class_instance(inst: &Instance, k: usize) -> Instance {
         tunnels: vec![inst.tunnels[k].clone()],
         demands: vec![inst.demands[k].clone()],
     }
-}
-
-/// Per-arc usage needed to realize `served` for the (single-class)
-/// instance in `scen`, using the canonical short-path-preferring routing.
-fn arc_usage(inst: &Instance, scen: &Scenario, served: &[f64]) -> Vec<f64> {
-    let mut alloc = ScenAlloc::new(inst, scen, Sense::Max);
-    let df = scen.demand_factor;
-    let eps = alloc.model.add_var("eps", 0.0, 1.0, -1e6);
-    for p in 0..inst.num_pairs() {
-        let d = inst.demands[0][p] * df;
-        if !alloc.pair_alive[0][p] || d <= 0.0 {
-            continue;
-        }
-        let coeffs = alloc.served_coeffs(0, p);
-        alloc.model.add_row_le(&coeffs, d);
-        let mut floor = coeffs.clone();
-        floor.push((eps, d));
-        alloc.model.add_row_ge(&floor, (served[p] - 1e-7).max(0.0));
-        for (t, &v) in alloc.x[0][p].iter().enumerate() {
-            let hops = (inst.tunnels[0].tunnels[p][t].len() as f64).max(1.0);
-            alloc.model.set_obj(v, -hops);
-        }
-    }
-    let sol = alloc.model.solve().expect("elastic usage LP is feasible");
-    let mut usage = vec![0.0; inst.num_arcs()];
-    for p in 0..inst.num_pairs() {
-        for (t, &v) in alloc.x[0][p].iter().enumerate() {
-            let amt = sol.value(v);
-            if amt > 0.0 {
-                for a in inst.arc_ids(&inst.tunnels[0].tunnels[p][t]) {
-                    usage[a] += amt;
-                }
-            }
-        }
-    }
-    usage
 }
 
 /// Run the strict-priority design. Classes are processed in the instance's
@@ -109,24 +75,16 @@ pub fn solve_flexile_lexicographic(
             let promised: Vec<f64> =
                 (0..sub.num_flows()).map(|f| design.offline_loss[f][q]).collect();
             let l = online_allocate(&sub, scen, &critical, &promised);
-            let served: Vec<f64> = (0..sub.num_pairs())
-                .map(|p| (1.0 - l[p]).max(0.0) * sub.demands[0][p] * scen.demand_factor)
-                .collect();
             for p in 0..sub.num_pairs() {
                 loss[inst.flow_index(k, p)][q] = l[p];
             }
             if k + 1 < inst.num_classes() {
-                let usage = arc_usage(&sub, scen, &served);
-                let s = &mut next_set.scenarios[q];
-                for l_idx in 0..inst.topo.num_links() {
-                    let cap = inst
-                        .topo
-                        .link(flexile_topo::LinkId(l_idx as u32))
-                        .capacity;
-                    let used = usage[2 * l_idx].max(usage[2 * l_idx + 1]);
-                    let left = (s.cap_factor[l_idx] * cap - used).max(0.0);
-                    s.cap_factor[l_idx] = if cap > 0.0 { left / cap } else { 0.0 };
-                }
+                let alloc = ScenAlloc::new(&sub, scen, Sense::Max);
+                let served: Vec<f64> = (0..sub.num_pairs())
+                    .map(|p| (1.0 - l[p]).max(0.0) * alloc.demand(0, p))
+                    .collect();
+                let rates = alloc.route_pinned(&served);
+                consume_capacity(&sub, 0, &rates[0], &mut next_set.scenarios[q]);
             }
         }
         residual_set = next_set;

@@ -8,12 +8,17 @@
 //!    feasible under numerical drift).
 //! 2. **Classes in priority order** — within each class, max-min
 //!    water-filling *on flow loss* over all flows of the class (critical
-//!    flows may exceed their reservation). Unlike SWAN, lower-priority
-//!    stages keep the higher classes' variables in the model and only pin
-//!    their served amounts, re-optimizing the *routing* of both classes
-//!    jointly (the paper's second §4.3 change).
+//!    flows may exceed their reservation). The water-fill is
+//!    [`ScenAlloc::waterfill`], the kernel SWAN-Maxmin also runs. Unlike
+//!    SWAN, lower-priority stages keep the higher classes' variables in the
+//!    model and only pin their served amounts, re-optimizing the *routing*
+//!    of both classes jointly (the paper's second §4.3 change).
 //! 3. **Residual fill** — a final pass maximizes total served demand with
 //!    lexicographic class weights.
+//!
+//! Demands are the scenario's ([`ScenAlloc::demand`], §4.4 traffic-matrix
+//! scenarios) and losses follow the shared served→loss rule
+//! ([`flexile_te::alloc::served_loss`]).
 //!
 //! ## Failure handling
 //!
@@ -176,15 +181,13 @@ fn lp_allocate(
     let nk = inst.num_classes();
     let np = inst.num_pairs();
     let mut alloc = ScenAlloc::new(inst, scen, Sense::Max);
-    // §4.4 TM scenarios: all demands scale by the scenario's factor.
-    let df = scen.demand_factor;
 
     // Demand caps for every live flow.
     for k in 0..nk {
         for p in 0..np {
-            if alloc.pair_alive[k][p] && inst.demands[k][p] > 0.0 {
+            if alloc.pair_alive[k][p] && alloc.demand(k, p) > 0.0 {
                 let coeffs = alloc.served_coeffs(k, p);
-                alloc.model.add_row_le(&coeffs, inst.demands[k][p] * df);
+                alloc.model.add_row_le(&coeffs, alloc.demand(k, p));
             }
         }
     }
@@ -193,7 +196,7 @@ fn lp_allocate(
     for k in 0..nk {
         for p in 0..np {
             let f = inst.flow_index(k, p);
-            let d = inst.demands[k][p] * df;
+            let d = alloc.demand(k, p);
             if !critical[f] || d <= 0.0 || !alloc.pair_alive[k][p] {
                 continue;
             }
@@ -210,13 +213,13 @@ fn lp_allocate(
     let mut served = vec![0.0; inst.num_flows()];
     // Class-priority water-filling with joint routing.
     for k in 0..nk {
-        let shares = waterfill_class(inst, &mut alloc, k, eps, df, reports)?;
+        let shares = alloc.waterfill(k, reports)?;
         for p in 0..np {
             served[inst.flow_index(k, p)] = shares[p];
         }
         // Pin this class's served amounts (routing stays free).
         for p in 0..np {
-            if alloc.pair_alive[k][p] && inst.demands[k][p] > 0.0 {
+            if alloc.pair_alive[k][p] && alloc.demand(k, p) > 0.0 {
                 let coeffs = alloc.served_coeffs(k, p);
                 alloc.model.add_row_ge(&coeffs, shares[p] - 1e-7);
             }
@@ -253,112 +256,9 @@ fn lp_allocate(
     }
 
     let losses = (0..inst.num_flows())
-        .map(|f| {
-            let k = inst.flow_class(f);
-            let p = inst.flow_pair(f);
-            let d = inst.demands[k][p] * df;
-            if d <= 0.0 {
-                0.0
-            } else if !alloc.pair_alive[k][p] {
-                1.0
-            } else {
-                clamp_loss(1.0 - served[f] / d)
-            }
-        })
+        .map(|f| alloc.loss(inst.flow_class(f), inst.flow_pair(f), served[f]))
         .collect();
     Ok((losses, skipped))
-}
-
-/// Max-min water-filling on served fraction for one class inside the joint
-/// model. Returns per-pair served amounts, or the terminal error of the
-/// first solve the robust ladder could not rescue.
-fn waterfill_class(
-    inst: &Instance,
-    alloc: &mut ScenAlloc,
-    k: usize,
-    eps: flexile_lp::VarId,
-    demand_factor: f64,
-    reports: &mut Vec<SolveReport>,
-) -> Result<Vec<f64>, LpError> {
-    let np = inst.num_pairs();
-    let demands: Vec<f64> = inst.demands[k].iter().map(|d| d * demand_factor).collect();
-    let mut frozen: Vec<Option<f64>> = (0..np)
-        .map(|p| {
-            if demands[p] <= 0.0 || !alloc.pair_alive[k][p] {
-                Some(0.0)
-            } else {
-                None
-            }
-        })
-        .collect();
-    let t_var = alloc.model.add_var(&format!("t_{k}"), 0.0, 1.0, 0.0);
-    let mut served = vec![0.0; np];
-    for _round in 0..16 {
-        let unfrozen: Vec<usize> = (0..np).filter(|&p| frozen[p].is_none()).collect();
-        if unfrozen.is_empty() {
-            break;
-        }
-        let mut m = alloc.model.clone();
-        m.set_obj(t_var, 1.0);
-        m.set_obj(eps, -1e5);
-        for p in 0..np {
-            match frozen[p] {
-                Some(fr) if demands[p] > 0.0 && alloc.pair_alive[k][p] => {
-                    let coeffs = alloc.served_coeffs(k, p);
-                    m.add_row_ge(&coeffs, fr * demands[p] - 1e-9);
-                }
-                None => {
-                    let mut coeffs = alloc.served_coeffs(k, p);
-                    coeffs.push((t_var, -demands[p]));
-                    m.add_row_ge(&coeffs, 0.0);
-                }
-                _ => {}
-            }
-        }
-        let out = solve_robust(&m, &SimplexOptions::default(), None);
-        reports.push(out.report);
-        let sol = out.result?;
-        let t = sol.value(t_var);
-        if t >= 1.0 - 1e-9 {
-            for &p in &unfrozen {
-                frozen[p] = Some(1.0);
-            }
-            break;
-        }
-        // Freeze detection via a throughput-max pass at floor t.
-        let mut m2 = m.clone();
-        m2.set_obj(t_var, 0.0);
-        m2.set_bounds(t_var, (t - 1e-9).max(0.0), 1.0);
-        for &p in &unfrozen {
-            for (v, _) in alloc.served_coeffs(k, p) {
-                m2.set_obj(v, 1.0);
-            }
-        }
-        let out2 = solve_robust(&m2, &SimplexOptions::default(), None);
-        reports.push(out2.report);
-        let sol2 = out2.result?;
-        let mut newly = 0;
-        for &p in &unfrozen {
-            let got = alloc.served_at(&sol2, k, p);
-            served[p] = got;
-            if got <= t * demands[p] + 1e-6 {
-                frozen[p] = Some(t);
-                newly += 1;
-            }
-        }
-        if newly == 0 {
-            for &p in &unfrozen {
-                frozen[p] = Some((served[p] / demands[p]).min(1.0));
-            }
-            break;
-        }
-    }
-    for p in 0..np {
-        if let Some(fr) = frozen[p] {
-            served[p] = fr * demands[p];
-        }
-    }
-    Ok(served)
 }
 
 /// Frozen-share carry-forward: keep the previous interval's loss for every

@@ -30,8 +30,8 @@
 //!   perturbation) with an auditable [`SolveReport`], and a deterministic
 //!   [`FaultInjector`] for chaos-testing every failure path. The ladder is
 //!   the only retry policy: [`Model::solve`] and [`Model::solve_with`] run
-//!   it, and one [`SimplexOptions`] (iteration cap, engine, pricing,
-//!   presolve) configures every rung.
+//!   it, and one [`SimplexOptions`] (iteration cap, engine, presolve)
+//!   configures every rung; the pricing rule is a rung setting.
 //!
 //! The solver is exact up to the feasibility tolerance [`tol::FEAS_TOL`]
 //! (`1e-7`). With the sparse LU basis engine the per-pivot cost scales with
@@ -76,4 +76,4 @@ pub use mip::{solve_mip, MipOptions, MipResult, MipStatus};
 pub use model::{Cmp, Model, RowId, Sense, VarId};
 pub use robust::{solve_robust, RobustOutcome, Rung, RungAttempt, SolveReport};
 pub use rowgen::{solve_with_rowgen, RowGenOptions, RowGenResult, RowSpec};
-pub use simplex::{Basis, Pricing, RestartKind, SimplexOptions, Solution, SolveScratch, SolveStatus};
+pub use simplex::{Basis, RestartKind, SimplexOptions, Solution, SolveScratch, SolveStatus};

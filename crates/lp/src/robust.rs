@@ -9,7 +9,8 @@
 //! and Bland's rule:
 //!
 //! 1. **Warm** — the caller's options and warm basis: presolve on cold
-//!    starts if enabled, the default refactorization interval (60 pivots).
+//!    starts if enabled, the default refactorization interval (60 pivots),
+//!    pricing picked per solve from the model's shape.
 //! 2. **ColdRefactor** — cold start, Dantzig pricing (no devex weight
 //!    state), refactorize every 8 pivots.
 //! 3. **BlandSafe** — cold start, Bland's rule from the first pivot, tight
@@ -40,7 +41,7 @@
 
 use crate::error::LpError;
 use crate::model::Model;
-use crate::simplex::{attempt, Basis, Mode, Pricing, SimplexOptions, Solution};
+use crate::simplex::{attempt, Basis, Mode, SimplexOptions, Solution};
 use crate::EngineKind;
 use std::time::Instant;
 
@@ -226,14 +227,13 @@ pub(crate) fn ladder(
     quiet: bool,
 ) -> RobustOutcome {
     let mut report = SolveReport::default();
-    let cold = SimplexOptions { pricing: Pricing::Dantzig, ..*opts };
     // Bland safe mode on the dense oracle engine, so a failure tied to the
     // sparse LU/eta representation cannot reproduce itself here.
     let bland = SimplexOptions { engine: EngineKind::Dense, ..*opts };
 
     let rungs = [
         (Rung::Warm, opts, warm, Mode::DEFAULT),
-        (Rung::ColdRefactor, &cold, None, Mode::SHORT_REFACTOR),
+        (Rung::ColdRefactor, opts, None, Mode::SHORT_REFACTOR),
         (Rung::BlandSafe, &bland, None, Mode::BLAND),
     ];
     for (rung, o, w, mode) in rungs {
@@ -261,7 +261,7 @@ pub(crate) fn ladder(
         Ok(psol) => {
             // Clean-up: re-solve the *original* model warm from the
             // perturbed basis; usually a handful of pivots.
-            match attempt(model, &cold, Some(&psol.basis), Mode::SHORT_REFACTOR) {
+            match attempt(model, opts, Some(&psol.basis), Mode::SHORT_REFACTOR) {
                 Ok(sol) => {
                     report.record(
                         quiet,

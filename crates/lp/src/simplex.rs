@@ -18,7 +18,7 @@
 //!   pivot, refactorized from scratch periodically (and whenever drift is
 //!   detected); the explicit dense inverse survives as the selectable
 //!   [`EngineKind::Dense`] oracle.
-//! * Pricing is devex by default ([`Pricing::Devex`]: candidate scores
+//! * Pricing is devex by default (`Pricing::Devex`: candidate scores
 //!   `d_j²/w_j` with reference weights updated per pivot) over a
 //!   **candidate list** refilled incrementally from a rotating cursor:
 //!   when the list runs dry the scan resumes where the previous refill
@@ -26,7 +26,8 @@
 //!   successive refills cover fresh columns instead of re-pricing the same
 //!   prefix. Only a refill that wraps the full column range without
 //!   finding an attractive column declares optimality. Dantzig scoring
-//!   remains selectable ([`Pricing::Dantzig`]) for the retry/robust paths.
+//!   (`Pricing::Dantzig`) is the rule of the [`crate::solve_robust`] retry
+//!   rungs; the pricing rule is a rung setting, not a caller option.
 //!   After a run of degenerate pivots the solver switches to Bland's rule
 //!   (full lowest-index scan), which guarantees termination, and switches
 //!   back once progress resumes.
@@ -96,16 +97,16 @@ pub enum SolveStatus {
     Unbounded,
 }
 
-/// Pricing rule used by the primal phases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Pricing {
-    /// Pick the rule per solve (the default): Dantzig for *cold* solves of
+/// Pricing rule used by the primal phases. A rung setting ([`Mode`]): only
+/// the escalation ladder picks it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Pricing {
+    /// Pick the rule per solve (rung 1's rule): Dantzig for *cold* solves of
     /// models dominated by a dense column (the MLU / max-concurrent-flow
     /// shape, where devex's reference weights chase the dense column's large
     /// steepest-edge norms and pay ~7% extra pivots — the PR 8 regression),
     /// devex everywhere else. Warm-started solves always use devex: their
     /// phase-2 runs are short and devex's weight framework wins there.
-    #[default]
     Auto,
     /// Devex reference-framework pricing: candidate scores are
     /// `d_j² / w_j` with reference weights updated after every pivot, which
@@ -146,8 +147,6 @@ pub struct SimplexOptions {
     /// inverse remains selectable as a differential-testing oracle and is
     /// what the Bland-safe rung of [`crate::solve_robust`] uses.
     pub engine: EngineKind,
-    /// Primal pricing rule (see [`Pricing`]). Ignored on the Bland-safe rung.
-    pub pricing: Pricing,
     /// Run the presolve/postsolve pass ([`crate::presolve`]) before a cold
     /// solve. On by default; callers that need the *unreduced* dual vector
     /// bit-for-bit (the Benders cut extraction) turn it off. Always skipped
@@ -161,7 +160,6 @@ impl Default for SimplexOptions {
         SimplexOptions {
             max_iters: 0,
             engine: EngineKind::default(),
-            pricing: Pricing::default(),
             presolve: true,
         }
     }
@@ -173,18 +171,24 @@ impl Default for SimplexOptions {
 pub(crate) struct Mode {
     /// Pivots between basis refactorizations (the eta-chain-length trigger).
     pub refactor_every: usize,
+    /// Primal pricing rule. Ignored under `bland`.
+    pub pricing: Pricing,
     /// Bland's rule from the first pivot, never left. Cycle-proof but slow;
     /// also skips presolve and the bound-shift crash ([`crate::crash`]).
     pub bland: bool,
 }
 
 impl Mode {
-    /// Rung 1: the measured default refactorization interval.
-    pub const DEFAULT: Mode = Mode { refactor_every: 60, bland: false };
-    /// Rungs 2 and 4: refactorize every 8 pivots.
-    pub const SHORT_REFACTOR: Mode = Mode { refactor_every: 8, bland: false };
-    /// Rung 3: Bland's rule under the short interval.
-    pub const BLAND: Mode = Mode { refactor_every: 8, bland: true };
+    /// Rung 1: the measured default refactorization interval, pricing
+    /// picked per solve.
+    pub const DEFAULT: Mode = Mode { refactor_every: 60, pricing: Pricing::Auto, bland: false };
+    /// Rung 2 and rung 4's clean-up: refactorize every 8 pivots under
+    /// Dantzig pricing (no devex weight state).
+    pub const SHORT_REFACTOR: Mode =
+        Mode { refactor_every: 8, pricing: Pricing::Dantzig, bland: false };
+    /// Rung 3 and rung 4's perturbed solve: Bland's rule under the short
+    /// interval.
+    pub const BLAND: Mode = Mode { refactor_every: 8, pricing: Pricing::Auto, bland: true };
 }
 
 /// A basis snapshot usable for warm-starting a later solve.
@@ -1131,7 +1135,7 @@ fn solve_attempt_traced(
     }
     let ctl = PhaseCtl {
         bland: mode.bland,
-        pricing: resolve_pricing(opts.pricing, model, warm.is_some()),
+        pricing: resolve_pricing(mode.pricing, model, warm.is_some()),
     };
     let n = model.num_vars();
     let m = model.num_rows();
@@ -1492,6 +1496,85 @@ mod tests {
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "expected {b}, got {a}");
+    }
+
+    /// Random bounded-variable LP, feasible by construction (the RHS comes
+    /// from a random interior point of the box): fixed columns, singleton
+    /// rows and all-positive capacity rows mixed with general rows.
+    fn random_boxed_lp(seed: u64) -> Model {
+        use crate::model::Cmp;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.random_range(3..14usize);
+        let sense = if rng.random_range(0..2u32) == 0 { Sense::Min } else { Sense::Max };
+        let mut m = Model::new(sense);
+        let mut vars = Vec::with_capacity(n);
+        let mut interior = Vec::with_capacity(n);
+        for j in 0..n {
+            let lb =
+                if rng.random_range(0.0..1.0) < 0.3 { rng.random_range(-5.0..0.0) } else { 0.0 };
+            let ub =
+                if rng.random_range(0.0..1.0) < 0.15 { lb } else { lb + rng.random_range(1.0..10.0) };
+            vars.push(m.add_var(&format!("v{j}"), lb, ub, rng.random_range(-5.0..5.0)));
+            interior.push(lb + (ub - lb) * rng.random_range(0.2..0.8));
+        }
+        for _ in 0..rng.random_range(2..12usize) {
+            let all_pos = rng.random_range(0.0..1.0) < 0.4;
+            let singleton = rng.random_range(0.0..1.0) < 0.25;
+            let mut coeffs = Vec::new();
+            let mut lhs = 0.0;
+            for (j, &v) in vars.iter().enumerate() {
+                if !singleton && rng.random_range(0.0..1.0) >= 0.45 {
+                    continue;
+                }
+                let c = if all_pos || rng.random_range(0.0..1.0) < 0.6 {
+                    1.0
+                } else {
+                    rng.random_range(-2.0..2.0)
+                };
+                coeffs.push((v, c));
+                lhs += c * interior[j];
+                if singleton {
+                    break;
+                }
+            }
+            if coeffs.is_empty() {
+                continue;
+            }
+            let margin = rng.random_range(0.0..3.0);
+            match rng.random_range(0..3u32) {
+                0 => m.add_row(&coeffs, Cmp::Le, lhs + margin),
+                1 => m.add_row(&coeffs, Cmp::Ge, lhs - margin),
+                _ => m.add_row(&coeffs, Cmp::Eq, lhs),
+            };
+        }
+        m
+    }
+
+    /// Devex vs Dantzig pricing: the same optimal value on every LP of the
+    /// corpus (pivot sequences differ, optima must not).
+    #[test]
+    fn devex_matches_dantzig() {
+        use super::{attempt, Mode, Pricing};
+        let opts = crate::SimplexOptions::default();
+        for seed in 0..120u64 {
+            let m = random_boxed_lp(seed);
+            let run = |pricing| attempt(&m, &opts, None, Mode { pricing, ..Mode::DEFAULT });
+            let (devex, dantzig) = match (run(Pricing::Devex), run(Pricing::Dantzig)) {
+                (Ok(a), Ok(b)) => (a, b),
+                (a, b) => panic!("seed {seed}: pricing rules disagree: {a:?} vs {b:?}"),
+            };
+            let tol = 1e-9 * (1.0 + devex.objective.abs());
+            assert!(
+                (devex.objective - dantzig.objective).abs() <= tol,
+                "seed {seed}: devex {} vs dantzig {}",
+                devex.objective,
+                dantzig.objective
+            );
+            assert!(m.max_violation(&devex.x) <= 1e-6, "seed {seed}: devex infeasible");
+            assert!(m.max_violation(&dantzig.x) <= 1e-6, "seed {seed}: dantzig infeasible");
+        }
     }
 
     #[test]

@@ -306,7 +306,7 @@ fn scenario_excess(inst: &Instance, scen: &Scenario, alpha: &[f64]) -> f64 {
     let t = alloc.model.add_var("t", 0.0, 1.0, 1.0);
     let mut any = false;
     for p in 0..inst.num_pairs() {
-        let d = inst.demands[0][p];
+        let d = alloc.demand(0, p);
         if d <= 0.0 || !alloc.pair_alive[0][p] {
             continue;
         }
@@ -332,7 +332,7 @@ fn best_response_losses(inst: &Instance, scen: &Scenario, alpha: &[f64]) -> Vec<
     let np = inst.num_pairs();
     let t = alloc.model.add_var("t", 0.0, 1.0, 1.0);
     for p in 0..np {
-        let d = inst.demands[0][p];
+        let d = alloc.demand(0, p);
         if d <= 0.0 || !alloc.pair_alive[0][p] {
             continue;
         }
@@ -356,18 +356,7 @@ fn best_response_losses(inst: &Instance, scen: &Scenario, alpha: &[f64]) -> Vec<
         }
     }
     let sol2 = alloc.model.solve().expect("best-response stage 2");
-    (0..np)
-        .map(|p| {
-            let d = inst.demands[0][p];
-            if d <= 0.0 {
-                0.0
-            } else if !alloc.pair_alive[0][p] {
-                1.0
-            } else {
-                alloc.loss_at(&sol2, 0, p)
-            }
-        })
-        .collect()
+    alloc.losses_at(&sol2)
 }
 
 #[cfg(test)]

@@ -38,7 +38,7 @@ pub fn scen_best_scenario(inst: &Instance, scen: &Scenario, drop_disconnected: b
     let mut disconnected_with_demand = false;
     let z = alloc.model.add_var("z", 0.0, 1.0, 1.0);
     for p in 0..np {
-        let d = inst.demands[0][p];
+        let d = alloc.demand(0, p);
         if d <= 0.0 {
             continue;
         }
@@ -66,25 +66,13 @@ pub fn scen_best_scenario(inst: &Instance, scen: &Scenario, drop_disconnected: b
             continue;
         }
         let coeffs = alloc.served_coeffs(0, p);
-        alloc.model.add_row_le(&coeffs, inst.demands[0][p]);
+        alloc.model.add_row_le(&coeffs, alloc.demand(0, p));
         for &(v, _) in &coeffs {
             alloc.model.set_obj(v, 1.0);
         }
     }
     let sol2 = alloc.model.solve().expect("ScenBest throughput LP must be feasible");
-
-    (0..np)
-        .map(|p| {
-            let d = inst.demands[0][p];
-            if d <= 0.0 {
-                0.0
-            } else if !alloc.pair_alive[0][p] {
-                1.0
-            } else {
-                alloc.loss_at(&sol2, 0, p)
-            }
-        })
-        .collect()
+    alloc.losses_at(&sol2)
 }
 
 /// The optimal per-scenario worst-flow loss (`ScenLoss` lower bound) for a
@@ -147,7 +135,7 @@ pub fn scen_best_multi_scenario(inst: &Instance, scen: &Scenario) -> Vec<f64> {
     for k in 0..nk {
         let z = alloc.model.add_var(&format!("z_{k}"), 0.0, 1.0, 0.0);
         for p in 0..np {
-            let d = inst.demands[k][p];
+            let d = alloc.demand(k, p);
             if d <= 0.0 || !alloc.pair_alive[k][p] {
                 continue;
             }
@@ -181,21 +169,7 @@ pub fn scen_best_multi_scenario(inst: &Instance, scen: &Scenario) -> Vec<f64> {
         weight *= 1000.0;
     }
     let sol = alloc.model.solve().expect("ScenBest-Multi throughput LP");
-    let mut out = vec![0.0; inst.num_flows()];
-    for k in 0..nk {
-        for p in 0..np {
-            let f = inst.flow_index(k, p);
-            let d = inst.demands[k][p];
-            out[f] = if d <= 0.0 {
-                0.0
-            } else if !alloc.pair_alive[k][p] {
-                1.0
-            } else {
-                alloc.loss_at(&sol, k, p)
-            };
-        }
-    }
-    out
+    alloc.losses_at(&sol)
 }
 
 #[cfg(test)]

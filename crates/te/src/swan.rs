@@ -3,18 +3,18 @@
 //! Both SWAN variants allocate per scenario with strict class priority:
 //! higher-priority classes are allocated first and their tunnel usage is
 //! subtracted from link capacity before lower classes run (unlike Flexile's
-//! online phase, which re-optimizes routing jointly — §4.3).
+//! online phase, which re-optimizes routing jointly — §4.3). The usage is
+//! the class's [`ScenAlloc::route_pinned`] routing, subtracted by
+//! [`consume_capacity`].
 //!
 //! * **SWAN-Throughput** maximizes total served demand per class. As the
 //!   paper notes (§6.2), this can starve unlucky flows entirely: on a path
 //!   A-B-C it prefers one unit each of A-B and B-C over any A-C traffic.
-//! * **SWAN-Maxmin** approximates max-min fairness per class by iterative
-//!   water-filling: repeatedly maximize the common served fraction `t` of
-//!   unfrozen pairs, then freeze the pairs that cannot exceed `t` (detected
-//!   by a secondary total-throughput LP), until every pair is frozen or
-//!   fully served. This mirrors SWAN's iterative approximation.
+//! * **SWAN-Maxmin** approximates max-min fairness per class with SWAN's
+//!   iterative water-fill, [`ScenAlloc::waterfill`] — the same kernel
+//!   Flexile's online controller runs.
 
-use crate::alloc::ScenAlloc;
+use crate::alloc::{consume_capacity, ScenAlloc};
 use crate::types::{clamp_loss, SchemeResult};
 use flexile_lp::Sense;
 use flexile_scenario::{Scenario, ScenarioSet};
@@ -54,7 +54,7 @@ pub fn swan_throughput_scenario(inst: &Instance, scen: &Scenario) -> Vec<f64> {
                 continue;
             }
             let coeffs = alloc.served_coeffs(k, p);
-            alloc.model.add_row_le(&coeffs, alloc.inst.demands[k][p]);
+            alloc.model.add_row_le(&coeffs, alloc.demand(k, p));
             for (v, _) in coeffs {
                 alloc.model.set_obj(v, 1.0);
             }
@@ -69,7 +69,15 @@ pub fn swan_throughput_scenario(inst: &Instance, scen: &Scenario) -> Vec<f64> {
 /// Per-scenario SWAN-Maxmin: classes in priority order; within a class,
 /// iterative water-filling on served fraction.
 pub fn swan_maxmin_scenario(inst: &Instance, scen: &Scenario) -> Vec<f64> {
-    per_class_sequential(inst, scen, maxmin_one_class)
+    per_class_sequential(inst, scen, |alloc, k| {
+        for p in 0..alloc.inst.num_pairs() {
+            if alloc.pair_alive[k][p] && alloc.demand(k, p) > 0.0 {
+                let coeffs = alloc.served_coeffs(k, p);
+                alloc.model.add_row_le(&coeffs, alloc.demand(k, p));
+            }
+        }
+        alloc.waterfill(k, &mut Vec::new()).expect("SWAN-Maxmin water-fill LP")
+    })
 }
 
 /// Run `allocate(class)` for each class in priority order, reducing link
@@ -98,171 +106,18 @@ where
         }
         let served = allocate(&mut alloc, k);
         for p in 0..inst.num_pairs() {
-            let f = inst.flow_index(k, p);
-            let d = inst.demands[k][p];
-            losses[f] = if d <= 0.0 {
-                0.0
-            } else if !alloc.pair_alive[k][p] {
-                1.0
-            } else {
-                clamp_loss(1.0 - served[p] / d)
-            };
+            losses[inst.flow_index(k, p)] = alloc.loss(k, p, served[p]);
         }
-        // Subtract the class's arc usage from the capacity factors. We
-        // re-solve the final allocation to read tunnel-level usage.
         if k + 1 < inst.num_classes() {
-            let usage = final_arc_usage(inst, &alloc, k, &served);
-            for l in 0..inst.topo.num_links() {
-                let cap = inst.topo.link(flexile_topo::LinkId(l as u32)).capacity;
-                // The binding direction is whichever arc is more used.
-                let used = usage[2 * l].max(usage[2 * l + 1]);
-                let left = (scen_k.cap_factor[l] * cap - used).max(0.0);
-                scen_k.cap_factor[l] = if cap > 0.0 { left / cap } else { 0.0 };
+            let mut pinned = vec![0.0; inst.num_flows()];
+            for p in 0..inst.num_pairs() {
+                pinned[inst.flow_index(k, p)] = served[p];
             }
+            let rates = ScenAlloc::new(inst, &scen_k, Sense::Max).route_pinned(&pinned);
+            consume_capacity(inst, k, &rates[k], &mut scen_k);
         }
     }
     losses
-}
-
-/// Extract per-arc usage of class `k` by re-solving the skeleton with the
-/// served amounts pinned (minimizing total hop-bandwidth for determinism).
-fn final_arc_usage(inst: &Instance, alloc: &ScenAlloc, k: usize, served: &[f64]) -> Vec<f64> {
-    let mut model = alloc.model.clone();
-    for p in 0..inst.num_pairs() {
-        if !alloc.pair_alive[k][p] {
-            continue;
-        }
-        let coeffs = alloc.served_coeffs(k, p);
-        // Pin the served amount (within tolerance).
-        model.add_row_ge(&coeffs, served[p] - 1e-7);
-        for (v, _) in coeffs {
-            model.set_obj(v, 0.0);
-        }
-    }
-    // Minimize total bandwidth-hops to get a canonical routing. The model
-    // has Max sense, so minimizing hops means maximizing their negative.
-    let mut m2 = model.clone();
-    for p in 0..inst.num_pairs() {
-        for (t, &v) in alloc.x[k][p].iter().enumerate() {
-            let hops = (inst.tunnels[k].tunnels[p][t].len() as f64).max(1.0);
-            m2.set_obj(v, -hops);
-        }
-    }
-    let sol = match m2.solve() {
-        Ok(s) => s,
-        Err(_) => model.solve().expect("usage extraction LP"),
-    };
-    let mut usage = vec![0.0; inst.num_arcs()];
-    for p in 0..inst.num_pairs() {
-        for (t, &v) in alloc.x[k][p].iter().enumerate() {
-            let amt = sol.value(v);
-            if amt > 0.0 {
-                for a in inst.arc_ids(&inst.tunnels[k].tunnels[p][t]) {
-                    usage[a] += amt;
-                }
-            }
-        }
-    }
-    usage
-}
-
-/// Iterative max-min water-filling for one class inside a prepared
-/// skeleton. Returns per-pair served amounts.
-fn maxmin_one_class(alloc: &mut ScenAlloc, k: usize) -> Vec<f64> {
-    let np = alloc.inst.num_pairs();
-    let demands = alloc.inst.demands[k].clone();
-    // frozen[p] = Some(fraction) once the pair's share is finalized.
-    let mut frozen: Vec<Option<f64>> = (0..np)
-        .map(|p| {
-            if demands[p] <= 0.0 || !alloc.pair_alive[k][p] {
-                Some(0.0)
-            } else {
-                None
-            }
-        })
-        .collect();
-
-    // Demand caps once.
-    for p in 0..np {
-        if alloc.pair_alive[k][p] && demands[p] > 0.0 {
-            let coeffs = alloc.served_coeffs(k, p);
-            alloc.model.add_row_le(&coeffs, demands[p]);
-        }
-    }
-
-    let t_var = alloc.model.add_var("t", 0.0, 1.0, 0.0);
-    // Floor rows for every eligible pair: served - t*d >= (frozen? f*d : 0).
-    // We add floor rows lazily per round because the floor target changes.
-    let mut served_final = vec![0.0; np];
-    for _round in 0..24 {
-        let unfrozen: Vec<usize> = (0..np).filter(|&p| frozen[p].is_none()).collect();
-        if unfrozen.is_empty() {
-            break;
-        }
-        // Build this round's model copy with floors.
-        let mut m = alloc.model.clone();
-        m.set_obj(t_var, 1.0);
-        for p in 0..np {
-            match frozen[p] {
-                Some(frac) if demands[p] > 0.0 && alloc.pair_alive[k][p] => {
-                    let coeffs = alloc.served_coeffs(k, p);
-                    m.add_row_ge(&coeffs, frac * demands[p] - 1e-9);
-                }
-                None => {
-                    let mut coeffs = alloc.served_coeffs(k, p);
-                    coeffs.push((t_var, -demands[p]));
-                    m.add_row_ge(&coeffs, 0.0);
-                }
-                _ => {}
-            }
-        }
-        let sol = m.solve().expect("maxmin t LP");
-        let t = sol.value(t_var);
-        if t >= 1.0 - 1e-9 {
-            for &p in &unfrozen {
-                frozen[p] = Some(1.0);
-            }
-            for p in 0..np {
-                served_final[p] = frozen[p].unwrap_or(1.0) * demands[p];
-            }
-            break;
-        }
-        // Freeze detection: maximize total served with the floor at t; pairs
-        // stuck at t are frozen there.
-        let mut m2 = m.clone();
-        m2.set_obj(t_var, 0.0);
-        m2.set_bounds(t_var, (t - 1e-9).max(0.0), 1.0);
-        for &p in &unfrozen {
-            for (v, _) in alloc.served_coeffs(k, p) {
-                m2.set_obj(v, 1.0);
-            }
-        }
-        let sol2 = m2.solve().expect("maxmin freeze LP");
-        let mut newly = 0;
-        for &p in &unfrozen {
-            let got = alloc.served_at(&sol2, k, p);
-            served_final[p] = got;
-            if got <= t * demands[p] + 1e-6 {
-                frozen[p] = Some(t);
-                newly += 1;
-            }
-        }
-        if newly == 0 {
-            // Safety: freeze everything at its current share.
-            for &p in &unfrozen {
-                frozen[p] = Some(served_final[p] / demands[p]);
-            }
-            break;
-        }
-    }
-    // Any pair still unfrozen keeps its last observed share; frozen pairs
-    // yield exactly their frozen share.
-    for p in 0..np {
-        if let Some(frac) = frozen[p] {
-            served_final[p] = frac * demands[p];
-        }
-    }
-    served_final
 }
 
 #[cfg(test)]

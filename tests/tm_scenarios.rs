@@ -98,3 +98,39 @@ fn flexile_designs_across_demand_levels() {
     let pl = perc_loss(&m, &[0, 1], 0.95);
     assert!(pl <= design.penalty + 0.05, "online PercLoss {pl} vs offline {}", design.penalty);
 }
+
+#[test]
+fn surge_scenario_losses_honor_the_demand_factor() {
+    // All links alive at the 2× level: each flow wants 1.6 but A's two
+    // unit links carry 2.0 in total, so every per-scenario scheme must
+    // lose traffic in this scenario.
+    use flexile::te::{mcf, swan};
+    let (inst, set) = fig1(0.99);
+    let tm = with_demand_levels(&set, &[(1.0, 0.7), (2.0, 0.3)]);
+    let surge = tm
+        .scenarios
+        .iter()
+        .find(|s| s.failed_units.is_empty() && s.demand_factor == 2.0)
+        .unwrap();
+    let worst = |l: &[f64]| l.iter().copied().fold(0.0, f64::max);
+    let best = mcf::scen_best_scenario(&inst, surge, true);
+    assert!(worst(&best) > 0.0, "ScenBest {best:?}");
+    let maxmin = swan::swan_maxmin_scenario(&inst, surge);
+    assert!(worst(&maxmin) > 0.0, "SWAN-Maxmin {maxmin:?}");
+    let thr = swan::swan_throughput_scenario(&inst, surge);
+    assert!(worst(&thr) > 0.0, "SWAN-Throughput {thr:?}");
+    let opt = mcf::optimal_scen_loss(&inst, surge, true);
+    assert!(opt > 0.0, "optimal ScenLoss {opt}");
+
+    // The emulator's forwarding state admits what ScenBest serves, and no
+    // flow more than its surge demand.
+    let served: Vec<f64> =
+        (0..inst.num_flows()).map(|f| (1.0 - best[f]) * inst.flow_demand(f) * 2.0).collect();
+    let plans = flexile::emu::plans_from_served(&inst, surge, &served, 100);
+    for f in 0..inst.num_flows() {
+        let plan = &plans[inst.flow_class(f)][inst.flow_pair(f)];
+        let (got, want) = (plan.admitted, served[f]);
+        assert!((got - want).abs() < 1e-9, "flow {f} admitted {got}, served {want}");
+        assert!(plan.admitted <= inst.flow_demand(f) * 2.0, "flow {f} admitted {}", plan.admitted);
+    }
+}
