@@ -6,17 +6,18 @@
 //! pool, per-scenario caches and pruning flags, the best incumbent, the
 //! per-iteration statistics, the bound trajectory, and — crucially — each
 //! scenario's *solve-column history* (the sequence of criticality columns
-//! its pooled template solved since its last cold start).
+//! its pooled template solved since the template was built and seeded).
 //!
 //! **Warm bases are intentionally not persisted.** A basis snapshot is
 //! large, engine-specific, and version-fragile. Instead the decomposition
 //! is deterministic given each scenario's RHS chain: scenario `q`'s
-//! template state depends only on its own solve sequence (templates are
-//! never shared across scenarios — see the private `pool` module), so
-//! replaying the checkpointed chain through a fresh template performs
-//! bit-for-bit the same computation the uninterrupted run did and
-//! reconstructs the exact warm basis. `decompose_resume` does this replay
-//! before continuing. The pool's unit tests compare every slot's
+//! template starts from its demand factor's donor basis, which depends
+//! only on the problem, and after that only on its own solve sequence
+//! (templates are never shared across scenarios — see the private `pool`
+//! module). Resume re-solves the donors, so replaying the checkpointed
+//! chain through a fresh seeded template performs bit-for-bit the same
+//! computation the uninterrupted run did and reconstructs the exact warm
+//! basis. `decompose_resume` does this replay before continuing. The pool's unit tests compare every slot's
 //! [`flexile_lp::Basis::fingerprint`] after a snapshot/restore round trip
 //! with the uninterrupted run's; the crash tests assert that resumed runs
 //! reach bit-identical final designs.
@@ -55,7 +56,9 @@ use std::path::{Path, PathBuf};
 /// fingerprints (`problem_parts` / `options_parts`) so a mismatch names
 /// exactly which component diverged instead of reporting a bare mismatch.
 /// Version 3 dropped the batch-width options component (4 → 3 parts).
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// Version 4 chains start at the donor-seeded template rather than a cold
+/// one, so a version-3 chain would replay onto different bases.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 const MAGIC: &[u8; 8] = b"FLXCKPT\0";
 
@@ -196,8 +199,9 @@ pub struct CheckpointState {
     pub perfect: Vec<bool>,
     /// Pool LRU stamps (last iteration each template was used).
     pub stamps: Vec<u64>,
-    /// Per-scenario solve-column history since the template's last cold
-    /// start; replayed on resume to reconstruct warm bases exactly.
+    /// Per-scenario solve-column history since the template was last built
+    /// (and seeded with its donor basis); replayed on resume to
+    /// reconstruct warm bases exactly.
     pub chains: Vec<Vec<Vec<bool>>>,
     /// Best incumbent so far.
     pub best: Option<BestIncumbent>,

@@ -19,9 +19,12 @@
 //!   module):
 //!   one warm template *per scenario* so iteration `k+1` dual-restarts from
 //!   iteration `k`'s basis of the *same* scenario (the shared dual space /
-//!   warm-start trick of the reformulated `S_q`, finally applied across
-//!   iterations), with a work-stealing scheduler and a bounded
-//!   basis-residency budget. [`PoolPolicy`] selects a cold-every-iteration
+//!   warm-start trick of the reformulated `S_q`, applied across
+//!   iterations), and every template's first solve dual-restarts from a
+//!   donor basis (the all-alive scenario's all-critical optimum, one per
+//!   demand factor, solved before the first wave) — applied across
+//!   scenarios. A work-stealing scheduler and a bounded basis-residency
+//!   budget complete it. [`PoolPolicy`] selects a cold-every-iteration
 //!   baseline for A/B comparison.
 //!
 //! Each iteration yields a full routing, so an *incumbent* penalty is
@@ -33,11 +36,12 @@
 //!
 //! The loop's entire mutable state lives in one private `BendersState` that
 //! can be checkpointed at iteration boundaries (see [`crate::checkpoint`])
-//! and restored by [`decompose_resume`], which replays each scenario's
-//! solve chain to re-warm the pool and then continues to a final solution
-//! bit-identical to an uninterrupted run. Worker panics are contained and
-//! quarantined inside the pool. A warm restart cannot hang: the LP layer
-//! caps its dual repair at about a cold solve's pivots.
+//! and restored by [`decompose_resume`], which re-solves the donor bases,
+//! replays each scenario's solve chain to re-warm the pool and then
+//! continues to a final solution bit-identical to an uninterrupted run.
+//! Worker panics are contained and quarantined inside the pool. A warm
+//! restart cannot hang: the LP layer caps its dual repair at about a cold
+//! solve's pivots.
 
 use crate::checkpoint::{self, BestIncumbent, CheckpointError, CheckpointState};
 use crate::master::{solve_master, CutPool, MasterOptions};
@@ -240,10 +244,10 @@ pub fn solve_flexile(inst: &Instance, set: &ScenarioSet, opts: &FlexileOptions) 
 ///
 /// The checkpoint must match the given problem and options bit-for-bit
 /// (validated by fingerprint); version or checksum mismatches are refused
-/// with a typed [`CheckpointError`]. The pool is re-warmed by replaying
-/// each scenario's checkpointed solve chain — warm bases are never
-/// persisted — after which the continuation is bit-identical to the
-/// original trajectory.
+/// with a typed [`CheckpointError`]. The pool re-solves the donor bases
+/// and is re-warmed by replaying each scenario's checkpointed solve chain
+/// from its seeded template — warm bases are never persisted — after which
+/// the continuation is bit-identical to the original trajectory.
 pub fn decompose_resume(
     inst: &Instance,
     set: &ScenarioSet,
@@ -286,7 +290,7 @@ fn dispatch(
     state: BendersState,
     restore: Option<(usize, PoolSnapshot)>,
 ) -> FlexileDesign {
-    let ctx = PoolCtx { inst, set, loss_ub: prep.loss_ub.as_deref() };
+    let ctx = PoolCtx::new(inst, set, prep.loss_ub.as_deref());
     with_pool(ctx, opts.threads.max(1), opts.pool, |pool| {
         if let Some((it, snap)) = &restore {
             pool.restore(*it, snap);
@@ -642,7 +646,174 @@ fn run_decomposition(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::subproblem::tests::{fig1_instance, fig1_scenarios};
+    use crate::subproblem::tests::{
+        fig1_instance, fig1_scenarios, CERTIFICATE_FAILURES, CERTIFIED,
+    };
+    use flexile_lp::MipOptions;
+    use flexile_scenario::{enumerate_scenarios, model::link_units, EnumOptions};
+    use flexile_topo::{NodeId, Topology, TunnelClass, TunnelSet};
+    use flexile_traffic::ClassConfig;
+    use proptest::prelude::*;
+    use std::sync::atomic::Ordering;
+
+    /// The `design_wide` benchmark problem: Tinet at 40 pairs and MLU 0.6
+    /// with the max-feasible β, over up to 2 000 failure scenarios.
+    fn tinet40() -> (Instance, ScenarioSet) {
+        let topo = flexile_topo::topology_by_name("Tinet").expect("Tinet is in the zoo");
+        let seed = 7 ^ flexile_topo::zoo::fnv1a("Tinet");
+        let probs = flexile_scenario::link_failure_probs(
+            topo.num_links(),
+            flexile_scenario::weibull::DEFAULT_SHAPE,
+            flexile_scenario::weibull::DEFAULT_MEDIAN,
+            seed.rotate_left(17),
+        );
+        let units = link_units(&topo, &probs);
+        let set = enumerate_scenarios(
+            &units,
+            topo.num_links(),
+            &EnumOptions { prob_cutoff: 1e-6, max_scenarios: 2000, coverage_target: 0.9999 },
+        );
+        (Instance::single_class(topo, seed, 0.6, Some(40)), set)
+    }
+
+    /// A random single-class problem: a ring of `n` nodes plus the chords
+    /// `(i, i + 2)` that `chords` selects, three pairs, and β a fraction of
+    /// the max-feasible target over the 8 most likely scenarios.
+    fn random_problem(
+        n: usize,
+        chords: &[bool],
+        caps: &[f64],
+        demands: &[f64],
+        probs: &[f64],
+        beta_frac: f64,
+    ) -> (Instance, ScenarioSet) {
+        let mut links: Vec<(u32, u32)> = (0..n as u32).map(|i| (i, (i + 1) % n as u32)).collect();
+        for (i, &on) in chords.iter().enumerate().take(n) {
+            let (a, b) = (i as u32, ((i + 2) % n) as u32);
+            let dup = links.iter().any(|&(u, v)| (u, v) == (a, b) || (u, v) == (b, a));
+            if on && !dup {
+                links.push((a, b));
+            }
+        }
+        let edges: Vec<(u32, u32, f64)> =
+            links.iter().zip(caps).map(|(&(u, v), &c)| (u, v, c)).collect();
+        let topo = Topology::new("random", n, &edges);
+        let pairs = vec![
+            (NodeId(0), NodeId(2)),
+            (NodeId(1), NodeId(3)),
+            (NodeId(0), NodeId(n as u32 - 1)),
+        ];
+        let tunnels = TunnelSet::build(&topo, &pairs, TunnelClass::SingleClass);
+        let units = link_units(&topo, &probs[..topo.num_links()]);
+        let set = enumerate_scenarios(
+            &units,
+            topo.num_links(),
+            &EnumOptions { prob_cutoff: 0.0, max_scenarios: 8, coverage_target: 2.0 },
+        );
+        let mut class = ClassConfig::single();
+        class.beta = beta_frac * set.max_feasible_beta(&tunnels);
+        let inst = Instance {
+            topo,
+            pairs,
+            classes: vec![class],
+            tunnels: vec![tunnels],
+            demands: vec![demands.to_vec()],
+        };
+        (inst, set)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10))]
+
+        /// Oracle for the decomposition, sharing no code with it: Benders
+        /// run to convergence reaches the optimum of the extensive-form IP
+        /// (I) under both pool policies, and no cut it generated cuts off
+        /// the IP optimum's criticality.
+        #[test]
+        fn benders_matches_the_extensive_form_ip(
+            n in 4usize..6,
+            chords in prop::collection::vec(any::<bool>(), 5..6),
+            caps in prop::collection::vec(0.3f64..1.5, 10..11),
+            demands in prop::collection::vec(0.5f64..2.5, 3..4),
+            probs in prop::collection::vec(0.002f64..0.05, 10..11),
+            beta_frac in 0.85f64..1.0,
+        ) {
+            let (inst, set) = random_problem(n, &chords, &caps, &demands, &probs, beta_frac);
+            let mip = MipOptions::default();
+            let ip = crate::model::solve_ip(&inst, &set, &mip);
+            prop_assume!(ip.optimal);
+            let tol = mip.abs_gap.max(mip.rel_gap * ip.penalty.abs()) + 1e-7;
+            let cap_arc: Vec<Vec<f64>> = set
+                .scenarios
+                .iter()
+                .map(|s| {
+                    (0..inst.num_arcs())
+                        .map(|a| inst.arc_capacity(a) * s.cap_factor[inst.arc_link(a)])
+                        .collect()
+                })
+                .collect();
+            for pool in [PoolPolicy::PerScenario, PoolPolicy::Cold] {
+                let dir = std::env::temp_dir().join(format!(
+                    "flexile-benders-ip-{}-{:x}-{pool:?}",
+                    std::process::id(),
+                    ip.penalty.to_bits() ^ beta_frac.to_bits(),
+                ));
+                let _ = std::fs::remove_dir_all(&dir);
+                let opts = FlexileOptions {
+                    max_iterations: 50,
+                    threads: 2,
+                    pool,
+                    checkpoint_dir: Some(dir.clone()),
+                    ..Default::default()
+                };
+                let design = solve_flexile(&inst, &set, &opts);
+                prop_assert!(design.iterations.len() < 50, "{pool:?}: Benders did not converge");
+                prop_assert!(
+                    (design.penalty - ip.penalty).abs() <= tol,
+                    "{pool:?}: Benders {} vs IP {}",
+                    design.penalty,
+                    ip.penalty
+                );
+                // The final checkpoint holds the whole cut pool.
+                let ck = checkpoint::read_checkpoint(&checkpoint::checkpoint_path(&dir))
+                    .expect("final checkpoint");
+                let _ = std::fs::remove_dir_all(&dir);
+                for (q, cuts) in ck.cuts.iter().enumerate() {
+                    let z: Vec<f64> =
+                        ip.critical.iter().map(|row| if row[q] { 1.0 } else { 0.0 }).collect();
+                    for cut in cuts {
+                        let g = cut.eval(&z, &cap_arc[q]);
+                        prop_assert!(
+                            g <= ip.penalty + tol,
+                            "{pool:?}: a scenario-{q} cut bounds the IP optimum at {g} > {}",
+                            ip.penalty
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_subproblem_solve_certifies_on_tinet() {
+        // Oracle for the donor seeding: whichever basis a solve restarts
+        // from, the LP it solved and the primal/dual pair it returned must
+        // certify optimality independently of the simplex. Every
+        // subproblem solve in this crate's tests is certified; this test
+        // drives a full Tinet decomposition under both pool policies.
+        let (inst, set) = tinet40();
+        for pool in [PoolPolicy::PerScenario, PoolPolicy::Cold] {
+            let before = CERTIFIED.load(Ordering::Relaxed);
+            let opts = FlexileOptions { threads: 2, pool, ..Default::default() };
+            let design = solve_flexile(&inst, &set, &opts);
+            let failures = CERTIFICATE_FAILURES.lock().unwrap_or_else(|e| e.into_inner());
+            assert!(failures.is_empty(), "{pool:?}: {} failed certificates: {failures:?}", failures.len());
+            let solved: usize = design.iterations.iter().map(|s| s.solved).sum();
+            let certified = CERTIFIED.load(Ordering::Relaxed) - before;
+            assert!(solved > set.scenarios.len(), "{pool:?}: a multi-iteration design");
+            assert!(certified >= solved, "{pool:?}: {certified} certified of {solved} solves");
+        }
+    }
 
     /// Fig. 1 instance with the paper's explicit 99% requirement (the
     /// auto-derived max-feasible β ≈ 0.9998 makes zero PercLoss impossible

@@ -13,6 +13,15 @@
 //!   scenario (γ-variant loss bounds included), so iteration `k+1` restarts
 //!   scenario `q` from scenario `q`'s own optimal basis via the explicit
 //!   dual-simplex RHS path ([`flexile_lp::Model::solve_rhs_restart`]).
+//! * **Donor bases** — before the first wave, one *donor* per distinct
+//!   demand factor is solved serially: the lowest-index scenario with that
+//!   factor (the all-alive state in enumerated sets) at the all-critical
+//!   column, under a `flexile.donor` span. Every template the pool builds
+//!   — first build, LRU rebuild, quarantine rebuild, chain replay — is
+//!   seeded with its factor's donor basis, so even a scenario's first
+//!   solve is a dual restart rather than a cold two-phase solve. Templates
+//!   of different demand factors differ in their (17) coefficients and
+//!   never share a donor. [`PoolPolicy::Cold`] solves no donor.
 //! * **Persistent workers** — one `thread::scope` spans the *whole*
 //!   decomposition; workers park on a condvar between iterations instead of
 //!   being respawned, and iterations are dispatched as epochs.
@@ -30,7 +39,7 @@
 //!
 //! A panic inside a subproblem solve is **contained**: the solve runs under
 //! `catch_unwind`, the panicking scenario's template is *quarantined*
-//! (dropped, so the next attempt rebuilds it cold), and the solve is
+//! (dropped, so the next attempt rebuilds it from its donor), and the solve is
 //! retried in place up to [`MAX_PANIC_RETRIES`] times. A scenario that
 //! keeps panicking surfaces a typed [`PoolError::ScenarioPoisoned`] —
 //! which the decomposition treats like any other failed solve (pessimistic
@@ -43,19 +52,22 @@
 //!
 //! For checkpointing, each slot additionally records the scenario's
 //! **solve-column history** — the criticality columns successfully solved
-//! since the template's last cold start. Replaying that chain through a
-//! fresh template reconstructs the warm basis bit-for-bit (scenario solve
-//! sequences are independent of each other by construction), which is how
+//! since the template was built and seeded. A resumed pool solves the same
+//! donors, so replaying that chain through a fresh seeded template
+//! reconstructs the warm basis bit-for-bit (scenario solve sequences are
+//! independent of each other by construction), which is how
 //! [`crate::decompose_resume`] re-warms the pool without ever persisting a
 //! basis.
 //!
-//! Determinism: scenario `q`'s solve sequence depends only on its own solve
-//! history (its template is locked per solve and touched by no other
-//! scenario), so the decomposition output is bit-identical across thread
-//! counts and runs.
+//! Determinism: a donor depends only on the inputs (it is solved on the
+//! calling thread before any worker runs), and after seeding, scenario
+//! `q`'s solve sequence depends only on its own solve history (its
+//! template is locked per solve and touched by no other scenario), so the
+//! decomposition output is bit-identical across thread counts, runs and
+//! resumes.
 
 use crate::subproblem::{SolveStats, SubproblemSolution, SubproblemTemplate};
-use flexile_lp::{LpError, SolveScratch};
+use flexile_lp::{Basis, LpError, SolveScratch};
 use flexile_scenario::ScenarioSet;
 use flexile_traffic::Instance;
 use std::fmt;
@@ -77,12 +89,12 @@ pub(crate) const BASIS_RESIDENCY: usize = 4096;
 /// How the decomposition schedules and reuses subproblem solves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PoolPolicy {
-    /// Persistent pool, one warm template per scenario, work-stealing
-    /// scheduler (the default).
+    /// Persistent pool, one warm template per scenario seeded with its
+    /// demand factor's donor basis, work-stealing scheduler (the default).
     #[default]
     PerScenario,
-    /// No cross-iteration reuse at all: every iteration rebuilds and solves
-    /// cold. The baseline warm restarts are measured against.
+    /// No basis reuse at all: no donor, and every iteration rebuilds and
+    /// solves cold. The baseline warm restarts are measured against.
     Cold,
 }
 
@@ -157,15 +169,59 @@ pub(crate) struct PoolCtx<'a> {
     pub set: &'a ScenarioSet,
     /// γ-variant per-scenario loss bounds (§4.4); `None` for the plain form.
     pub loss_ub: Option<&'a [Vec<f64>]>,
+    /// One entry per distinct demand factor: the factor and its donor basis
+    /// (`None` when the pool runs cold or the donor solve failed).
+    donors: Vec<(f64, Option<Basis>)>,
 }
 
-impl PoolCtx<'_> {
+impl<'a> PoolCtx<'a> {
+    pub(crate) fn new(
+        inst: &'a Instance,
+        set: &'a ScenarioSet,
+        loss_ub: Option<&'a [Vec<f64>]>,
+    ) -> Self {
+        PoolCtx { inst, set, loss_ub, donors: Vec::new() }
+    }
+
+    /// The donor entry of a demand factor, matched as templates match it.
+    fn donor(&self, factor: f64) -> Option<&Option<Basis>> {
+        self.donors.iter().find(|(f, _)| (f - factor).abs() < 1e-12).map(|(_, basis)| basis)
+    }
+
+    /// Build scenario `q`'s template, seeded with its factor's donor basis.
     fn build_template(&self, q: usize) -> SubproblemTemplate {
-        SubproblemTemplate::for_demand_factor(
+        let factor = self.set.scenarios[q].demand_factor;
+        let mut tmpl = SubproblemTemplate::for_demand_factor(
             self.inst,
             self.loss_ub.map(|ub| ub[q].clone()),
-            self.set.scenarios[q].demand_factor,
-        )
+            factor,
+        );
+        if let Some(Some(basis)) = self.donor(factor) {
+            tmpl.seed(basis.clone());
+        }
+        tmpl
+    }
+
+    /// Solve one donor per distinct demand factor, serially and in scenario
+    /// order: the lowest-index scenario with the factor, all flows
+    /// critical. The result depends only on the inputs.
+    fn solve_donors(&mut self) {
+        let all_critical = vec![true; self.inst.num_flows()];
+        for (q, scen) in self.set.scenarios.iter().enumerate() {
+            let factor = scen.demand_factor;
+            if self.donor(factor).is_some() {
+                continue;
+            }
+            let _sp = flexile_obs::span("flexile.donor", "flexile")
+                .field("scenario", q)
+                .field("demand_factor", factor);
+            let mut tmpl = self.build_template(q);
+            let basis = match tmpl.solve(self.inst, scen, &all_critical) {
+                Ok(_) => tmpl.warm_basis().cloned(),
+                Err(_) => None,
+            };
+            self.donors.push((factor, basis));
+        }
     }
 }
 
@@ -175,9 +231,9 @@ impl PoolCtx<'_> {
 pub(crate) struct PoolSnapshot {
     /// Last iteration each scenario's template was used (0 = never/evicted).
     pub stamps: Vec<u64>,
-    /// Criticality columns successfully solved since each template's last
-    /// cold start. Non-empty exactly for the templates resident at the
-    /// boundary.
+    /// Criticality columns successfully solved since each template was
+    /// built and seeded. Non-empty exactly for the templates resident at
+    /// the boundary.
     pub chains: Vec<Vec<Vec<bool>>>,
 }
 
@@ -186,12 +242,13 @@ pub(crate) struct PoolSnapshot {
 #[derive(Default)]
 struct Slot {
     tmpl: Option<SubproblemTemplate>,
-    /// Columns successfully solved since `tmpl` was last built cold.
+    /// Columns successfully solved since `tmpl` was last built and seeded.
     history: Vec<Vec<bool>>,
 }
 
 impl Slot {
-    /// Drop the template and its chain: the next solve rebuilds cold.
+    /// Drop the template and its chain: the next solve rebuilds it from
+    /// its donor.
     fn reset(&mut self) {
         self.tmpl = None;
         self.history.clear();
@@ -239,7 +296,7 @@ struct Shared {
 
 /// One contained solve of scenario `q`: panics inside the
 /// claim-template-and-solve region quarantine the template and retry from
-/// cold, bounded by [`MAX_PANIC_RETRIES`].
+/// a rebuilt one, bounded by [`MAX_PANIC_RETRIES`].
 fn solve_contained(
     slots: &[Mutex<Slot>],
     ctx: &PoolCtx<'_>,
@@ -265,7 +322,7 @@ fn solve_contained(
             if res.is_ok() {
                 // Every successful solve extends the replayable chain. A
                 // template is only ever dropped by `Slot::reset`, which
-                // also empties the chain, so a cold (re)build starts empty.
+                // also empties the chain, so a (re)build starts empty.
                 slot.history.push(col.to_vec());
             }
             res
@@ -277,7 +334,7 @@ fn solve_contained(
                 flexile_obs::flight::dump("worker_panic");
                 // Quarantine: whatever state the panic left the template
                 // in, it is never used again. The next attempt (this retry
-                // or a later iteration) rebuilds cold.
+                // or a later iteration) rebuilds it from its donor.
                 lock_recover(&slots[q]).reset();
                 flexile_obs::add("flexile.scenario_quarantined", 1);
                 flexile_obs::flight::dump("scenario_quarantined");
@@ -343,7 +400,7 @@ fn worker_loop(
                     // Replay the whole chain; only the last result matters
                     // (and even it is discarded by restore). A failure
                     // mid-chain quarantines the slot: the continuation
-                    // simply solves that scenario cold.
+                    // simply solves that scenario from its donor.
                     let mut last = Err(PoolError::Solver(LpError::IterationLimit));
                     for col in &chains[i] {
                         last = solve_contained(slots, ctx, 0, q, col, id, &mut scratch);
@@ -494,20 +551,24 @@ impl PoolHandle<'_> {
 }
 
 /// Run `f` with a persistent scenario pool of `nworkers` threads under
-/// `policy` ([`BASIS_RESIDENCY`] warm templates for
-/// [`PoolPolicy::PerScenario`], none for [`PoolPolicy::Cold`]). Workers
+/// `policy` (donor-seeded, [`BASIS_RESIDENCY`] warm templates for
+/// [`PoolPolicy::PerScenario`], none for [`PoolPolicy::Cold`]). The donors
+/// are solved on the calling thread before any worker starts. Workers
 /// live exactly as long as `f` — including when `f` unwinds (e.g. an armed
 /// [`crate::killpoints`] abort simulating process death): a drop guard
 /// flips the shutdown flag so the scope join cannot deadlock on parked
 /// workers.
 pub(crate) fn with_pool<R>(
-    ctx: PoolCtx<'_>,
+    mut ctx: PoolCtx<'_>,
     nworkers: usize,
     policy: PoolPolicy,
     f: impl FnOnce(&mut PoolHandle<'_>) -> R,
 ) -> R {
     let residency = match policy {
-        PoolPolicy::PerScenario => BASIS_RESIDENCY,
+        PoolPolicy::PerScenario => {
+            ctx.solve_donors();
+            BASIS_RESIDENCY
+        }
         PoolPolicy::Cold => 0,
     };
     let nq = ctx.set.scenarios.len();
@@ -554,6 +615,7 @@ pub(crate) fn with_pool<R>(
 mod tests {
     use super::*;
     use crate::subproblem::tests::{fig1_instance, fig1_scenarios};
+    use flexile_scenario::tm::with_demand_levels;
 
     /// Each slot's warm-basis fingerprint (`None` for an empty slot).
     fn fingerprints(pool: &PoolHandle<'_>) -> Vec<Option<u64>> {
@@ -563,18 +625,25 @@ mod tests {
             .collect()
     }
 
+    /// Every solve succeeded and reused a basis.
+    fn all_warm(results: &[ScenResult]) -> bool {
+        results.iter().all(|(_, r)| r.as_ref().is_ok_and(|(_, stats)| stats.warm_hit))
+    }
+
     #[test]
     fn chain_replay_rebuilds_the_exact_bases() {
         let inst = fig1_instance();
         let set = fig1_scenarios();
-        let ctx = || PoolCtx { inst: &inst, set: &set, loss_ub: None };
+        let ctx = || PoolCtx::new(&inst, &set, None);
         let todo: Vec<usize> = (0..set.scenarios.len()).collect();
         // Iteration 1 solves every scenario all-critical; iteration 2 flips
-        // a flow per scenario, so each basis is a two-solve chain.
+        // a flow per scenario, so each basis is a two-solve chain that
+        // starts at the donor.
         let all = vec![vec![true, true]; todo.len()];
         let flipped: Vec<Vec<bool>> = todo.iter().map(|&q| vec![q % 2 == 0, q % 2 == 1]).collect();
         let (live, snap) = with_pool(ctx(), 2, PoolPolicy::PerScenario, |pool| {
-            pool.solve_iteration(1, &todo, all);
+            let first = pool.solve_iteration(1, &todo, all.clone());
+            assert!(all_warm(&first), "first solves restart from the donor");
             let results = pool.solve_iteration(2, &todo, flipped.clone());
             assert!(results.iter().all(|(_, r)| r.is_ok()));
             (fingerprints(pool), pool.snapshot())
@@ -588,12 +657,89 @@ mod tests {
         });
         assert_eq!(restored, live);
 
-        // The whole chain matters: solving only the last column cold ends
-        // on different bases.
+        // The whole chain matters: solving only the last column from the
+        // donor ends on different bases.
         let last_only = with_pool(ctx(), 2, PoolPolicy::PerScenario, |pool| {
-            pool.solve_iteration(1, &todo, flipped);
+            pool.solve_iteration(1, &todo, flipped.clone());
             fingerprints(pool)
         });
         assert_ne!(last_only, live);
+
+        // So does the donor: the same chain replayed cold ends elsewhere.
+        let cold = with_pool(ctx(), 2, PoolPolicy::Cold, |pool| {
+            pool.residency = BASIS_RESIDENCY;
+            pool.solve_iteration(1, &todo, all.clone());
+            pool.solve_iteration(2, &todo, flipped.clone());
+            fingerprints(pool)
+        });
+        assert_ne!(cold, live);
+    }
+
+    #[test]
+    fn lru_rebuilds_restart_from_the_donor_and_replay_exactly() {
+        let inst = fig1_instance();
+        let set = fig1_scenarios();
+        let ctx = || PoolCtx::new(&inst, &set, None);
+        let nq = set.scenarios.len();
+        let todo: Vec<usize> = (0..nq).collect();
+        let half: Vec<usize> = (0..nq / 2).collect();
+        let flipped: Vec<Vec<bool>> = half.iter().map(|&q| vec![q % 2 == 0, q % 2 == 1]).collect();
+        let (live, snap) = with_pool(ctx(), 2, PoolPolicy::PerScenario, |pool| {
+            pool.residency = nq / 2;
+            pool.solve_iteration(1, &todo, vec![vec![true, true]; nq]);
+            // Equal stamps evict the lower indices first: the first half
+            // is gone, and iteration 2 rebuilds it from the donor.
+            let evicted = fingerprints(pool);
+            assert!(evicted[..nq / 2].iter().all(Option::is_none));
+            let rebuilt = pool.solve_iteration(2, &half, flipped);
+            assert!(all_warm(&rebuilt), "an LRU rebuild restarts from the donor");
+            (fingerprints(pool), pool.snapshot())
+        });
+        assert!(snap.chains[..nq / 2].iter().all(|c| c.len() == 1), "chains restart at the rebuild");
+        assert!(snap.chains[nq / 2..].iter().all(Vec::is_empty), "the second half was evicted");
+
+        let restored = with_pool(ctx(), 1, PoolPolicy::PerScenario, |pool| {
+            pool.restore(2, &snap);
+            fingerprints(pool)
+        });
+        assert_eq!(restored, live);
+    }
+
+    #[test]
+    fn donors_never_cross_demand_factors() {
+        let inst = fig1_instance();
+        let set = with_demand_levels(&fig1_scenarios(), &[(1.0, 0.7), (3.0, 0.3)]);
+        let mut ctx = PoolCtx::new(&inst, &set, None);
+        ctx.solve_donors();
+        assert_eq!(ctx.donors.len(), 2, "one donor per demand factor");
+        let donor_print = |factor: f64| -> u64 {
+            let basis = ctx.donor(factor).expect("donor for the factor");
+            basis.as_ref().expect("donor solved").fingerprint()
+        };
+        assert_ne!(donor_print(1.0), donor_print(3.0), "the two factors' optima differ");
+        for (q, scen) in set.scenarios.iter().enumerate() {
+            let seeded = ctx.build_template(q).warm_basis_fingerprint();
+            assert_eq!(seeded, Some(donor_print(scen.demand_factor)), "scenario {q}");
+        }
+
+        // Every donor-seeded solve lands on the cold solve's optimum.
+        let todo: Vec<usize> = (0..set.scenarios.len()).collect();
+        let cols = vec![vec![true, true]; todo.len()];
+        let values = |policy| {
+            with_pool(PoolCtx::new(&inst, &set, None), 2, policy, |pool| {
+                let results = pool.solve_iteration(1, &todo, cols.clone());
+                if policy == PoolPolicy::PerScenario {
+                    assert!(all_warm(&results));
+                }
+                results
+                    .into_iter()
+                    .map(|(_, r)| r.expect("solve succeeds").0.value)
+                    .collect::<Vec<f64>>()
+            })
+        };
+        let (warm, cold) = (values(PoolPolicy::PerScenario), values(PoolPolicy::Cold));
+        for (q, (w, c)) in warm.iter().zip(&cold).enumerate() {
+            assert!((w - c).abs() <= 1e-9, "scenario {q}: donor-seeded {w} vs cold {c}");
+        }
     }
 }

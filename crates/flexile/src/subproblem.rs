@@ -11,10 +11,17 @@
 //!
 //! The reformulation (17)/(18) keeps the **left-hand side identical for
 //! every scenario** — failures only scale the capacity RHS and criticality
-//! only shifts the (10) RHS. We exploit that exactly as the paper does:
-//! one [`SubproblemTemplate`] is built per instance; solving scenario `q`
-//! is two `set_rhs` sweeps plus a warm-started simplex run from the
-//! previous scenario's optimal basis.
+//! only shifts the (10) RHS. We exploit that as the paper does: solving
+//! scenario `q` is two `set_rhs` sweeps plus a warm-started simplex run
+//! from another optimal basis of the same LHS. An RHS-only change keeps a
+//! basis dual feasible, so any scenario's optimum is a valid dual restart
+//! for any other. The decomposition's pool keeps one template per scenario
+//! (so iteration `k+1` restarts from the same scenario's iteration-`k`
+//! basis) and seeds each new template with the *donor* basis: the
+//! all-alive scenario's all-critical optimum for the template's demand
+//! factor. Demand factors enter the (17) coefficients, so a donor never
+//! crosses factors; the §4.4 γ loss bounds only move variable bounds,
+//! which the restart re-reads, so they share donors.
 //!
 //! LP duality gives the cut (21): with `w_f = ∂val/∂rhs₍₁₀₎` and
 //! `u_a = ∂val/∂rhs₍₁₈₎`,
@@ -202,8 +209,9 @@ impl SubproblemTemplate {
     /// [`Self::solve`] on caller-owned solver scratch, additionally
     /// reporting how the solve restarted.
     ///
-    /// When a warm basis is saved from a previous solve of this template, the
-    /// only thing that changed since is the RHS (criticality flips and
+    /// When a warm basis is saved from a previous solve of this template or
+    /// seeded from another template of the same demand factor,
+    /// only the RHS and loss bounds changed since (criticality flips and
     /// capacity scaling — the §4.2 reformulation guarantees the LHS is
     /// scenario-independent), so the solve first goes through the explicit
     /// [`flexile_lp::Model::solve_rhs_restart`] dual path, whose repair is
@@ -228,6 +236,8 @@ impl SubproblemTemplate {
         let first =
             self.warm.as_ref().map(|warm| self.model.solve_rhs_restart(&opts, warm, scratch));
         let (sol, stats) = self.resolve_outcome(first, &opts)?;
+        #[cfg(test)]
+        tests::certify_solve(&self.model, &sol);
         self.warm = Some(sol.basis.clone());
         Ok((self.extract(&sol, z, &cap_arc), stats))
     }
@@ -348,6 +358,19 @@ impl SubproblemTemplate {
     pub fn matches_factor(&self, factor: f64) -> bool {
         (self.demand_factor - factor).abs() < 1e-12
     }
+
+    /// The optimal basis of the last successful solve, if any.
+    pub(crate) fn warm_basis(&self) -> Option<&Basis> {
+        self.warm.as_ref()
+    }
+
+    /// Seed the warm basis with another template's optimum, so the next
+    /// solve dual-restarts from it instead of solving cold. The donor must
+    /// share this template's demand factor, and therefore its LHS; loss
+    /// bounds may differ.
+    pub(crate) fn seed(&mut self, basis: Basis) {
+        self.warm = Some(basis);
+    }
 }
 
 #[cfg(test)]
@@ -356,6 +379,25 @@ pub(crate) mod tests {
     use flexile_scenario::{enumerate_scenarios, model::link_units, EnumOptions, ScenarioSet};
     use flexile_topo::{NodeId, Topology, TunnelClass, TunnelSet};
     use flexile_traffic::{ClassConfig, Instance};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+
+    /// Subproblem solves certified in this test binary.
+    pub(crate) static CERTIFIED: AtomicUsize = AtomicUsize::new(0);
+    /// Solves whose certificate failed, with the certificate.
+    pub(crate) static CERTIFICATE_FAILURES: Mutex<Vec<String>> = Mutex::new(Vec::new());
+
+    /// Every subproblem solve in this crate's tests passes through here:
+    /// the LP it solved and the solution it returned must certify
+    /// optimality independently of the simplex.
+    pub(crate) fn certify_solve(model: &Model, sol: &Solution) {
+        let cert = flexile_lp::certificate::certify(model, &sol.x, &sol.duals);
+        CERTIFIED.fetch_add(1, Ordering::Relaxed);
+        if !cert.holds(1e-6) {
+            let mut fails = CERTIFICATE_FAILURES.lock().unwrap_or_else(|e| e.into_inner());
+            fails.push(format!("{cert:?}"));
+        }
+    }
 
     pub(crate) fn fig1_instance() -> Instance {
         let topo = Topology::new("fig1", 3, &[(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]);

@@ -11,6 +11,8 @@
 //! * **Telemetry** — the pool emits the `flexile.scenario_warm_hit/miss`,
 //!   `flexile.dual_restart` counters and the `flexile.subproblem_wait`
 //!   histogram, and stays purely observational.
+//! * **Donor seeding** — under the default policy every first solve
+//!   restarts from the all-alive donor basis; under `Cold` none does.
 //!
 //! The obs sink is process-global, so every test that solves serializes on
 //! a mutex: a solve running beside a traced test would add to its
@@ -208,6 +210,7 @@ fn pool_emits_warm_restart_counters() {
     let _g = exclusive();
     let (inst, set) = sprint_setup();
     let opts = FlexileOptions { threads: 4, max_iterations: 3, ..Default::default() };
+    let cold_opts = FlexileOptions { pool: PoolPolicy::Cold, ..opts.clone() };
 
     let plain = solve_flexile(&inst, &set, &opts);
 
@@ -224,10 +227,17 @@ fn pool_emits_warm_restart_counters() {
         |f: fn(&flexile_core::IterationStat) -> usize| -> u64 {
             traced.iterations.iter().map(|s| f(s) as u64).sum()
         };
-    // Iteration 1 solves everything cold; iterations 2+ must reuse bases.
+    // Iteration 1 restarts every scenario from the donor; iterations 2+
+    // restart from each scenario's own basis.
     assert!(traced.iterations.len() >= 2, "setup must produce a multi-iteration run");
-    assert!(counter("flexile.scenario_warm_miss") > 0, "first iteration is cold");
-    assert!(counter("flexile.scenario_warm_hit") > 0, "later iterations must warm-restart");
+    let first = &traced.iterations[0];
+    assert!(first.solved > 0);
+    assert_eq!(first.warm_hits, first.solved, "first-iteration solves are donor warm hits");
+    assert_eq!(t.events_named("flexile.donor").count(), 1, "one donor per demand factor");
+    assert!(
+        traced.iterations[1..].iter().any(|s| s.warm_hits > 0),
+        "later iterations must warm-restart"
+    );
     assert!(counter("flexile.dual_restart") > 0, "criticality churn must dual-restart");
     assert_eq!(counter("flexile.scenario_warm_hit"), from_stats(|s| s.warm_hits));
     assert_eq!(counter("flexile.dual_restart"), from_stats(|s| s.dual_restarts));
@@ -238,20 +248,36 @@ fn pool_emits_warm_restart_counters() {
     let wait = t.hists.get("flexile.subproblem_wait").expect("wait histogram");
     // One observation per worker per dispatched iteration.
     assert!(wait.count() as usize >= traced.iterations.len());
+
+    // The cold baseline has no donor: its first-iteration solves all miss.
+    flexile_obs::enable();
+    let cold = solve_flexile(&inst, &set, &cold_opts);
+    flexile_obs::disable();
+    let t = flexile_obs::drain();
+    let first = &cold.iterations[0];
+    assert!(first.solved > 0);
+    assert_eq!(first.warm_hits, 0, "cold first-iteration solves miss");
+    assert_eq!(
+        t.counters.get("flexile.scenario_warm_miss").copied().unwrap_or(0),
+        cold.iterations.iter().map(|s| s.solved as u64).sum::<u64>(),
+        "every cold solve misses"
+    );
+    assert_eq!(t.events_named("flexile.donor").count(), 0, "Cold solves no donor");
 }
 
 #[test]
 fn pool_output_identical_across_thread_counts() {
-    // The scenario is the pool's only dispatch unit: any thread count
-    // produces the same design and the same deterministic solver counters,
-    // and every solved scenario is exactly one `flexile.subproblem` span.
+    // The scenario is the pool's only dispatch unit and the donor basis is
+    // solved before any worker runs: any thread count produces the same
+    // donor-seeded design and the same deterministic solver counters, and
+    // every solved scenario is exactly one `flexile.subproblem` span.
     let _g = exclusive();
     let default_iterations = FlexileOptions::default().max_iterations;
     for (name, (inst, set), max_iterations) in
         [("fig1", fig1_setup(), default_iterations), ("sprint", sprint_setup(), 3)]
     {
         let mut reference = None;
-        for threads in [1usize, 2, 8] {
+        for threads in [1usize, 2, 4, 8] {
             let opts = FlexileOptions { threads, max_iterations, ..Default::default() };
             flexile_obs::enable();
             let design = solve_flexile(&inst, &set, &opts);

@@ -32,6 +32,10 @@
 //!   the only retry policy: [`Model::solve`] and [`Model::solve_with`] run
 //!   it, and one [`SimplexOptions`] (iteration cap, engine, presolve)
 //!   configures every rung; the pricing rule is a rung setting.
+//! * [`certificate`] — an optimality check of a primal/dual pair built only
+//!   on the [`Model`] accessors (primal and dual feasibility,
+//!   complementary slackness, zero duality gap), sharing no code with the
+//!   simplex it checks.
 //!
 //! The solver is exact up to the feasibility tolerance [`tol::FEAS_TOL`]
 //! (`1e-7`). With the sparse LU basis engine the per-pivot cost scales with
@@ -57,6 +61,7 @@
 #![warn(missing_docs)]
 
 pub mod basis;
+pub mod certificate;
 pub mod crash;
 pub mod error;
 pub mod fault;

@@ -243,9 +243,12 @@ impl Model {
 
     /// Re-solve after an RHS-only change, restarting from `warm`.
     ///
-    /// The caller asserts that nothing but row right-hand sides changed since
-    /// `warm` was captured (see [`Model::set_rhs`]). An RHS-only delta keeps
-    /// the saved basis dual feasible by construction, so the solver skips
+    /// The caller asserts that nothing but row right-hand sides, and
+    /// variable bounds that stay finite where they were finite, changed
+    /// since `warm` was captured (see [`Model::set_rhs`]). Such a delta
+    /// keeps the saved basis dual feasible by construction (reduced costs
+    /// depend on neither, and a nonbasic column keeps the bound side it
+    /// sat on), so the solver skips
     /// the dual-feasibility scan and repairs the basis with dual-simplex
     /// pivots directly. Exactly one attempt (one fault-injection poll) with
     /// no retry: callers that want the escalation ladder fall back to

@@ -22,7 +22,7 @@
 //!   online. This truncation is the documented substitution for Gurobi on
 //!   the bundled model; with enough active scenarios it is exact.
 
-use crate::alloc::ScenAlloc;
+use crate::alloc::{served_loss, ScenAlloc};
 use crate::types::{clamp_loss, SchemeResult};
 use flexile_lp::{solve_with_rowgen, Model, RowGenOptions, RowSpec, Sense, VarId};
 use flexile_scenario::{Scenario, ScenarioSet};
@@ -147,21 +147,23 @@ pub fn cvar_flow_st(inst: &Instance, set: &ScenarioSet, opts: &CvarOptions) -> S
         );
     }
 
-    // Post-analysis: losses from the static split.
+    // Post-analysis: the static split reserves `λ · d` per tunnel for the
+    // base demand; a scenario serves what survives of it against its
+    // scaled demand.
     let sol = res.solution;
     let mut loss = vec![vec![0.0; nq]; inst.num_flows()];
     for (q, dead) in dead_masks.iter().enumerate() {
         for p in 0..np {
-            if inst.demands[0][p] <= 0.0 {
-                continue;
-            }
+            let d = inst.demands[0][p];
             let surviving: f64 = inst.tunnels[0].tunnels[p]
                 .iter()
                 .zip(lambda[p].iter())
                 .filter(|(path, _)| path.alive(dead))
                 .map(|(_, &v)| sol.value(v))
                 .sum();
-            loss[p][q] = clamp_loss(1.0 - surviving);
+            let alive = inst.tunnels[0].pair_alive(p, dead);
+            let demand = d * set.scenarios[q].demand_factor;
+            loss[p][q] = served_loss(demand, alive, surviving * d);
         }
     }
     SchemeResult::new("Cvar-Flow-St", loss)

@@ -25,7 +25,8 @@
 //! failures), flow `p` receives `min(b_p, Σ_{t alive in q} x_{p,t})` — its
 //! admitted rate if the scenario was protected against, less otherwise.
 
-use crate::types::{clamp_loss, SchemeResult};
+use crate::alloc::served_loss;
+use crate::types::SchemeResult;
 use flexile_lp::{solve_with_rowgen, Model, RowGenOptions, RowSpec, Sense, VarId};
 use flexile_scenario::ScenarioSet;
 use flexile_traffic::Instance;
@@ -169,17 +170,15 @@ pub fn ffc_design(inst: &Instance, f: usize) -> FfcDesign {
     }
 }
 
-/// Post-analysis of an FFC design over a scenario set.
+/// Post-analysis of an FFC design over a scenario set: each scenario
+/// serves the admitted bandwidth its surviving tunnels carry, against the
+/// scenario's scaled demand.
 pub fn ffc_losses(inst: &Instance, set: &ScenarioSet, design: &FfcDesign) -> SchemeResult {
     let np = inst.num_pairs();
     let mut loss = vec![vec![0.0; set.scenarios.len()]; inst.num_flows()];
     for (q, scen) in set.scenarios.iter().enumerate() {
         let dead = scen.dead_mask();
         for p in 0..np {
-            let d = inst.demands[0][p];
-            if d <= 0.0 {
-                continue;
-            }
             let surviving: f64 = inst.tunnels[0].tunnels[p]
                 .iter()
                 .enumerate()
@@ -187,7 +186,8 @@ pub fn ffc_losses(inst: &Instance, set: &ScenarioSet, design: &FfcDesign) -> Sch
                 .map(|(t, _)| design.x[p][t])
                 .sum();
             let served = design.admitted[p].min(surviving);
-            loss[p][q] = clamp_loss(1.0 - served / d);
+            let alive = inst.tunnels[0].pair_alive(p, &dead);
+            loss[p][q] = served_loss(inst.demands[0][p] * scen.demand_factor, alive, served);
         }
     }
     SchemeResult::new(&format!("FFC-{}", design.protection), loss)

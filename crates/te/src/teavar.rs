@@ -22,7 +22,8 @@
 //! enumerated scenarios in a single problem" (the paper's phrase) without a
 //! commercial solver.
 
-use crate::types::{clamp_loss, SchemeResult};
+use crate::alloc::served_loss;
+use crate::types::SchemeResult;
 use flexile_lp::{solve_with_rowgen, Model, RowGenOptions, RowSpec, Sense, VarId};
 use flexile_scenario::ScenarioSet;
 use flexile_traffic::Instance;
@@ -134,23 +135,25 @@ pub fn teavar_design(inst: &Instance, set: &ScenarioSet, beta: f64) -> TeavarDes
 }
 
 /// Post-analysis of a Teavar design: the loss of every pair in every
-/// scenario under the conservative surviving-allocation semantics.
+/// scenario under the conservative surviving-allocation semantics. The
+/// design reserves `split · d` on each tunnel for the base demand `d`; a
+/// scenario serves what its surviving tunnels reserve, against the
+/// scenario's scaled demand.
 pub fn teavar_losses(inst: &Instance, set: &ScenarioSet, design: &TeavarDesign) -> SchemeResult {
     let np = inst.num_pairs();
     let mut loss = vec![vec![0.0; set.scenarios.len()]; inst.num_flows()];
     for (q, scen) in set.scenarios.iter().enumerate() {
         let dead = scen.dead_mask();
         for p in 0..np {
-            if inst.demands[0][p] <= 0.0 {
-                continue;
-            }
+            let d = inst.demands[0][p];
             let surviving: f64 = inst.tunnels[0].tunnels[p]
                 .iter()
                 .zip(design.split[p].iter())
                 .filter(|(path, _)| path.alive(&dead))
                 .map(|(_, &f)| f)
                 .sum();
-            loss[p][q] = clamp_loss(1.0 - surviving);
+            let alive = inst.tunnels[0].pair_alive(p, &dead);
+            loss[p][q] = served_loss(d * scen.demand_factor, alive, surviving * d);
         }
     }
     SchemeResult::new("Teavar", loss)

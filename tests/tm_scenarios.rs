@@ -57,6 +57,34 @@ fn surge_scenarios_increase_subproblem_loss() {
 }
 
 #[test]
+fn static_schemes_serve_no_more_than_the_cut_at_a_surge() {
+    // All links alive at the 2× level: each flow wants 1.6, and both leave
+    // A through its two unit links, so no scheme can serve more than 2 in
+    // total. The static-split schemes reserve bandwidth for the base
+    // demand; their post-analysis must charge the surge against it.
+    use flexile::te::{cvar_flow, ffc, teavar};
+    let (inst, set) = fig1(0.99);
+    let tm = with_demand_levels(&set, &[(1.0, 0.7), (2.0, 0.3)]);
+    let q = tm
+        .scenarios
+        .iter()
+        .position(|s| s.failed_units.is_empty() && s.demand_factor == 2.0)
+        .unwrap();
+    let cvar = cvar_flow::CvarOptions::new(0.99);
+    for r in [
+        teavar::teavar(&inst, &tm, 0.99),
+        cvar_flow::cvar_flow_st(&inst, &tm, &cvar),
+        cvar_flow::cvar_flow_ad(&inst, &tm, &cvar),
+        ffc::ffc(&inst, &tm, 0),
+        ffc::ffc(&inst, &tm, 1),
+    ] {
+        let served: f64 =
+            (0..inst.num_flows()).map(|f| (1.0 - r.loss[f][q]) * inst.flow_demand(f) * 2.0).sum();
+        assert!(served <= 2.0 + 1e-6, "{}: serves {served} across a cut of 2", r.name);
+    }
+}
+
+#[test]
 fn template_factor_mismatch_is_rejected() {
     use flexile::core::subproblem::SubproblemTemplate;
     let (inst, set) = fig1(0.99);
