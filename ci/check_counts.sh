@@ -70,12 +70,9 @@ for w in "${workloads[@]}"; do
     echo "error: perfbench $w failed" >&2
     exit 1
   fi
-  # `attempted` is left out: it is the solved count times the number of
-  # designs, and on failover the set-up repeats its design until a wall
-  # clock floor passes, so that number depends on the machine's speed.
   tail -n 1 "$work/$w.txt" | jq --arg w "$w" --argjson names "$metrics" '
     .metrics as $m
-    | {perfbench: {($w): {correct, failed, metrics: (
+    | {perfbench: {($w): {correct, attempted, failed, metrics: (
         [$names[] | {key: ., value: ($m[.] // error("perfbench \($w): no metric \(.)")).value}]
         | from_entries)}}}' > "$work/$w.json"
 done

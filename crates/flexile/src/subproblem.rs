@@ -101,6 +101,13 @@ pub struct SubproblemSolution {
     pub cut: Cut,
 }
 
+/// Whether two demand factors give the same (17) coefficients, and so the
+/// same LHS: the one rule for sharing a template or a basis across
+/// scenarios.
+pub(crate) fn same_demand_factor(a: f64, b: f64) -> bool {
+    (a - b).abs() < 1e-12
+}
+
 /// Reusable template for `S_q`: built once, re-solved per scenario with RHS
 /// updates and basis warm starts.
 pub struct SubproblemTemplate {
@@ -245,7 +252,7 @@ impl SubproblemTemplate {
     fn check_scenario(&self, scen: &Scenario, z: &[bool]) {
         assert_eq!(z.len(), self.num_flows);
         assert!(
-            (scen.demand_factor - self.demand_factor).abs() < 1e-12,
+            self.matches_factor(scen.demand_factor),
             "scenario demand factor {} does not match template factor {};              build a template with `for_demand_factor`",
             scen.demand_factor,
             self.demand_factor
@@ -356,7 +363,7 @@ impl SubproblemTemplate {
 
     /// Whether this template was built for the given demand factor.
     pub fn matches_factor(&self, factor: f64) -> bool {
-        (self.demand_factor - factor).abs() < 1e-12
+        same_demand_factor(self.demand_factor, factor)
     }
 
     /// The optimal basis of the last successful solve, if any.
