@@ -625,9 +625,9 @@ mod tests {
             .collect()
     }
 
-    /// Every solve succeeded and reused a basis.
-    fn all_warm(results: &[ScenResult]) -> bool {
-        results.iter().all(|(_, r)| r.as_ref().is_ok_and(|(_, stats)| stats.warm_hit))
+    /// Solves that succeeded and reused a basis.
+    fn warm_hits(results: &[ScenResult]) -> usize {
+        results.iter().filter(|(_, r)| r.as_ref().is_ok_and(|(_, stats)| stats.warm_hit)).count()
     }
 
     #[test]
@@ -643,7 +643,7 @@ mod tests {
         let flipped: Vec<Vec<bool>> = todo.iter().map(|&q| vec![q % 2 == 0, q % 2 == 1]).collect();
         let (live, snap) = with_pool(ctx(), 2, PoolPolicy::PerScenario, |pool| {
             let first = pool.solve_iteration(1, &todo, all.clone());
-            assert!(all_warm(&first), "first solves restart from the donor");
+            assert_eq!(warm_hits(&first), todo.len(), "first solves restart from the donor");
             let results = pool.solve_iteration(2, &todo, flipped.clone());
             assert!(results.iter().all(|(_, r)| r.is_ok()));
             (fingerprints(pool), pool.snapshot())
@@ -692,7 +692,7 @@ mod tests {
             let evicted = fingerprints(pool);
             assert!(evicted[..nq / 2].iter().all(Option::is_none));
             let rebuilt = pool.solve_iteration(2, &half, flipped);
-            assert!(all_warm(&rebuilt), "an LRU rebuild restarts from the donor");
+            assert_eq!(warm_hits(&rebuilt), half.len(), "an LRU rebuild restarts from the donor");
             (fingerprints(pool), pool.snapshot())
         });
         assert!(snap.chains[..nq / 2].iter().all(|c| c.len() == 1), "chains restart at the rebuild");
@@ -720,8 +720,8 @@ mod tests {
             assert_eq!(seeded, Some(donor_print(scen.demand_factor)), "scenario {q}");
         }
 
-        let warm_hits = assert_first_wave_reaches_the_cold_optimum(&inst, &set);
-        assert_eq!(warm_hits, set.scenarios.len(), "every first solve restarts from its donor");
+        let hits = assert_first_wave_reaches_the_cold_optimum(&inst, &set);
+        assert_eq!(hits, set.scenarios.len(), "every first solve restarts from its donor");
     }
 
     #[test]
@@ -744,9 +744,9 @@ mod tests {
             },
         );
         let inst = Instance::two_class(topo, 42, 0.6, Some(40));
-        let warm_hits = assert_first_wave_reaches_the_cold_optimum(&inst, &set);
+        let hits = assert_first_wave_reaches_the_cold_optimum(&inst, &set);
         // Some restarts run past the LP layer's pivot cap and finish cold.
-        assert!(warm_hits > 0, "the donor seeds first solves");
+        assert!(hits > 0, "the donor seeds first solves");
         let failures = CERTIFICATE_FAILURES.lock().unwrap_or_else(|e| e.into_inner());
         assert!(failures.is_empty(), "{} failed certificates: {failures:?}", failures.len());
     }
@@ -757,15 +757,12 @@ mod tests {
     fn assert_first_wave_reaches_the_cold_optimum(inst: &Instance, set: &ScenarioSet) -> usize {
         let todo: Vec<usize> = (0..set.scenarios.len()).collect();
         let cols = vec![vec![true; inst.num_flows()]; todo.len()];
-        let mut warm_hits = 0;
+        let mut hits = 0;
         let mut values = |policy| {
             with_pool(PoolCtx::new(inst, set, None), 2, policy, |pool| {
                 let results = pool.solve_iteration(1, &todo, cols.clone());
                 if policy == PoolPolicy::PerScenario {
-                    warm_hits = results
-                        .iter()
-                        .filter(|(_, r)| r.as_ref().is_ok_and(|(_, stats)| stats.warm_hit))
-                        .count();
+                    hits = warm_hits(&results);
                 }
                 results
                     .into_iter()
@@ -777,6 +774,6 @@ mod tests {
         for (q, (w, c)) in warm.iter().zip(&cold).enumerate() {
             assert!((w - c).abs() <= 1e-9, "scenario {q}: donor-seeded {w} vs cold {c}");
         }
-        warm_hits
+        hits
     }
 }
