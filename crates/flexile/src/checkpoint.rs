@@ -17,7 +17,8 @@
 //! module). Resume re-solves the donors, so replaying the checkpointed
 //! chain through a fresh seeded template performs bit-for-bit the same
 //! computation the uninterrupted run did and reconstructs the exact warm
-//! basis. `decompose_resume` does this replay before continuing. The pool's unit tests compare every slot's
+//! basis. `decompose_resume` does this replay before continuing. The
+//! pool's unit tests compare every slot's
 //! [`flexile_lp::Basis::fingerprint`] after a snapshot/restore round trip
 //! with the uninterrupted run's; the crash tests assert that resumed runs
 //! reach bit-identical final designs.

@@ -717,7 +717,10 @@ mod tests {
         );
         let (configs, shares) = match classes {
             1 => (vec![ClassConfig::single()], vec![1.0]),
-            _ => (vec![ClassConfig::interactive(), ClassConfig::elastic()], vec![hi_share, 1.0 - hi_share]),
+            _ => (
+                vec![ClassConfig::interactive(), ClassConfig::elastic()],
+                vec![hi_share, 1.0 - hi_share],
+            ),
         };
         let mut inst = Instance {
             topo,
@@ -835,7 +838,8 @@ mod tests {
             let opts = FlexileOptions { threads: 2, pool, ..Default::default() };
             let design = solve_flexile(&inst, &set, &opts);
             let failures = CERTIFICATE_FAILURES.lock().unwrap_or_else(|e| e.into_inner());
-            assert!(failures.is_empty(), "{pool:?}: {} failed certificates: {failures:?}", failures.len());
+            let n = failures.len();
+            assert!(failures.is_empty(), "{pool:?}: {n} failed certificates: {failures:?}");
             let solved: usize = design.iterations.iter().map(|s| s.solved).sum();
             let certified = CERTIFIED.load(Ordering::Relaxed) - before;
             assert!(solved > set.scenarios.len(), "{pool:?}: a multi-iteration design");

@@ -695,7 +695,8 @@ mod tests {
             assert_eq!(warm_hits(&rebuilt), half.len(), "an LRU rebuild restarts from the donor");
             (fingerprints(pool), pool.snapshot())
         });
-        assert!(snap.chains[..nq / 2].iter().all(|c| c.len() == 1), "chains restart at the rebuild");
+        let rebuilt_chains = &snap.chains[..nq / 2];
+        assert!(rebuilt_chains.iter().all(|c| c.len() == 1), "chains restart at the rebuild");
         assert!(snap.chains[nq / 2..].iter().all(Vec::is_empty), "the second half was evicted");
 
         let restored = with_pool(ctx(), 1, PoolPolicy::PerScenario, |pool| {
