@@ -55,7 +55,7 @@ const TOPOLOGIES: [(&str, f64); 2] = [("Sprint", 1.05), ("CWIX", 1.05)];
 const BETA: f64 = 0.99;
 
 /// Scenario cap: large enough that checkpoints carry real cut pools and
-/// solve chains, small enough for a CI smoke run.
+/// warm bases, small enough for a CI smoke run.
 const SCENARIO_CAP: usize = 24;
 
 /// Checkpoint cadences under test; 0 = checkpointing disabled.
@@ -68,7 +68,7 @@ const CADENCES: [usize; 3] = [0, 1, 5];
 /// on end-to-end wall deltas: back-to-back identical solves on a shared
 /// box drift by ±30% (frequency scaling, cache/NUMA placement), which
 /// drowns a single-digit-percent signal, while the checkpoint path itself
-/// — a ~20 KB snapshot, milliseconds per write — times stably.
+/// — a ~30 KB snapshot here, under a millisecond per write — times stably.
 const OVERHEAD_BUDGET: f64 = 0.05;
 
 /// Repetitions when timing one checkpoint write.

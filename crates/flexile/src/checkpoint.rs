@@ -4,21 +4,15 @@
 //! snapshot** of everything [`crate::solve_flexile`] needs to continue a
 //! run after process death: the proposed criticality `z`, the master's cut
 //! pool, per-scenario caches and pruning flags, the best incumbent, the
-//! per-iteration statistics, the bound trajectory, and — crucially — each
-//! scenario's *solve-column history* (the sequence of criticality columns
-//! its pooled template solved since the template was built and seeded).
+//! per-iteration statistics, the bound trajectory, and each scenario's
+//! pool slot: whether a template is resident and, if so, its warm basis.
 //!
-//! **Warm bases are intentionally not persisted.** A basis snapshot is
-//! large, engine-specific, and version-fragile. Instead the decomposition
-//! is deterministic given each scenario's RHS chain: scenario `q`'s
-//! template starts from its demand factor's donor basis, which depends
-//! only on the problem, and after that only on its own solve sequence
-//! (templates are never shared across scenarios — see the private `pool`
-//! module). Resume re-solves the donors, so replaying the checkpointed
-//! chain through a fresh seeded template performs bit-for-bit the same
-//! computation the uninterrupted run did and reconstructs the exact warm
-//! basis. `decompose_resume` does this replay before continuing. The
-//! pool's unit tests compare every slot's
+//! **Warm bases are persisted as they are.** Every subproblem solve
+//! re-installs its template's whole RHS, so a resident template's warm
+//! basis is its only state between solves. `decompose_resume` rebuilds
+//! each resident template seeded with its stored basis and solves no LP to
+//! do so; the donors are solved again, so later rebuilds start where the
+//! uninterrupted run's would. The pool's unit tests compare every slot's
 //! [`flexile_lp::Basis::fingerprint`] after a snapshot/restore round trip
 //! with the uninterrupted run's; the crash tests assert that resumed runs
 //! reach bit-identical final designs.
@@ -26,7 +20,7 @@
 //! The decomposition itself uses no RNG, so there is no random state to
 //! persist; determinism is documented and tested in `tests/pool.rs`.
 //!
-//! ## Wire format (version 2, all little-endian)
+//! ## Wire format (all little-endian)
 //!
 //! ```text
 //! magic   8 B   "FLXCKPT\0"
@@ -35,6 +29,11 @@
 //! check   u64   FNV-1a-64 over the payload
 //! payload len B
 //! ```
+//!
+//! In the payload, a warm basis is its basic order (a u64 count, then one
+//! u32 column index each) and its column statuses (a u64 count, then four
+//! 2-bit [`flexile_lp::Basis::status_tags`] per byte, low bits first, zero
+//! padding).
 //!
 //! No trailing bytes are tolerated. Every length field is validated
 //! against the remaining payload before allocation, so a corrupted or
@@ -48,6 +47,7 @@
 use crate::decomposition::{FlexileOptions, IterationStat, PoolPolicy};
 use crate::pool::BASIS_RESIDENCY;
 use crate::subproblem::Cut;
+use flexile_lp::Basis;
 use flexile_scenario::ScenarioSet;
 use flexile_traffic::Instance;
 use std::fmt;
@@ -57,9 +57,11 @@ use std::path::{Path, PathBuf};
 /// fingerprints (`problem_parts` / `options_parts`) so a mismatch names
 /// exactly which component diverged instead of reporting a bare mismatch.
 /// Version 3 dropped the batch-width options component (4 → 3 parts).
-/// Version 4 chains start at the donor-seeded template rather than a cold
-/// one, so a version-3 chain would replay onto different bases.
-pub const CHECKPOINT_VERSION: u32 = 4;
+/// Version 4 started each stored solve-column chain at the donor-seeded
+/// template rather than a cold one. Version 5 stores each resident
+/// template's warm basis in place of its chain, so resume solves no LP to
+/// rebuild it.
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 const MAGIC: &[u8; 8] = b"FLXCKPT\0";
 
@@ -200,10 +202,10 @@ pub struct CheckpointState {
     pub perfect: Vec<bool>,
     /// Pool LRU stamps (last iteration each template was used).
     pub stamps: Vec<u64>,
-    /// Per-scenario solve-column history since the template was last built
-    /// (and seeded with its donor basis); replayed on resume to
-    /// reconstruct warm bases exactly.
-    pub chains: Vec<Vec<Vec<bool>>>,
+    /// Per-scenario pool slot: `None` when no template is resident (the
+    /// next solve builds one from its donor), else the resident template's
+    /// warm basis (`Some(None)`: its next solve is cold).
+    pub bases: Vec<Option<Option<Basis>>>,
     /// Best incumbent so far.
     pub best: Option<BestIncumbent>,
     /// Per-iteration statistics so far.
@@ -440,6 +442,18 @@ impl Enc {
         self.f64s(&c.u);
         self.f64(c.d_const);
     }
+    fn basis(&mut self, b: &Basis) {
+        self.u64(b.order().len() as u64);
+        for &j in b.order() {
+            let j = u32::try_from(j).expect("basis column index fits in u32");
+            self.buf.extend_from_slice(&j.to_le_bytes());
+        }
+        let tags: Vec<u8> = b.status_tags().collect();
+        self.u64(tags.len() as u64);
+        for four in tags.chunks(4) {
+            self.buf.push(four.iter().rev().fold(0, |byte, &t| byte << 2 | t));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -528,6 +542,25 @@ impl<'a> Dec<'a> {
     fn cut(&mut self) -> Result<Cut, CheckpointError> {
         Ok(Cut { w: self.f64s()?, u: self.f64s()?, d_const: self.f64()? })
     }
+    fn basis(&mut self) -> Result<Basis, CheckpointError> {
+        let m = self.len(4)?;
+        let order: Vec<usize> = self.buf[self.pos..self.pos + 4 * m]
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize)
+            .collect();
+        self.pos += 4 * m;
+        let n = self.u64()? as usize;
+        let bytes = n.div_ceil(4);
+        self.need(bytes)?;
+        let packed = &self.buf[self.pos..self.pos + bytes];
+        let tags: Vec<u8> = (0..n).map(|i| packed[i / 4] >> (2 * (i % 4)) & 3).collect();
+        // Padding bits must be zero so every payload has one encoding.
+        if !n.is_multiple_of(4) && packed[bytes - 1] >> (2 * (n % 4)) != 0 {
+            return Err(CheckpointError::Malformed("nonzero status padding"));
+        }
+        self.pos += bytes;
+        Basis::from_tags(order, &tags).ok_or(CheckpointError::Malformed("warm basis"))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -569,11 +602,8 @@ pub fn encode(state: &CheckpointState) -> Vec<u8> {
     for &s in &state.stamps {
         e.u64(s);
     }
-    for chain in &state.chains {
-        e.u64(chain.len() as u64);
-        for col in chain {
-            e.bits(col);
-        }
+    for slot in &state.bases {
+        e.opt(slot, |e, warm| e.opt(warm, |e, b| e.basis(b)));
     }
     e.opt(&state.best, |e, b| {
         e.f64(b.penalty);
@@ -717,14 +747,9 @@ pub fn decode(data: &[u8]) -> Result<CheckpointState, CheckpointError> {
     for _ in 0..nq {
         stamps.push(d.u64()?);
     }
-    let mut chains = Vec::with_capacity(nq);
+    let mut bases = Vec::with_capacity(nq);
     for _ in 0..nq {
-        let n = d.len(1)?;
-        let mut chain = Vec::with_capacity(n);
-        for _ in 0..n {
-            chain.push(expect_bits(d.bits()?, nf, "chain column length")?);
-        }
-        chains.push(chain);
+        bases.push(d.opt(|d| d.opt(|d| d.basis()))?);
     }
     let best = d.opt(|d| {
         let penalty = d.f64()?;
@@ -772,7 +797,7 @@ pub fn decode(data: &[u8]) -> Result<CheckpointState, CheckpointError> {
         last_z_col,
         perfect,
         stamps,
-        chains,
+        bases,
         best,
         iterations,
         last_bound,

@@ -37,7 +37,7 @@
 //! The loop's entire mutable state lives in one private `BendersState` that
 //! can be checkpointed at iteration boundaries (see [`crate::checkpoint`])
 //! and restored by [`decompose_resume`], which re-solves the donor bases,
-//! replays each scenario's solve chain to re-warm the pool and then
+//! reinstalls each resident template's checkpointed warm basis and then
 //! continues to a final solution bit-identical to an uninterrupted run.
 //! Worker panics are contained and quarantined inside the pool. A warm
 //! restart cannot hang: the LP layer caps its dual repair at about a cold
@@ -245,9 +245,9 @@ pub fn solve_flexile(inst: &Instance, set: &ScenarioSet, opts: &FlexileOptions) 
 /// The checkpoint must match the given problem and options bit-for-bit
 /// (validated by fingerprint); version or checksum mismatches are refused
 /// with a typed [`CheckpointError`]. The pool re-solves the donor bases
-/// and is re-warmed by replaying each scenario's checkpointed solve chain
-/// from its seeded template — warm bases are never persisted — after which
-/// the continuation is bit-identical to the original trajectory.
+/// and rebuilds every template that was resident at the checkpoint, seeded
+/// with the warm basis the checkpoint stored for it (no LP is solved), after
+/// which the continuation is bit-identical to the original trajectory.
 pub fn decompose_resume(
     inst: &Instance,
     set: &ScenarioSet,
@@ -270,12 +270,12 @@ pub fn decompose_resume(
         .field("iteration", ck.it)
         .field("done", ck.done as u64);
     let state = BendersState::from_checkpoint(&ck)?;
-    let snap = PoolSnapshot { stamps: ck.stamps, chains: ck.chains };
+    let snap = PoolSnapshot { stamps: ck.stamps, bases: ck.bases };
     let design = if state.done {
         design_from_state(state, &betas)
     } else {
         let prep = prepare(inst, set, opts);
-        dispatch(inst, set, opts, &prep, state, Some((ck.it, snap)))
+        dispatch(inst, set, opts, &prep, state, Some(snap))
     };
     span.set("penalty", design.penalty);
     Ok(design)
@@ -288,12 +288,12 @@ fn dispatch(
     opts: &FlexileOptions,
     prep: &Prepared,
     state: BendersState,
-    restore: Option<(usize, PoolSnapshot)>,
+    restore: Option<PoolSnapshot>,
 ) -> FlexileDesign {
     let ctx = PoolCtx::new(inst, set, prep.loss_ub.as_deref());
     with_pool(ctx, opts.threads.max(1), opts.pool, |pool| {
-        if let Some((it, snap)) = &restore {
-            pool.restore(*it, snap);
+        if let Some(snap) = restore {
+            pool.restore(snap);
         }
         run_decomposition(inst, set, opts, &prep.betas, &prep.allowed, pool, state)
     })
@@ -385,7 +385,7 @@ impl BendersState {
             last_z_col: self.last_z_col.clone(),
             perfect: self.perfect.clone(),
             stamps: snap.stamps,
-            chains: snap.chains,
+            bases: snap.bases,
             best: self.best.as_ref().map(|(penalty, critical, loss, alpha)| BestIncumbent {
                 penalty: *penalty,
                 critical: critical.clone(),

@@ -17,7 +17,7 @@
 //!   demand factor is solved serially: the lowest-index scenario with that
 //!   factor (the all-alive state in enumerated sets) at the all-critical
 //!   column, under a `flexile.donor` span. Every template the pool builds
-//!   — first build, LRU rebuild, quarantine rebuild, chain replay — is
+//!   — first build, LRU rebuild, quarantine rebuild — is
 //!   seeded with its factor's donor basis, so even a scenario's first
 //!   solve is a dual restart rather than a cold two-phase solve. Templates
 //!   of different demand factors differ in their (17) coefficients and
@@ -50,14 +50,13 @@
 //! process-wide `PoisonError` unwinding. Counted as
 //! `flexile.worker_panic` / `flexile.scenario_quarantined`.
 //!
-//! For checkpointing, each slot additionally records the scenario's
-//! **solve-column history** — the criticality columns successfully solved
-//! since the template was built and seeded. A resumed pool solves the same
-//! donors, so replaying that chain through a fresh seeded template
-//! reconstructs the warm basis bit-for-bit (scenario solve sequences are
-//! independent of each other by construction), which is how
-//! [`crate::decompose_resume`] re-warms the pool without ever persisting a
-//! basis.
+//! Every solve re-installs the template's whole RHS, so a slot's only
+//! state between solves is whether a template is resident and, if so, its
+//! warm basis. A checkpoint stores exactly that per slot ([`PoolSnapshot`]),
+//! and [`PoolHandle::restore`] rebuilds each resident template on the
+//! calling thread and seeds it with its stored basis, solving no LP. The
+//! resumed pool still solves its donors, so later LRU and quarantine
+//! rebuilds start where the uninterrupted run's would.
 //!
 //! Determinism: a donor depends only on the inputs (it is solved on the
 //! calling thread before any worker runs), and after seeding, scenario
@@ -188,18 +187,20 @@ impl<'a> PoolCtx<'a> {
         self.donors.iter().find(|(f, _)| same_demand_factor(*f, factor)).map(|(_, basis)| basis)
     }
 
-    /// Build scenario `q`'s template, seeded with its factor's donor basis.
-    fn build_template(&self, q: usize) -> SubproblemTemplate {
-        let factor = self.set.scenarios[q].demand_factor;
+    /// Scenario `q`'s template, seeded with `warm`.
+    fn template(&self, q: usize, warm: Option<Basis>) -> SubproblemTemplate {
         let mut tmpl = SubproblemTemplate::for_demand_factor(
             self.inst,
             self.loss_ub.map(|ub| ub[q].clone()),
-            factor,
+            self.set.scenarios[q].demand_factor,
         );
-        if let Some(basis) = self.donor(factor) {
-            tmpl.seed(basis.clone());
-        }
+        tmpl.seed(warm);
         tmpl
+    }
+
+    /// Build scenario `q`'s template, seeded with its factor's donor basis.
+    fn build_template(&self, q: usize) -> SubproblemTemplate {
+        self.template(q, self.donor(self.set.scenarios[q].demand_factor).cloned())
     }
 
     /// Solve one donor per distinct demand factor, serially and in scenario
@@ -225,53 +226,29 @@ impl<'a> PoolCtx<'a> {
     }
 }
 
-/// Stamps + per-scenario solve chains, captured at an iteration boundary
-/// for checkpointing and replayed on resume.
+/// The pool's state at an iteration boundary, for checkpointing.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct PoolSnapshot {
     /// Last iteration each scenario's template was used (0 = never/evicted).
     pub stamps: Vec<u64>,
-    /// Criticality columns successfully solved since each template was
-    /// built and seeded. Non-empty exactly for the templates resident at
-    /// the boundary.
-    pub chains: Vec<Vec<Vec<bool>>>,
+    /// Each scenario's slot: `None` when no template is resident (the next
+    /// solve builds one from the donor), else the resident template's warm
+    /// basis (`Some(None)`: the next solve is cold).
+    pub bases: Vec<Option<Option<Basis>>>,
 }
 
-/// A scenario's pooled state: its long-lived template plus the solve-column
-/// history that makes the template's warm basis reconstructible.
-#[derive(Default)]
-struct Slot {
-    tmpl: Option<SubproblemTemplate>,
-    /// Columns successfully solved since `tmpl` was last built and seeded.
-    history: Vec<Vec<bool>>,
-}
-
-impl Slot {
-    /// Drop the template and its chain: the next solve rebuilds it from
-    /// its donor.
-    fn reset(&mut self) {
-        self.tmpl = None;
-        self.history.clear();
-    }
-}
+/// A scenario's long-lived template; `None` until built, and after an
+/// eviction or a quarantine.
+type Slot = Option<SubproblemTemplate>;
 
 /// An epoch's work order, claimed off a shared cursor.
-enum JobWork {
-    /// `cols[i]` is the criticality column for `todo[i]`.
-    Solve(Vec<Vec<bool>>),
-    /// `chains[i]` is a full solve-column chain for `todo[i]`, replayed
-    /// sequentially to reconstruct the template's warm basis (results
-    /// discarded by the caller).
-    Replay(Vec<Vec<Vec<bool>>>),
-}
-
 struct Job {
     todo: Vec<usize>,
-    work: JobWork,
+    /// `cols[i]` is the criticality column for `todo[i]`.
+    cols: Vec<Vec<bool>>,
     /// Next index into `todo` to claim.
     cursor: AtomicUsize,
-    /// Decomposition iteration (1-based) for kill-point checks; 0 for
-    /// replay epochs, which never fire kill-points.
+    /// Decomposition iteration (1-based) for kill-point checks.
     it: usize,
 }
 
@@ -312,20 +289,10 @@ fn solve_contained(
         let scratch = &mut *scratch;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut slot = lock_recover(&slots[q]);
-            let slot = &mut *slot;
-            let tmpl = slot.tmpl.get_or_insert_with(|| ctx.build_template(q));
-            if it > 0 {
-                crate::killpoints::maybe_fire_worker(it, q);
-            }
+            let tmpl = slot.get_or_insert_with(|| ctx.build_template(q));
+            crate::killpoints::maybe_fire_worker(it, q);
             let _sq = flexile_obs::span("flexile.subproblem", "flexile").field("scenario", q);
-            let res = tmpl.solve_with_stats(ctx.inst, &ctx.set.scenarios[q], col, scratch);
-            if res.is_ok() {
-                // Every successful solve extends the replayable chain. A
-                // template is only ever dropped by `Slot::reset`, which
-                // also empties the chain, so a (re)build starts empty.
-                slot.history.push(col.to_vec());
-            }
-            res
+            tmpl.solve_with_stats(ctx.inst, &ctx.set.scenarios[q], col, scratch)
         }));
         match outcome {
             Ok(res) => return res.map_err(PoolError::Solver),
@@ -335,7 +302,7 @@ fn solve_contained(
                 // Quarantine: whatever state the panic left the template
                 // in, it is never used again. The next attempt (this retry
                 // or a later iteration) rebuilds it from its donor.
-                lock_recover(&slots[q]).reset();
+                *lock_recover(&slots[q]) = None;
                 flexile_obs::add("flexile.scenario_quarantined", 1);
                 flexile_obs::flight::dump("scenario_quarantined");
                 if attempts > MAX_PANIC_RETRIES {
@@ -360,7 +327,7 @@ fn worker_loop(
 ) {
     let mut my_epoch = 0u64;
     // One scratch pool per worker: every solve this worker performs —
-    // first solve, restart, replay, or containment retry — reuses the same simplex
+    // first solve, restart, or containment retry — reuses the same simplex
     // work vectors (cleared and re-zeroed per solve, so bit-transparent).
     let mut scratch = SolveScratch::new();
     loop {
@@ -392,26 +359,7 @@ fn worker_loop(
             }
             let q = job.todo[i];
             let t0 = Instant::now();
-            let res = match &job.work {
-                JobWork::Solve(cols) => {
-                    solve_contained(slots, ctx, job.it, q, &cols[i], id, &mut scratch)
-                }
-                JobWork::Replay(chains) => {
-                    // Replay the whole chain; only the last result matters
-                    // (and even it is discarded by restore). A failure
-                    // mid-chain quarantines the slot: the continuation
-                    // simply solves that scenario from its donor.
-                    let mut last = Err(PoolError::Solver(LpError::IterationLimit));
-                    for col in &chains[i] {
-                        last = solve_contained(slots, ctx, 0, q, col, id, &mut scratch);
-                        if last.is_err() {
-                            lock_recover(&slots[q]).reset();
-                            break;
-                        }
-                    }
-                    last
-                }
-            };
+            let res = solve_contained(slots, ctx, job.it, q, &job.cols[i], id, &mut scratch);
             let busy = t0.elapsed().as_micros() as u64;
             let mut g = lock_recover(&shared.ctl);
             g.worker_busy[id] += busy;
@@ -429,21 +377,20 @@ fn worker_loop(
 pub(crate) struct PoolHandle<'a> {
     shared: &'a Shared,
     slots: &'a [Mutex<Slot>],
+    ctx: &'a PoolCtx<'a>,
     residency: usize,
     /// Last iteration each scenario's template was used (0 = never/evicted).
     stamp: Vec<u64>,
-    it: u64,
 }
 
 impl PoolHandle<'_> {
     /// Dispatch one epoch to the workers and wait for every result.
-    fn run_epoch(&mut self, todo: Vec<usize>, work: JobWork, it: usize) -> Vec<ScenResult> {
+    fn run_epoch(&mut self, todo: Vec<usize>, cols: Vec<Vec<bool>>, it: usize) -> Vec<ScenResult> {
         let n = todo.len();
-        let observe_wait = matches!(work, JobWork::Solve(_));
         let wall0 = Instant::now();
         {
             let mut g = lock_recover(&self.shared.ctl);
-            g.job = Some(Arc::new(Job { todo, work, cursor: AtomicUsize::new(0), it }));
+            g.job = Some(Arc::new(Job { todo, cols, cursor: AtomicUsize::new(0), it }));
             g.epoch += 1;
             g.remaining = n;
             g.results = Vec::with_capacity(n);
@@ -457,7 +404,7 @@ impl PoolHandle<'_> {
             }
             std::mem::take(&mut g.results)
         };
-        if observe_wait && flexile_obs::enabled() {
+        if flexile_obs::enabled() {
             let wall = wall0.elapsed().as_micros() as u64;
             let g = lock_recover(&self.shared.ctl);
             for &busy in &g.worker_busy {
@@ -476,7 +423,7 @@ impl PoolHandle<'_> {
             .slots
             .iter()
             .enumerate()
-            .filter(|(_, s)| lock_recover(s).tmpl.is_some())
+            .filter(|(_, s)| lock_recover(s).is_some())
             .map(|(q, _)| (self.stamp[q], q))
             .collect();
         if live.len() <= self.residency {
@@ -485,8 +432,7 @@ impl PoolHandle<'_> {
         live.sort_unstable();
         let excess = live.len() - self.residency;
         for &(_, q) in live.iter().take(excess) {
-            lock_recover(&self.slots[q]).reset();
-            self.stamp[q] = 0;
+            self.retire(q);
         }
     }
 
@@ -499,54 +445,46 @@ impl PoolHandle<'_> {
         todo: &[usize],
         cols: Vec<Vec<bool>>,
     ) -> Vec<ScenResult> {
-        self.it = it as u64;
         if todo.is_empty() {
             return Vec::new();
         }
-        let results = self.run_epoch(todo.to_vec(), JobWork::Solve(cols), it);
+        let results = self.run_epoch(todo.to_vec(), cols, it);
         for &q in todo {
-            self.stamp[q] = self.it;
+            self.stamp[q] = it as u64;
         }
         self.evict();
         results
     }
 
-    /// The decomposition will never solve `q` again (perfect-scenario
-    /// pruning): drop its template early.
+    /// Drop `q`'s template (an LRU eviction, or perfect-scenario pruning:
+    /// the decomposition will never solve `q` again).
     pub(crate) fn retire(&mut self, q: usize) {
-        lock_recover(&self.slots[q]).reset();
+        *lock_recover(&self.slots[q]) = None;
         self.stamp[q] = 0;
     }
 
-    /// Capture the warm-state snapshot (LRU stamps and per-scenario solve
-    /// chains) for checkpointing.
+    /// Capture the LRU stamps and every slot's warm state for
+    /// checkpointing.
     pub(crate) fn snapshot(&self) -> PoolSnapshot {
         // Only called at iteration boundaries (workers parked), so slot
         // contents are quiescent and consistent with `stamp`.
         PoolSnapshot {
             stamps: self.stamp.clone(),
-            chains: self.slots.iter().map(|s| lock_recover(s).history.clone()).collect(),
+            bases: self
+                .slots
+                .iter()
+                .map(|s| lock_recover(s).as_ref().map(|t| t.warm_basis().cloned()))
+                .collect(),
         }
     }
 
-    /// Restore a snapshot taken at the end of iteration `it`: replay each
-    /// scenario's solve chain to rebuild warm bases, and restore the LRU
-    /// stamps.
-    pub(crate) fn restore(&mut self, it: usize, snap: &PoolSnapshot) {
-        self.it = it as u64;
-        self.stamp = snap.stamps.clone();
-        let todo: Vec<usize> =
-            (0..self.slots.len()).filter(|&q| !snap.chains[q].is_empty()).collect();
-        if todo.is_empty() {
-            return;
+    /// Restore a snapshot: rebuild each resident template seeded with its
+    /// stored basis, and restore the LRU stamps. Solves nothing.
+    pub(crate) fn restore(&mut self, snap: PoolSnapshot) {
+        self.stamp = snap.stamps;
+        for (q, warm) in snap.bases.into_iter().enumerate() {
+            *lock_recover(&self.slots[q]) = warm.map(|warm| self.ctx.template(q, warm));
         }
-        let _sp = flexile_obs::span("flexile.rewarm", "flexile").field("scenarios", todo.len());
-        let chains: Vec<Vec<Vec<bool>>> = todo.iter().map(|&q| snap.chains[q].clone()).collect();
-        let results = self.run_epoch(todo, JobWork::Replay(chains), 0);
-        let ok = results.iter().filter(|(_, r)| r.is_ok()).count();
-        flexile_obs::add("flexile.rewarm", ok as u64);
-        // Replay results are discarded: the checkpointed caches remain the
-        // authoritative losses/cuts. Only the warm bases matter here.
     }
 }
 
@@ -572,7 +510,7 @@ pub(crate) fn with_pool<R>(
         PoolPolicy::Cold => 0,
     };
     let nq = ctx.set.scenarios.len();
-    let slots: Vec<Mutex<Slot>> = (0..nq).map(|_| Mutex::new(Slot::default())).collect();
+    let slots: Vec<Mutex<Slot>> = (0..nq).map(|_| Mutex::new(None)).collect();
     let shared = Shared {
         ctl: Mutex::new(Ctl {
             epoch: 0,
@@ -602,9 +540,9 @@ pub(crate) fn with_pool<R>(
         let mut handle = PoolHandle {
             shared: &shared,
             slots: &slots,
+            ctx: &ctx,
             residency,
             stamp: vec![0; nq],
-            it: 0,
         };
         let _shutdown = ShutdownGuard(&shared);
         f(&mut handle)
@@ -615,13 +553,15 @@ pub(crate) fn with_pool<R>(
 mod tests {
     use super::*;
     use crate::subproblem::tests::{fig1_instance, fig1_scenarios, CERTIFICATE_FAILURES};
+    use flexile_lp::fault::with_injector;
+    use flexile_lp::{FaultInjector, FaultKind};
     use flexile_scenario::tm::with_demand_levels;
 
     /// Each slot's warm-basis fingerprint (`None` for an empty slot).
     fn fingerprints(pool: &PoolHandle<'_>) -> Vec<Option<u64>> {
         pool.slots
             .iter()
-            .map(|s| lock_recover(s).tmpl.as_ref().and_then(|t| t.warm_basis_fingerprint()))
+            .map(|s| lock_recover(s).as_ref().and_then(|t| t.warm_basis().map(Basis::fingerprint)))
             .collect()
     }
 
@@ -630,80 +570,75 @@ mod tests {
         results.iter().filter(|(_, r)| r.as_ref().is_ok_and(|(_, stats)| stats.warm_hit)).count()
     }
 
-    #[test]
-    fn chain_replay_rebuilds_the_exact_bases() {
-        let inst = fig1_instance();
-        let set = fig1_scenarios();
-        let ctx = || PoolCtx::new(&inst, &set, None);
-        let todo: Vec<usize> = (0..set.scenarios.len()).collect();
-        // Iteration 1 solves every scenario all-critical; iteration 2 flips
-        // a flow per scenario, so each basis is a two-solve chain that
-        // starts at the donor.
-        let all = vec![vec![true, true]; todo.len()];
-        let flipped: Vec<Vec<bool>> = todo.iter().map(|&q| vec![q % 2 == 0, q % 2 == 1]).collect();
-        let (live, snap) = with_pool(ctx(), 2, PoolPolicy::PerScenario, |pool| {
-            let first = pool.solve_iteration(1, &todo, all.clone());
-            assert_eq!(warm_hits(&first), todo.len(), "first solves restart from the donor");
-            let results = pool.solve_iteration(2, &todo, flipped.clone());
-            assert!(results.iter().all(|(_, r)| r.is_ok()));
-            (fingerprints(pool), pool.snapshot())
-        });
-        assert!(live.iter().all(Option::is_some), "every scenario keeps a warm basis");
-        assert!(snap.chains.iter().all(|c| c.len() == 2), "two solves per chain");
-
-        let restored = with_pool(ctx(), 2, PoolPolicy::PerScenario, |pool| {
-            pool.restore(2, &snap);
-            fingerprints(pool)
-        });
-        assert_eq!(restored, live);
-
-        // The whole chain matters: solving only the last column from the
-        // donor ends on different bases.
-        let last_only = with_pool(ctx(), 2, PoolPolicy::PerScenario, |pool| {
-            pool.solve_iteration(1, &todo, flipped.clone());
-            fingerprints(pool)
-        });
-        assert_ne!(last_only, live);
-
-        // So does the donor: the same chain replayed cold ends elsewhere.
-        let cold = with_pool(ctx(), 2, PoolPolicy::Cold, |pool| {
-            pool.residency = BASIS_RESIDENCY;
-            pool.solve_iteration(1, &todo, all.clone());
-            pool.solve_iteration(2, &todo, flipped.clone());
-            fingerprints(pool)
-        });
-        assert_ne!(cold, live);
+    /// Snapshot `pool`, restore the snapshot into a fresh pool of `threads`
+    /// workers, and return the restored slots' fingerprints. The restore
+    /// runs on the calling thread and must solve nothing there.
+    fn restored_fingerprints(pool: &PoolHandle<'_>, threads: usize) -> Vec<Option<u64>> {
+        let snap = pool.snapshot();
+        let ctx = PoolCtx::new(pool.ctx.inst, pool.ctx.set, pool.ctx.loss_ub);
+        with_pool(ctx, threads, PoolPolicy::PerScenario, |fresh| {
+            let before = flexile_lp::fault::attempts();
+            fresh.restore(snap);
+            assert_eq!(flexile_lp::fault::attempts(), before, "restore solves no LP");
+            fingerprints(fresh)
+        })
     }
 
     #[test]
-    fn lru_rebuilds_restart_from_the_donor_and_replay_exactly() {
+    fn restore_rebuilds_the_live_slots() {
         let inst = fig1_instance();
         let set = fig1_scenarios();
-        let ctx = || PoolCtx::new(&inst, &set, None);
         let nq = set.scenarios.len();
         let todo: Vec<usize> = (0..nq).collect();
         let half: Vec<usize> = (0..nq / 2).collect();
         let flipped: Vec<Vec<bool>> = half.iter().map(|&q| vec![q % 2 == 0, q % 2 == 1]).collect();
-        let (live, snap) = with_pool(ctx(), 2, PoolPolicy::PerScenario, |pool| {
+        with_pool(PoolCtx::new(&inst, &set, None), 2, PoolPolicy::PerScenario, |pool| {
             pool.residency = nq / 2;
-            pool.solve_iteration(1, &todo, vec![vec![true, true]; nq]);
+            let first = pool.solve_iteration(1, &todo, vec![vec![true, true]; nq]);
+            assert_eq!(warm_hits(&first), nq, "first solves restart from the donor");
             // Equal stamps evict the lower indices first: the first half
             // is gone, and iteration 2 rebuilds it from the donor.
             let evicted = fingerprints(pool);
             assert!(evicted[..nq / 2].iter().all(Option::is_none));
+            assert!(evicted[nq / 2..].iter().all(Option::is_some));
+            for threads in [1, 2] {
+                assert_eq!(restored_fingerprints(pool, threads), evicted);
+            }
             let rebuilt = pool.solve_iteration(2, &half, flipped);
             assert_eq!(warm_hits(&rebuilt), half.len(), "an LRU rebuild restarts from the donor");
-            (fingerprints(pool), pool.snapshot())
+            // Iteration 2 stamped the first half, so the second is evicted.
+            let live = fingerprints(pool);
+            assert!(live[..nq / 2].iter().all(Option::is_some));
+            assert!(live[nq / 2..].iter().all(Option::is_none));
+            assert!(pool.snapshot().bases[nq / 2..].iter().all(Option::is_none));
+            for threads in [1, 2] {
+                assert_eq!(restored_fingerprints(pool, threads), live);
+            }
         });
-        let rebuilt_chains = &snap.chains[..nq / 2];
-        assert!(rebuilt_chains.iter().all(|c| c.len() == 1), "chains restart at the rebuild");
-        assert!(snap.chains[nq / 2..].iter().all(Vec::is_empty), "the second half was evicted");
+    }
 
-        let restored = with_pool(ctx(), 1, PoolPolicy::PerScenario, |pool| {
-            pool.restore(2, &snap);
-            fingerprints(pool)
+    #[test]
+    fn restore_keeps_a_template_whose_failed_solve_dropped_its_basis() {
+        let inst = fig1_instance();
+        let set = fig1_scenarios();
+        let q = 1;
+        with_pool(PoolCtx::new(&inst, &set, None), 1, PoolPolicy::PerScenario, |pool| {
+            let solve = |it: usize, col: &[bool]| {
+                solve_contained(pool.slots, pool.ctx, it, q, col, 0, &mut SolveScratch::new())
+            };
+            assert!(solve(1, &[true, true]).is_ok());
+            // The warm restart runs out of iterations, so the template drops
+            // its basis; the cold ladder then fails too.
+            let (failed, _) =
+                with_injector(FaultInjector::always(FaultKind::IterationLimit), || {
+                    solve(2, &[true, false])
+                });
+            assert!(failed.is_err());
+            let live = fingerprints(pool);
+            assert_eq!(live[q], None, "the next solve of the live pool is cold");
+            assert_eq!(pool.snapshot().bases[q], Some(None), "resident, without a basis");
+            assert_eq!(restored_fingerprints(pool, 1), live);
         });
-        assert_eq!(restored, live);
     }
 
     #[test]
@@ -717,7 +652,7 @@ mod tests {
             |factor: f64| -> u64 { ctx.donor(factor).expect("donor for the factor").fingerprint() };
         assert_ne!(donor_print(1.0), donor_print(3.0), "the two factors' optima differ");
         for (q, scen) in set.scenarios.iter().enumerate() {
-            let seeded = ctx.build_template(q).warm_basis_fingerprint();
+            let seeded = ctx.build_template(q).warm_basis().map(Basis::fingerprint);
             assert_eq!(seeded, Some(donor_print(scen.demand_factor)), "scenario {q}");
         }
 

@@ -353,30 +353,22 @@ impl SubproblemTemplate {
         }
     }
 
-    /// Fingerprint of the saved warm basis, if any (see
-    /// [`flexile_lp::Basis::fingerprint`]). The pool's tests use this to
-    /// prove that replaying a checkpointed solve chain reconstructs the
-    /// *exact* basis state of an uninterrupted run.
-    pub fn warm_basis_fingerprint(&self) -> Option<u64> {
-        self.warm.as_ref().map(|b| b.fingerprint())
-    }
-
     /// Whether this template was built for the given demand factor.
     pub fn matches_factor(&self, factor: f64) -> bool {
         same_demand_factor(self.demand_factor, factor)
     }
 
-    /// The optimal basis of the last successful solve, if any.
+    /// The basis the next solve restarts from, if any.
     pub(crate) fn warm_basis(&self) -> Option<&Basis> {
         self.warm.as_ref()
     }
 
-    /// Seed the warm basis with another template's optimum, so the next
-    /// solve dual-restarts from it instead of solving cold. The donor must
-    /// share this template's demand factor, and therefore its LHS; loss
-    /// bounds may differ.
-    pub(crate) fn seed(&mut self, basis: Basis) {
-        self.warm = Some(basis);
+    /// Set the warm basis the next solve restarts from: a donor's optimum,
+    /// or a basis a checkpoint stored for this template. `None` makes the
+    /// next solve cold. The basis must come from a template of the same
+    /// demand factor, and therefore the same LHS; loss bounds may differ.
+    pub(crate) fn seed(&mut self, basis: Option<Basis>) {
+        self.warm = basis;
     }
 }
 

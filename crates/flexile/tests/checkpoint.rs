@@ -4,7 +4,8 @@
 //!   checkpoint states (bit-exact for every `f64`, including infinities).
 //! * **Corruption rejection** — any single bit flip, any truncation, a
 //!   version bump, bad magic, or trailing garbage yields a typed
-//!   [`CheckpointError`], never a panic, an OOM, or silent garbage.
+//!   [`CheckpointError`], never a panic, an OOM, or silent garbage; so
+//!   does a checksum-valid payload whose stored warm basis is inconsistent.
 //! * **Atomicity** — `write_checkpoint` leaves no temp file behind and
 //!   `read_checkpoint` round-trips through the filesystem.
 
@@ -14,6 +15,7 @@ use flexile_core::checkpoint::{
 };
 use flexile_core::subproblem::Cut;
 use flexile_core::{CheckpointError, IterationStat};
+use flexile_lp::Basis;
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -46,6 +48,25 @@ impl Mix {
     }
 }
 
+/// A random valid warm basis: a random subset of up to 12 structural and
+/// slack columns is basic, in random order, sometimes next to a phase-1
+/// artificial; every other column gets a random nonbasic status.
+fn arb_basis(m: &mut Mix) -> Basis {
+    let cols = 1 + (m.u64() % 12) as usize;
+    let mut tags: Vec<u8> = (0..cols).map(|_| 1 + (m.u64() % 3) as u8).collect();
+    let mut order: Vec<usize> = (0..cols).filter(|_| m.bool()).collect();
+    for &j in &order {
+        tags[j] = 0;
+    }
+    if m.bool() {
+        order.push(cols + order.len());
+    }
+    for i in (1..order.len()).rev() {
+        order.swap(i, (m.u64() % (i as u64 + 1)) as usize);
+    }
+    Basis::from_tags(order, &tags).expect("a valid basis")
+}
+
 /// Build a structurally consistent checkpoint state of the given shape.
 fn arb_state(seed: u64, nf: usize, nq: usize, na: usize, iters: usize) -> CheckpointState {
     let mut m = Mix(seed);
@@ -73,8 +94,12 @@ fn arb_state(seed: u64, nf: usize, nq: usize, na: usize, iters: usize) -> Checkp
             .collect(),
         perfect: bits(&mut m, nq),
         stamps: (0..nq).map(|_| m.u64() % 64).collect(),
-        chains: (0..nq)
-            .map(|q| (0..(q % 4)).map(|_| bits(&mut m, nf)).collect())
+        bases: (0..nq)
+            .map(|_| match m.u64() % 3 {
+                0 => None,
+                1 => Some(None),
+                _ => Some(Some(arb_basis(&mut m))),
+            })
             .collect(),
         best: if seed.is_multiple_of(7) {
             None
@@ -202,6 +227,56 @@ fn hostile_length_fields_do_not_allocate() {
     let sum = fnv64_ref(&payload);
     blob[20..28].copy_from_slice(&sum.to_le_bytes());
     assert!(decode(&blob).is_err(), "hostile length accepted");
+}
+
+/// A payload whose last slot holds a fixed warm basis: five columns tagged
+/// basic, lower, upper, basic, free, with order `[3, 0]`. Returns the
+/// blob and the offset of the slot's outer tag byte in it. The fields
+/// after the slots are empty, so their encoding is a fixed 18 bytes.
+fn blob_with_basis() -> (Vec<u8>, usize) {
+    let mut state = arb_state(15, 2, 3, 2, 1);
+    let basis = Basis::from_tags(vec![3, 0], &[0, 1, 2, 0, 3]).expect("valid");
+    state.bases = vec![None, None, Some(Some(basis))];
+    state.best = None;
+    state.iterations.clear();
+    state.last_bound = None;
+    state.betas.clear();
+    let blob = encode(&state);
+    assert_eq!(decode(&blob).as_ref(), Ok(&state));
+    // Two opt tags, the order (u64 count + 2 u32s), the statuses (u64
+    // count + 2 packed bytes), then best, iterations, last_bound, betas.
+    let slot = blob.len() - 18 - (8 + 2 * 4) - (8 + 2) - 2;
+    (blob, slot)
+}
+
+/// Recompute the header checksum after editing the payload.
+fn reseal(blob: &mut [u8]) {
+    let sum = fnv64_ref(&blob[28..]);
+    blob[20..28].copy_from_slice(&sum.to_le_bytes());
+}
+
+#[test]
+fn inconsistent_warm_bases_are_malformed() {
+    let (blob, slot) = blob_with_basis();
+    let order = slot + 2 + 8;
+    let statuses = order + 2 * 4 + 8;
+    let edits: [(&str, usize, u8, &str); 4] = [
+        // A slot tag that is neither "absent" nor "resident".
+        ("bad slot tag", slot, 2, "bool tag"),
+        // Column 1 becomes basic (tags 0,0,2,0 packed low bits first),
+        // but the order lists only 3 and 0.
+        ("basic column missing from the order", statuses, 0b00_10_00_00, "warm basis"),
+        // Order entry 0 names column 200, past any artificial.
+        ("order index out of range", order, 200, "warm basis"),
+        // Bits past the fifth status must be zero.
+        ("nonzero status padding", statuses + 1, 0b0111, "nonzero status padding"),
+    ];
+    for (what, at, byte, msg) in edits {
+        let mut bad = blob.clone();
+        bad[at] = byte;
+        reseal(&mut bad);
+        assert_eq!(decode(&bad), Err(CheckpointError::Malformed(msg)), "{what}");
+    }
 }
 
 /// Reference FNV-1a-64 (matches the codec's checksum).

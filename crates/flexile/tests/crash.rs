@@ -9,8 +9,11 @@
 //!   mid-iteration (simulated process death) leaves a valid checkpoint from
 //!   the previous boundary, and [`decompose_resume`] continues to a final
 //!   design bit-identical to an uninterrupted run — including across a
-//!   different thread count — because each scenario's warm basis is
-//!   reconstructed by replaying its checkpointed solve chain.
+//!   different thread count — because the checkpoint stores each resident
+//!   template's warm basis and resume reinstalls it without solving. One
+//!   input has more scenarios than the pool keeps templates for and
+//!   checkpoints after a contained worker panic, so its checkpoint stores
+//!   a quarantined-and-rebuilt slot next to evicted and retired ones.
 //! * **Zero-fault identity** — checkpointing on (any cadence) vs. off does
 //!   not perturb the trajectory by a single bit.
 //!
@@ -78,6 +81,23 @@ fn fig1_setup() -> (Instance, ScenarioSet) {
         3,
         &EnumOptions { prob_cutoff: 0.0, max_scenarios: 8, coverage_target: 2.0 },
     );
+    (inst, set)
+}
+
+/// The Fig. 1 set repeated 600 times at 1/600 of each probability: 4 800
+/// scenarios, 4 200 of them never perfect, so after iteration 1 more
+/// templates are live than the pool's residency budget (4 096) keeps.
+fn fig1_wide_setup() -> (Instance, ScenarioSet) {
+    let (inst, mut set) = fig1_setup();
+    let copies = 600;
+    let once = std::mem::take(&mut set.scenarios);
+    set.scenarios = (0..copies)
+        .flat_map(|_| once.iter().cloned())
+        .map(|mut s| {
+            s.prob /= copies as f64;
+            s
+        })
+        .collect();
     (inst, set)
 }
 
@@ -351,7 +371,7 @@ fn abort_and_resume_is_bit_identical_sprint_across_threads() {
         let _k = flexile_core::killpoints::arm(&[KillPoint::Abort { iteration: ab }]);
         assert_eq!(run_until_abort(&inst, &set, &mk(&dir, 8)), ab);
         // Resume under a *different* thread count: scenario state is
-        // per-scenario, not per-worker, so the replayed warm bases — and
+        // per-scenario, not per-worker, so the restored warm bases — and
         // the continuation — are identical anyway. (Thread count is
         // excluded from the options fingerprint for exactly this reason.)
         let resumed = decompose_resume(&inst, &set, &mk(&dir, 1)).expect("resume");
@@ -359,6 +379,76 @@ fn abort_and_resume_is_bit_identical_sprint_across_threads() {
         assert_eq!(resumed.iterations, reference.iterations);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn resume_after_quarantine_and_eviction_is_bit_identical() {
+    let _g = exclusive();
+    let (inst, set) = fig1_wide_setup();
+    let mk = |d: &PathBuf, threads: usize| FlexileOptions {
+        threads,
+        checkpoint_dir: Some(d.clone()),
+        checkpoint_every: 1,
+        ..Default::default()
+    };
+    // The uninterrupted run takes the same contained panic: the last copy
+    // of scenario 1 (the lowest indices are the ones evicted) has its
+    // first solve retried from a rebuilt, donor-seeded template.
+    let q = set.scenarios.len() - 7;
+    let kill = KillPoint::Worker { iteration: 1, scenario: q };
+    let dir = temp_dir("wide-ref");
+    let reference = {
+        let _k = flexile_core::killpoints::arm(&[kill]);
+        let d = solve_flexile(&inst, &set, &mk(&dir, 4));
+        assert!(flexile_core::killpoints::disarm().is_empty(), "the worker kill fired");
+        d
+    };
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(reference.iterations.len() >= 2, "setup must iterate");
+
+    let dir = temp_dir("wide");
+    {
+        let _k = flexile_core::killpoints::arm(&[kill, KillPoint::Abort { iteration: 2 }]);
+        assert_eq!(run_until_abort(&inst, &set, &mk(&dir, 4)), 2);
+        assert!(flexile_core::killpoints::disarm().is_empty(), "both kills fired");
+    }
+    let ck_path = checkpoint_path(&dir);
+    let ck = read_checkpoint(&ck_path).expect("iteration-1 checkpoint");
+    assert_eq!(ck.it, 1);
+    assert!(matches!(ck.bases[q], Some(Some(_))), "the rebuilt template is stored warm");
+    let absent = |perfect: bool| {
+        (0..ck.nq).filter(|&s| ck.bases[s].is_none() && ck.perfect[s] == perfect).count()
+    };
+    assert!(absent(true) > 0, "retired slots are stored absent");
+    assert!(absent(false) > 0, "evicted slots are stored absent");
+
+    for threads in [1, 4] {
+        // Each resume continues from its own copy: a resume overwrites the
+        // checkpoint it finishes.
+        let run = temp_dir(&format!("wide-t{threads}"));
+        std::fs::create_dir_all(&run).expect("dir");
+        std::fs::copy(&ck_path, checkpoint_path(&run)).expect("copy checkpoint");
+        flexile_obs::enable();
+        let resumed = decompose_resume(&inst, &set, &mk(&run, threads)).expect("resume");
+        flexile_obs::disable();
+        let t = flexile_obs::drain();
+        assert_eq!(design_bits(&resumed), design_bits(&reference), "resumed at {threads} threads");
+        assert_eq!(resumed.iterations, reference.iterations);
+        // Before the first resumed iteration, the only LPs solved are the
+        // donors: reinstalling the stored bases solves nothing.
+        let first_iteration = t.events_named("flexile.iteration").map(|e| e.ts_us).min();
+        let donors: Vec<(u64, u64)> =
+            t.events_named("flexile.donor").map(|d| (d.ts_us, d.ts_us + d.dur_us)).collect();
+        assert!(!donors.is_empty());
+        for s in t.events_named("lp.solve").filter(|e| Some(e.ts_us) < first_iteration) {
+            assert!(
+                donors.iter().any(|&(from, to)| from <= s.ts_us && s.ts_us + s.dur_us <= to),
+                "an LP outside the donor solves ran before the first resumed iteration"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&run);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -3,11 +3,12 @@
 //! The LP layer abandons a warm dual restart past `rows + cols` pivots and
 //! finishes it with the cold solve. The cap is a function of the model's
 //! shape and pivot counts are deterministic, so a design whose wave hits
-//! the cap must stay bit-identical wherever the same solve chain runs:
+//! the cap must stay bit-identical wherever the same solves run:
 //!
 //! * across pool thread counts;
-//! * through an abort and checkpoint resume, whose chain replay re-runs
-//!   the abandoned restarts.
+//! * through an abort and checkpoint resume, which reinstalls the warm
+//!   bases the checkpoint stored, including a template whose abandoned
+//!   restart left it on the cold solve's basis.
 //!
 //! The instance is InternetMCI at 20 pairs, MLU 0.9 and 60 scenarios: the
 //! smallest Table-2 input found whose wave abandons a restart, small

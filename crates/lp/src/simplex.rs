@@ -192,7 +192,11 @@ impl Mode {
 }
 
 /// A basis snapshot usable for warm-starting a later solve.
-#[derive(Debug, Clone)]
+///
+/// [`Basis::order`] and [`Basis::status_tags`] expose it losslessly and
+/// [`Basis::from_tags`] rebuilds it, so a caller can persist a warm basis
+/// and restart from it in another process.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Basis {
     pub(crate) basis: Vec<usize>,
     pub(crate) status: Vec<VarStatus>,
@@ -205,17 +209,47 @@ impl Basis {
         Basis { basis, status }
     }
 
-    /// Number of basic columns (= rows of the solve that produced it).
-    pub fn size(&self) -> usize {
-        self.basis.len()
+    /// Rebuild a basis from its basic column order and one status tag per
+    /// structural and slack column, as [`Self::order`] and
+    /// [`Self::status_tags`] return them. `None` unless every tag is one of
+    /// the four status tags, no column is listed twice, and the columns
+    /// tagged basic are exactly the listed ones below `tags.len()`. A
+    /// listed column at or past `tags.len()` is a phase-1 artificial that
+    /// stayed basic at zero; there is at most one per row, so every entry
+    /// is below `tags.len() + order.len()`.
+    pub fn from_tags(order: Vec<usize>, tags: &[u8]) -> Option<Basis> {
+        const BY_TAG: [VarStatus; 4] =
+            [VarStatus::Basic, VarStatus::AtLower, VarStatus::AtUpper, VarStatus::FreeZero];
+        let status: Vec<VarStatus> =
+            tags.iter().map(|&t| BY_TAG.get(t as usize).copied()).collect::<Option<_>>()?;
+        let mut listed = vec![false; tags.len() + order.len()];
+        for &j in &order {
+            let slot = listed.get_mut(j)?;
+            if *slot || status.get(j).is_some_and(|&s| s != VarStatus::Basic) {
+                return None;
+            }
+            *slot = true;
+        }
+        let basic_listed = status.iter().zip(&listed).all(|(&s, &l)| (s == VarStatus::Basic) == l);
+        basic_listed.then_some(Basis { basis: order, status })
+    }
+
+    /// The basic columns in basis-row order.
+    pub fn order(&self) -> &[usize] {
+        &self.basis
+    }
+
+    /// One status tag per structural and slack column: 0 basic, 1 at its
+    /// lower bound, 2 at its upper bound, 3 free at zero.
+    pub fn status_tags(&self) -> impl ExactSizeIterator<Item = u8> + '_ {
+        self.status.iter().map(|&s| s as u8)
     }
 
     /// Order-sensitive FNV-1a digest of the basic set and every column's
     /// status. Two bases with equal fingerprints restart a solve
-    /// identically, so the decomposition's crash tests use this to prove
-    /// that replaying a scenario's RHS chain after a resume reconstructs
-    /// *exactly* the warm state the uninterrupted run carried — without
-    /// ever persisting the basis itself.
+    /// identically, so the decomposition's pool tests use it to check that
+    /// a checkpoint restores exactly the warm state the uninterrupted run
+    /// carried.
     pub fn fingerprint(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut eat = |b: u64| {
@@ -229,13 +263,8 @@ impl Basis {
             eat(c as u64);
         }
         eat(self.status.len() as u64);
-        for &s in &self.status {
-            eat(match s {
-                VarStatus::Basic => 0,
-                VarStatus::AtLower => 1,
-                VarStatus::AtUpper => 2,
-                VarStatus::FreeZero => 3,
-            });
+        for tag in self.status_tags() {
+            eat(tag as u64);
         }
         h
     }
@@ -323,13 +352,14 @@ impl SolveScratch {
     }
 }
 
+/// Column status; the discriminant is the [`Basis::status_tags`] tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum VarStatus {
-    Basic,
-    AtLower,
-    AtUpper,
+    Basic = 0,
+    AtLower = 1,
+    AtUpper = 2,
     /// Free variable nonbasic at value 0.
-    FreeZero,
+    FreeZero = 3,
 }
 
 /// Internal working state. Columns are ordered: structural (0..n), slacks
@@ -1928,6 +1958,32 @@ mod tests {
         assert_eq!(capped.iterations, free.iterations);
         assert_eq!(bits(&capped.x), bits(&free.x));
         assert_eq!(capped.basis.fingerprint(), free.basis.fingerprint());
+    }
+
+    #[test]
+    fn basis_round_trips_through_its_tags() {
+        let (m, warm, _) = runaway_setup();
+        let tags: Vec<u8> = warm.status_tags().collect();
+        let rebuilt =
+            Basis::from_tags(warm.order().to_vec(), &tags).expect("a solved basis round-trips");
+        assert_eq!(rebuilt, warm);
+        let opts = crate::SimplexOptions::default();
+        let a = restart(&m, &opts, &warm).unwrap().0;
+        let b = restart(&m, &opts, &rebuilt).unwrap().0;
+        assert_eq!(bits(&a.x), bits(&b.x));
+        assert_eq!(a.basis, b.basis);
+
+        // Two basic columns, three columns in all; entries at 3 and 4 would
+        // be phase-1 artificials.
+        let tags = [0, 1, 0];
+        assert!(Basis::from_tags(vec![2, 0], &tags).is_some());
+        let artificial = Basis::from_tags(vec![2, 3], &[1, 1, 0]);
+        assert!(artificial.is_some(), "an artificial may stay basic");
+        assert!(Basis::from_tags(vec![2, 0], &[0, 4, 0]).is_none(), "unknown tag");
+        assert!(Basis::from_tags(vec![2, 1], &tags).is_none(), "listed column not basic");
+        assert!(Basis::from_tags(vec![2, 3], &tags).is_none(), "basic column not listed");
+        assert!(Basis::from_tags(vec![2, 2], &tags).is_none(), "column listed twice");
+        assert!(Basis::from_tags(vec![2, 5], &[1, 1, 0]).is_none(), "order index out of range");
     }
 
     #[test]

@@ -260,7 +260,7 @@ fn solve_ad_design(
         let dead = scen.dead_mask();
         let mut arc_terms: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); inst.num_arcs()];
         for p in 0..np {
-            let d = inst.demands[0][p];
+            let d = inst.demands[0][p] * scen.demand_factor;
             if d <= 0.0 {
                 continue;
             }

@@ -162,3 +162,22 @@ fn surge_scenario_losses_honor_the_demand_factor() {
         assert!(plan.admitted <= inst.flow_demand(f) * 2.0, "flow {f} admitted {}", plan.admitted);
     }
 }
+
+#[test]
+fn cvar_flow_ad_designs_a_surge_like_doubled_demands() {
+    // A 2× surge in every scenario is the same problem as doubled base
+    // demands, so Cvar-Flow-Ad must give both the same losses: its design
+    // LP has to scale each scenario's routing block by the demand factor,
+    // as its oracle and post-analysis do. Unequal demands make each flow's
+    // share of the surge loss depend on the design.
+    use flexile::te::cvar_flow;
+    let (mut inst, set) = fig1(0.99);
+    inst.demands[0][1] = 0.4;
+    let surge = with_demand_levels(&set, &[(2.0, 1.0)]);
+    let mut doubled = inst.clone();
+    doubled.demands[0].iter_mut().for_each(|d| *d *= 2.0);
+    let opts = cvar_flow::CvarOptions::new(0.99);
+    let surged = cvar_flow::cvar_flow_ad(&inst, &surge, &opts);
+    let plain = cvar_flow::cvar_flow_ad(&doubled, &set, &opts);
+    assert_eq!(surged.loss, plain.loss);
+}
