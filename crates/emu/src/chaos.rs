@@ -114,33 +114,6 @@ impl ChaosReport {
         self.steps.iter().map(|s| s.faults_injected).sum()
     }
 
-    /// Exact order-statistic percentile of the per-step reaction
-    /// latencies, in microseconds. `p` in `[0, 100]`; returns 0 for an
-    /// empty run. Uses the nearest-rank definition, matching the exact
-    /// percentiles in `flexile-metrics` rather than the log-histogram's
-    /// bucketed estimate.
-    pub fn reaction_percentile_us(&self, p: f64) -> u64 {
-        let mut us: Vec<u64> = self
-            .steps
-            .iter()
-            .map(|s| s.reaction.as_micros() as u64)
-            .collect();
-        if us.is_empty() {
-            return 0;
-        }
-        us.sort_unstable();
-        let rank = ((p / 100.0) * us.len() as f64).ceil() as usize;
-        us[rank.clamp(1, us.len()) - 1]
-    }
-
-    /// Steps that ended below [`DegradationLevel::None`] (any fallback).
-    pub fn degraded_steps(&self) -> usize {
-        self.steps
-            .iter()
-            .filter(|s| s.outcome.level > DegradationLevel::None)
-            .count()
-    }
-
     /// Verify the degradation chain's contract on every step: losses cover
     /// every flow, are finite and in `[0, 1]`, disconnected pairs carry
     /// loss 1, and zero demands carry loss 0. Returns the first violation

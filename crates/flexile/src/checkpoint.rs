@@ -60,8 +60,9 @@ use std::path::{Path, PathBuf};
 /// Version 4 started each stored solve-column chain at the donor-seeded
 /// template rather than a cold one. Version 5 stores each resident
 /// template's warm basis in place of its chain, so resume solves no LP to
-/// rebuild it.
-pub const CHECKPOINT_VERSION: u32 = 5;
+/// rebuild it. Version 6 dropped the pruning switch from the `search`
+/// component (pruning is always on).
+pub const CHECKPOINT_VERSION: u32 = 6;
 
 const MAGIC: &[u8; 8] = b"FLXCKPT\0";
 
@@ -105,7 +106,7 @@ pub enum CheckpointError {
         component: &'static str,
     },
     /// The checkpoint was written under decomposition options that change
-    /// the trajectory (iteration/pruning/γ knobs, the master configuration
+    /// the trajectory (iteration cap or γ, the master configuration
     /// or the pool policy). `component` names which options-fingerprint
     /// component diverged (see [`OPTIONS_COMPONENTS`]).
     OptionsMismatch {
@@ -316,13 +317,12 @@ pub fn problem_fingerprint(inst: &Instance, set: &ScenarioSet) -> u64 {
 /// Component fingerprints of the options that change the decomposition
 /// *trajectory* (anything that would make continuation diverge from the
 /// original run), in [`OPTIONS_COMPONENTS`] order: search knobs
-/// (iteration cap, pruning, γ), master configuration, and pool policy +
+/// (iteration cap, γ), master configuration, and pool policy +
 /// residency budget. Thread count is deliberately excluded — output is
 /// thread-invariant — as are the checkpointing knobs themselves.
 pub fn options_fingerprint_parts(opts: &FlexileOptions) -> [u64; OPTIONS_COMPONENTS.len()] {
     let mut search = Fnv::new();
     search.u64(opts.max_iterations as u64);
-    search.u64(opts.prune as u64);
     match opts.gamma {
         Some(g) => {
             search.u64(1);
@@ -343,11 +343,6 @@ pub fn options_fingerprint_parts(opts: &FlexileOptions) -> [u64; OPTIONS_COMPONE
     pool_policy.u64(BASIS_RESIDENCY as u64);
 
     [search.0, master.0, pool_policy.0]
-}
-
-/// Combined options fingerprint (FNV over the component parts).
-pub fn options_fingerprint(opts: &FlexileOptions) -> u64 {
-    combine_parts(&options_fingerprint_parts(opts))
 }
 
 fn combine_parts(parts: &[u64]) -> u64 {

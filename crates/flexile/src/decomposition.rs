@@ -67,9 +67,6 @@ pub struct FlexileOptions {
     /// `γ + optimal ScenLoss(q)`. Requires per-scenario optimal losses,
     /// computed on demand (single-class instances only).
     pub gamma: Option<f64>,
-    /// Enable perfect-scenario / unchanged-criticality pruning (§4.2).
-    /// Disabled only by the ablation benchmarks.
-    pub prune: bool,
     /// Subproblem scheduling / basis-reuse policy (see [`PoolPolicy`]).
     pub pool: PoolPolicy,
     /// Directory to write crash-recovery checkpoints into (as
@@ -90,7 +87,6 @@ impl Default for FlexileOptions {
             threads: 10,
             master: MasterOptions::default(),
             gamma: None,
-            prune: true,
             pool: PoolPolicy::default(),
             checkpoint_dir: None,
             checkpoint_every: 1,
@@ -472,12 +468,10 @@ fn run_decomposition(
     while !state.done && state.it < opts.max_iterations {
         let it = state.it + 1;
         let mut iter_span = flexile_obs::span("flexile.iteration", "flexile").field("iteration", it);
-        // Decide which scenarios need solving.
+        // Pruning (§4.2): skip perfect scenarios and those whose
+        // criticality column has not changed since their last solve.
         let todo: Vec<usize> = (0..nq)
             .filter(|&q| {
-                if !opts.prune {
-                    return true;
-                }
                 if state.perfect[q] {
                     return false;
                 }
@@ -567,10 +561,8 @@ fn run_decomposition(
             let col: Vec<bool> = (0..nf).map(|f| state.z[f][q]).collect();
             if sol.value < 1e-9 && col == allowed.iter().map(|r| r[q]).collect::<Vec<bool>>() {
                 state.perfect[q] = true;
-                if opts.prune {
-                    // Never solved again: drop its pooled template early.
-                    pool.retire(q);
-                }
+                // Never solved again: drop its pooled template early.
+                pool.retire(q);
             }
             state.cached_loss[q] = Some(sol.loss.clone());
             state.cached_value[q] = sol.value;

@@ -7,7 +7,7 @@
 //! min  Penalty
 //! s.t. Penalty ≥ g_q(z_{·q})        for every stored cut, per scenario (19)
 //!      Σ_q p_q z_fq ≥ β_k           coverage per flow (3)
-//!      Σ |z_fq − z'_fq| ≤ Limit     Hamming stabilizer (23)
+//!      Σ |z_fq − z'_fq| ≤ Limit     Hamming stabilizer (23), if enabled
 //!      z_fq = 0 where flow f is disconnected in q (starting heuristic §4.2)
 //! ```
 //!
@@ -18,13 +18,14 @@
 //! * **exact** — branch and bound over the binary `z` (small instances),
 //!   with warm node restarts and dives (see [`flexile_lp::solve_mip`]);
 //! * **LP + rounding** — solve the relaxation, then per flow greedily pick
-//!   the cheapest scenarios (by cut pressure, then probability) until the
-//!   coverage constraint holds; a local-improvement pass then tries
-//!   single-swap reductions of the bound. This is the documented
-//!   substitution for a commercial MIP solver on large instances; the
-//!   Hamming stabilizer the paper already employs keeps each step's search
-//!   neighbourhood small, and Fig. 14's optimality-gap experiment measures
-//!   the end-to-end effect.
+//!   the cheapest scenarios (by cut pressure, then probability, then the
+//!   relaxation's value) until the coverage constraint holds. Nothing
+//!   improves the rounded `z` afterwards. This is the documented
+//!   substitution for a commercial MIP solver on large instances; Fig. 14's
+//!   optimality-gap experiment measures the end-to-end effect.
+//!
+//! The Hamming stabilizer is off by default (`hamming_limit` 0). When it is
+//! enabled, the exact mode enforces it, and the rounding does not.
 
 use crate::subproblem::Cut;
 use flexile_lp::{solve_mip, solve_robust, MipOptions, Model, Sense, SimplexOptions, VarId};
@@ -71,12 +72,6 @@ pub struct MasterOptions {
     pub exact_threshold: usize,
     /// Branch-and-bound budget for the exact mode.
     pub mip_time_limit: Duration,
-    /// LP presolve on the branch-and-bound cold solves (the root
-    /// relaxation and the rounding heuristic; warm nodes and dives skip
-    /// it, see [`flexile_lp::MipOptions::presolve`]). On by default; the
-    /// decomposition's bit-identity tests toggle it to prove the master's
-    /// output does not depend on the reduction.
-    pub presolve: bool,
 }
 
 impl Default for MasterOptions {
@@ -85,7 +80,6 @@ impl Default for MasterOptions {
             hamming_limit: 0,
             exact_threshold: 600,
             mip_time_limit: Duration::from_secs(20),
-            presolve: true,
         }
     }
 }
@@ -212,7 +206,6 @@ pub fn solve_master(
 
     if exact {
         let mip_opts = MipOptions {
-            presolve: opts.presolve,
             max_nodes: 5_000,
             time_limit: opts.mip_time_limit,
             ..MipOptions::default()

@@ -96,13 +96,6 @@ pub struct OnlineOutcome {
     pub errors: Vec<LpError>,
 }
 
-impl OnlineOutcome {
-    /// Whether the full nominal LP pipeline ran without any fault.
-    pub fn is_nominal(&self) -> bool {
-        self.level == DegradationLevel::None
-    }
-}
-
 /// Allocate bandwidth in `scen` given the flows' criticality and the
 /// per-flow loss the offline phase promised in this scenario
 /// (`promised_loss[f]`, §4.3: "assigns necessary bandwidth for critical

@@ -31,8 +31,9 @@
 //! ```
 //!
 //! where `D` collects the z-independent dual terms. Evaluated at `q' = q`
-//! this is tight (strong duality); evaluated at another scenario it is the
-//! shared-dual-space cross cut (22).
+//! this is tight (strong duality). Cuts are per scenario: the master adds
+//! each cut for the scenario that produced it only, and does not share it
+//! with other scenarios as the paper's cross cut (22) would.
 
 use flexile_lp::{
     solve_robust, Basis, LpError, Model, RestartKind, RowId, Sense, SimplexOptions, Solution,
@@ -41,7 +42,7 @@ use flexile_lp::{
 use flexile_scenario::Scenario;
 use flexile_traffic::Instance;
 
-/// A Benders cut produced by one subproblem solve (eq. 21/22).
+/// A Benders cut produced by one subproblem solve (eq. 21).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cut {
     /// Duals of the criticality rows (10), one per flow; `≥ 0`.

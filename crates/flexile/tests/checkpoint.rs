@@ -11,7 +11,7 @@
 
 use flexile_core::checkpoint::{
     decode, encode, read_checkpoint, write_checkpoint, BestIncumbent, CheckpointState,
-    CHECKPOINT_VERSION,
+    CHECKPOINT_VERSION, OPTIONS_COMPONENTS, PROBLEM_COMPONENTS,
 };
 use flexile_core::subproblem::Cut;
 use flexile_core::{CheckpointError, IterationStat};
@@ -217,16 +217,19 @@ fn hostile_length_fields_do_not_allocate() {
     let state = arb_state(14, 2, 3, 2, 1);
     let mut blob = encode(&state);
     // Payload starts at byte 28 (8 magic + 4 version + 8 len + 8 checksum);
-    // the first fields are the 5 problem + 4 options fingerprint parts
-    // (9 u64s), then nf as a length-ish u64 — overwrite nf with a huge
+    // the first fields are the problem and options fingerprint parts (one
+    // u64 each), then nf as a length-ish u64 — overwrite nf with a huge
     // value and fix the checksum so only the shape validation can object.
     let payload_start = 28;
-    let nf_off = payload_start + 8 * 9;
+    let nf_off = payload_start + 8 * (PROBLEM_COMPONENTS.len() + OPTIONS_COMPONENTS.len());
+    let nf = (state.nf as u64).to_le_bytes();
+    assert_eq!(blob[nf_off..nf_off + 8], nf, "the offset names nf");
     blob[nf_off..nf_off + 8].copy_from_slice(&(1u64 << 60).to_le_bytes());
-    let payload = blob[payload_start..].to_vec();
-    let sum = fnv64_ref(&payload);
-    blob[20..28].copy_from_slice(&sum.to_le_bytes());
-    assert!(decode(&blob).is_err(), "hostile length accepted");
+    reseal(&mut blob);
+    assert!(
+        matches!(decode(&blob), Err(CheckpointError::Malformed(_))),
+        "hostile length accepted"
+    );
 }
 
 /// A payload whose last slot holds a fixed warm basis: five columns tagged

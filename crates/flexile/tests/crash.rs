@@ -2,9 +2,10 @@
 //! quarantine exhaustion, and checkpoint/resume bit-identity.
 //!
 //! * **Worker kill sweep** — a worker panic at any (iteration, scenario) is
-//!   contained, quarantined, retried from a cold template, and the
-//!   decomposition still converges; a panic in iteration 1 (where every
-//!   solve is cold anyway) leaves the output bit-identical.
+//!   contained, quarantined, retried from a template rebuilt from its
+//!   donor, and the decomposition still converges; a panic in iteration 1
+//!   (where every solve is a first solve from the donor anyway) leaves the
+//!   output bit-identical.
 //! * **Abort + resume** — an abort that unwinds the whole decomposition
 //!   mid-iteration (simulated process death) leaves a valid checkpoint from
 //!   the previous boundary, and [`decompose_resume`] continues to a final
@@ -189,8 +190,10 @@ fn worker_kill_sweep_fig1() {
             );
             assert_monotone(&d, "worker kill");
             if it == 1 {
-                // Iteration 1 is cold for everyone: the quarantined retry
-                // performs the identical cold solve, so the whole run is
+                // In iteration 1 every template makes its first solve, a
+                // dual restart from its demand factor's donor basis. The
+                // quarantined retry rebuilds the template from the same
+                // donor and repeats that solve, so the whole run is
                 // bit-identical.
                 assert_eq!(
                     design_bits(&d),
@@ -221,7 +224,7 @@ fn worker_kill_sprint_emits_containment_telemetry() {
         assert!(d.penalty.is_finite() && d.penalty >= 0.0);
         assert_monotone(&d, "sprint kill");
         if it == 1 {
-            assert_eq!(design_bits(&d), design_bits(&reference), "cold-iteration kill");
+            assert_eq!(design_bits(&d), design_bits(&reference), "first-iteration kill");
         }
         if fired {
             let counter = |n: &str| t.counters.get(n).copied().unwrap_or(0);
@@ -492,11 +495,11 @@ fn resume_refuses_mismatched_problem_or_options() {
         Err(CheckpointError::ProblemMismatch { .. })
     ));
 
-    // Different trajectory-relevant options.
-    let other_opts = FlexileOptions { prune: false, ..opts.clone() };
+    // A different γ: the search component names the drift.
+    let other_opts = FlexileOptions { gamma: Some(0.2), ..opts.clone() };
     assert!(matches!(
         decompose_resume(&inst, &set, &other_opts),
-        Err(CheckpointError::OptionsMismatch { .. })
+        Err(CheckpointError::OptionsMismatch { component: "search" })
     ));
 
     // A different pool policy: the pool_policy component names the drift.

@@ -5,12 +5,14 @@
 //! small/medium instances: LP relaxation at every node, branching on the most
 //! fractional integer variable, best-bound node selection.
 //!
-//! * **Warm nodes.** Only the root relaxation is solved cold (presolved when
-//!   [`MipOptions::presolve`] is on). Every other node carries its parent's
-//!   optimal basis, shared by both children. A branching bound change keeps
-//!   that basis dual feasible, so the LP layer repairs it with a dual
-//!   restart, capped at about a cold solve's cost (see [`crate::simplex`]).
-//!   Warm nodes skip presolve: their basis addresses the full column space.
+//! * **Warm nodes.** Only the root relaxation is solved cold. Every other
+//!   node carries its parent's optimal basis, shared by both children. A
+//!   branching bound change keeps that basis dual feasible, so the LP layer
+//!   repairs it with a dual restart, capped at about a cold solve's cost
+//!   (see [`crate::simplex`]). The cold solves are presolved: the root, and
+//!   the rounding heuristic, whose fixed integer columns presolve removes.
+//!   Warm nodes and dives are not, since their basis addresses the full
+//!   column space.
 //! * **Incumbents.** Until one exists, a fix-and-resolve rounding heuristic
 //!   (a cold solve with every integer fixed) runs at shallow nodes. At the
 //!   root and every `DIVE_EVERY`th node a depth-first dive repeatedly fixes
@@ -47,10 +49,6 @@ pub struct MipOptions {
     /// Prune a node whose bound is within `rel_gap · |incumbent|` of the
     /// incumbent.
     pub rel_gap: f64,
-    /// Run the LP presolve on the cold solves: the root relaxation and the
-    /// rounding heuristic, whose fixed integer columns the presolve
-    /// eliminates. Warm nodes and dives never presolve.
-    pub presolve: bool,
 }
 
 impl Default for MipOptions {
@@ -60,7 +58,6 @@ impl Default for MipOptions {
             time_limit: Duration::from_secs(60),
             abs_gap: 1e-6,
             rel_gap: 1e-6,
-            presolve: true,
         }
     }
 }
@@ -167,7 +164,7 @@ struct Search<'a> {
     work: Model,
     ints: Vec<VarId>,
     opts: &'a MipOptions,
-    /// Options for cold solves (presolve as configured) and warm ones.
+    /// Options for cold solves (presolved) and warm ones (not).
     cold: SimplexOptions,
     warm: SimplexOptions,
     /// `1` for Min, `-1` for Max: objectives are compared in Min form.
@@ -308,7 +305,7 @@ pub fn solve_mip(model: &Model, opts: &MipOptions) -> Result<MipResult, LpError>
         });
     }
 
-    let cold = SimplexOptions { presolve: opts.presolve, ..SimplexOptions::default() };
+    let cold = SimplexOptions::default();
     let mut s = Search {
         work: model.clone(),
         ints,

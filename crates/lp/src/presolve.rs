@@ -17,9 +17,6 @@
 //!   dual is repaired from the column's full-space reduced cost.
 //! * **Empty columns** (no live rows): moved to their cost-optimal bound
 //!   (detecting unboundedness), then removed as fixed.
-//! * **Free singleton columns** in an equality row: the column absorbs the
-//!   row; the row's dual is forced to `c_j / a_ij` and the other columns'
-//!   costs are shifted so the reduced problem stays exact.
 //! * **Bound tightening** on all-positive `≤` rows whose live columns all
 //!   have finite lower bounds (the capacity-row pattern): implied upper
 //!   bounds are recorded with their source row so a binding implied bound
@@ -59,39 +56,14 @@ enum BoundSrc {
     Tightened(u32, f64),
 }
 
-/// What happened to an original column.
-#[derive(Debug, Clone, Copy)]
-enum ColFate {
-    Kept,
-    /// Removed at a known value.
-    Fixed(f64),
-    /// Removed as a free singleton; its value is reconstructed from the
-    /// matching [`Reduction::free_elims`] entry during postsolve.
-    Eliminated,
-}
-
-/// A free singleton column folded into its equality row.
-#[derive(Debug, Clone)]
-struct FreeElim {
-    col: usize,
-    row: usize,
-    coeff: f64,
-    /// Adjusted RHS of the row at elimination time.
-    rhs: f64,
-    /// Adjusted minimization-form cost of the column at elimination time.
-    cost: f64,
-    /// The row's other live columns at elimination time.
-    others: Vec<(u32, f64)>,
-}
-
 /// A reduced model plus everything needed to restore the original solution.
 pub(crate) struct Reduction {
     reduced: Model,
     kept_cols: Vec<u32>,
     kept_rows: Vec<u32>,
-    col_fate: Vec<ColFate>,
+    /// `Some(value)` for each column removed at a known value.
+    fixed: Vec<Option<f64>>,
     row_kept: Vec<bool>,
-    free_elims: Vec<FreeElim>,
     /// Final working bounds (tightened) in original column space.
     tlb: Vec<f64>,
     tub: Vec<f64>,
@@ -187,7 +159,6 @@ fn reduce(model: &Model) -> Result<Presolved, LpError> {
 
     let mut tlb = model.lb.clone();
     let mut tub = model.ub.clone();
-    let mut cost: Vec<f64> = model.obj.iter().map(|c| sign * c).collect();
     let mut rhs = model.rhs.clone();
     let mut live_col = vec![true; n];
     let mut live_row = vec![true; m];
@@ -199,10 +170,9 @@ fn reduce(model: &Model) -> Result<Presolved, LpError> {
             col_live[j as usize] += 1;
         }
     }
-    let mut col_fate = vec![ColFate::Kept; n];
+    let mut fixed = vec![None; n];
     let mut lb_src = vec![BoundSrc::Original; n];
     let mut ub_src = vec![BoundSrc::Original; n];
-    let mut free_elims: Vec<FreeElim> = Vec::new();
     let mut singleton_log: Vec<(u32, u32)> = Vec::new();
     let mut removed_cols = 0u64;
     let mut removed_rows = 0u64;
@@ -224,12 +194,13 @@ fn reduce(model: &Model) -> Result<Presolved, LpError> {
             } else if col_live[j] == 0 {
                 // No live rows: the column moves straight to its
                 // cost-optimal bound (minimization form).
-                if cost[j] > REPAIR_TOL {
+                let cost = sign * model.obj[j];
+                if cost > REPAIR_TOL {
                     if !tlb[j].is_finite() {
                         return Ok(Presolved::Unbounded);
                     }
                     tlb[j]
-                } else if cost[j] < -REPAIR_TOL {
+                } else if cost < -REPAIR_TOL {
                     if !tub[j].is_finite() {
                         return Ok(Presolved::Unbounded);
                     }
@@ -246,7 +217,7 @@ fn reduce(model: &Model) -> Result<Presolved, LpError> {
                 continue;
             };
             live_col[j] = false;
-            col_fate[j] = ColFate::Fixed(val);
+            fixed[j] = Some(val);
             removed_cols += 1;
             changed = true;
             for (i, a) in model.cols.col(j).iter() {
@@ -308,50 +279,6 @@ fn reduce(model: &Model) -> Result<Presolved, LpError> {
             for &(jc, _) in &rows[i] {
                 if live_col[jc as usize] {
                     col_live[jc as usize] -= 1;
-                }
-            }
-        }
-
-        // Free singleton columns in an equality row absorb the row.
-        for j in 0..n {
-            if !live_col[j]
-                || col_live[j] != 1
-                || tlb[j].is_finite()
-                || tub[j].is_finite()
-            {
-                continue;
-            }
-            let (i, a) = match model
-                .cols
-                .col(j)
-                .iter()
-                .find(|&(i, a)| live_row[i] && a != 0.0)
-            {
-                Some(e) => e,
-                None => continue,
-            };
-            if model.row_cmp[i] != Cmp::Eq || a.abs() < 1e-9 {
-                continue;
-            }
-            let others: Vec<(u32, f64)> = rows[i]
-                .iter()
-                .filter(|&&(kc, _)| kc as usize != j && live_col[kc as usize])
-                .copied()
-                .collect();
-            for &(kc, aik) in &others {
-                cost[kc as usize] -= cost[j] * aik / a;
-            }
-            col_fate[j] = ColFate::Eliminated;
-            free_elims.push(FreeElim { col: j, row: i, coeff: a, rhs: rhs[i], cost: cost[j], others });
-            live_col[j] = false;
-            removed_cols += 1;
-            live_row[i] = false;
-            removed_rows += 1;
-            changed = true;
-            for &(kc, _) in &rows[i] {
-                let k = kc as usize;
-                if live_col[k] {
-                    col_live[k] -= 1;
                 }
             }
         }
@@ -437,7 +364,7 @@ fn reduce(model: &Model) -> Result<Presolved, LpError> {
                 .map(|(i, a)| (row_map[i], a))
                 .collect();
             cols.push_col(SparseCol::from_entries(entries));
-            obj.push(sign * cost[j]);
+            obj.push(model.obj[j]);
             rlb.push(tlb[j]);
             rub.push(tub[j]);
         }
@@ -458,9 +385,8 @@ fn reduce(model: &Model) -> Result<Presolved, LpError> {
         reduced,
         kept_cols,
         kept_rows,
-        col_fate,
+        fixed,
         row_kept: live_row,
-        free_elims,
         tlb,
         tub,
         lb_src,
@@ -489,40 +415,27 @@ impl Reduction {
         let sign = self.sign;
 
         // Primal: kept columns from the reduced solve, fixed columns at
-        // their values, eliminated free columns from their row equations in
-        // reverse elimination order (later eliminations are restored first,
-        // so every referenced column value is already known).
+        // their values.
         let mut x = vec![0.0; n];
         if let Some(rs) = &rsol {
             for (jr, &jc) in self.kept_cols.iter().enumerate() {
                 x[jc as usize] = rs.x[jr];
             }
         }
-        for (j, fate) in self.col_fate.iter().enumerate() {
-            if let ColFate::Fixed(v) = fate {
+        for (j, v) in self.fixed.iter().enumerate() {
+            if let Some(v) = v {
                 x[j] = *v;
             }
         }
-        for fe in self.free_elims.iter().rev() {
-            let mut act = 0.0;
-            for &(kc, a) in &fe.others {
-                act += a * x[kc as usize];
-            }
-            x[fe.col] = (fe.rhs - act) / fe.coeff;
-        }
 
         // Duals, in minimization form: kept rows from the reduced solve,
-        // eliminated-row duals forced by their absorbed column, then the
-        // two repair passes (see the module docs for why this order is
+        // then the two repair passes (see the module docs for why this order is
         // exact for this reduction set).
         let mut y = vec![0.0; m];
         if let Some(rs) = &rsol {
             for (ir, &ic) in self.kept_rows.iter().enumerate() {
                 y[ic as usize] = sign * rs.duals[ir];
             }
-        }
-        for fe in &self.free_elims {
-            y[fe.row] = fe.cost / fe.coeff;
         }
         let dval = |j: usize, y: &[f64]| -> f64 {
             let mut d = sign * model.obj[j];
@@ -637,9 +550,8 @@ impl Reduction {
                 }
             }
         }
-        for (j, fate) in self.col_fate.iter().enumerate() {
-            let removed = !matches!(fate, ColFate::Kept);
-            if removed {
+        for j in 0..n {
+            if self.fixed[j].is_some() {
                 status[j] = if at(x[j], model.ub[j]) && !at(x[j], model.lb[j]) {
                     VarStatus::AtUpper
                 } else if model.lb[j].is_finite() || model.ub[j].is_finite() {
@@ -762,20 +674,26 @@ mod tests {
     }
 
     #[test]
-    fn free_singleton_column_eliminated_exactly() {
-        // min x + z st x + y = 5 (y free), x + z >= 3; y absorbs the row.
+    fn free_singleton_column_stays_in_the_reduced_model() {
+        // min x + z st x + y = 5 (y free), x + z >= 3, x <= 4. The
+        // singleton row x <= 4 presolves away; the free singleton column y
+        // is kept, and the solve still matches the direct one.
         let mut m = Model::new(Sense::Min);
         let x = m.add_var("x", 0.0, 10.0, 1.0);
         let y = m.add_var("y", f64::NEG_INFINITY, f64::INFINITY, 0.0);
         let z = m.add_var("z", 0.0, 10.0, 1.0);
         let req = m.add_row_eq(&[(x, 1.0), (y, 1.0)], 5.0);
         m.add_row_ge(&[(x, 1.0), (z, 1.0)], 3.0);
+        m.add_row_le(&[(x, 1.0)], 4.0);
+        let Presolved::Reduced(red) = reduce(&m).expect("reduce") else {
+            panic!("the singleton row should leave a reduced model");
+        };
+        let (y_col, req_row) = (y.index() as u32, req.index() as u32);
+        assert!(red.kept_cols.contains(&y_col), "free column removed");
+        assert!(red.kept_rows.contains(&req_row), "its row removed");
         let (on, off) = solve_both(&m);
         assert!((on.objective - off.objective).abs() < 1e-9);
-        // y must satisfy the equality exactly in the restored primal.
         assert!((on.value(x) + on.value(y) - 5.0).abs() < 1e-9);
-        // The eliminated row's dual equals c_y / a = 0 here.
-        assert!(on.dual(req).abs() < 1e-9);
         assert_kkt(&m, &on);
     }
 

@@ -550,11 +550,6 @@ impl LuFactors {
         LuFactors::default()
     }
 
-    /// Factored dimension.
-    pub fn dim(&self) -> usize {
-        self.m
-    }
-
     /// Structural non-zeros in `L + U` (including the unit/diagonal entries).
     pub fn nnz(&self) -> usize {
         self.l_vals.len() + self.u_rvals.len() + 2 * self.m

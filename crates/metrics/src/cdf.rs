@@ -14,7 +14,6 @@ pub struct CdfPoint {
 #[derive(Debug, Clone)]
 pub struct Cdf {
     points: Vec<CdfPoint>,
-    total: f64,
 }
 
 impl Cdf {
@@ -39,17 +38,12 @@ impl Cdf {
                 _ => points.push(CdfPoint { value: v, cum: acc }),
             }
         }
-        Cdf { points, total }
+        Cdf { points }
     }
 
     /// The CDF steps in ascending value order.
     pub fn points(&self) -> &[CdfPoint] {
         &self.points
-    }
-
-    /// Total (unnormalized) weight.
-    pub fn total_weight(&self) -> f64 {
-        self.total
     }
 
     /// Fraction of mass at or below `v`.

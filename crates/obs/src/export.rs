@@ -36,15 +36,6 @@ pub fn json_escape_into(out: &mut String, s: &str) {
     }
 }
 
-/// Escape a string for inclusion inside JSON double quotes, returning a
-/// fresh `String`. Convenience wrapper over [`json_escape_into`] for
-/// one-off callers; bulk exporters use the buffered form.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    json_escape_into(&mut out, s);
-    out
-}
-
 /// Append a [`Value`] as a JSON value. Non-finite floats become `null`
 /// (JSON has no representation for them).
 fn write_value(out: &mut String, v: &Value) {

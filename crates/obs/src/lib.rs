@@ -51,7 +51,7 @@ pub use hist::LogHistogram;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static ANCHOR: OnceLock<Instant> = OnceLock::new();
@@ -340,15 +340,6 @@ pub fn observe(name: &'static str, value: f64) {
         return;
     }
     with_buf(|_, b| b.hists.entry(name).or_default().record(value));
-}
-
-/// Record a duration (as microseconds) into the named histogram.
-#[inline]
-pub fn observe_duration(name: &'static str, d: Duration) {
-    if !enabled() {
-        return;
-    }
-    observe(name, d.as_secs_f64() * 1e6);
 }
 
 /// A merged snapshot of everything recorded since the last drain.

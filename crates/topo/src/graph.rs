@@ -134,11 +134,6 @@ impl Topology {
         &self.links[l.index()]
     }
 
-    /// Mutable link access (used by capacity augmentation).
-    pub fn link_mut(&mut self, l: LinkId) -> &mut Link {
-        &mut self.links[l.index()]
-    }
-
     /// Neighbors of `n` as `(neighbor, link)` pairs.
     pub fn neighbors(&self, n: NodeId) -> &[(NodeId, LinkId)] {
         &self.adj[n.index()]

@@ -50,11 +50,6 @@ impl TunnelSet {
         TunnelSet { pairs: pairs.to_vec(), tunnels }
     }
 
-    /// Total number of tunnels across pairs.
-    pub fn total_tunnels(&self) -> usize {
-        self.tunnels.iter().map(|t| t.len()).sum()
-    }
-
     /// Whether pair `p` has at least one tunnel alive under `failed` links.
     pub fn pair_alive(&self, p: usize, failed: &[bool]) -> bool {
         self.tunnels[p].iter().any(|t| t.alive(failed))
