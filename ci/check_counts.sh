@@ -53,8 +53,10 @@ ceilings='[
   ["design_master", "lp.pivots.phase1", 800],
   ["design_master", "master.node_lps", 11782],
   ["design_restart", "lp.pivots.dual", 20000],
+  ["design_restart", "lp.pivots.phase1", 1500],
   ["design_restart", "lp.pivots.phase2", 8000],
   ["design_wide", "lp.bland_activations", 100],
+  ["design_wide", "lp.pivots.phase1", 2500],
   ["design_wide", "lp.pivots.phase2", 20000]
 ]'
 

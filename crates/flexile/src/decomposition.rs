@@ -348,7 +348,7 @@ impl BendersState {
         Ok(BendersState {
             it: ck.it,
             z: ck.z.clone(),
-            pool: CutPool { cuts: ck.cuts.clone() },
+            pool: CutPool::from_cuts(ck.cuts.clone()),
             cached_loss: ck.cached_loss.clone(),
             cached_value: ck.cached_value.clone(),
             last_z_col: ck.last_z_col.clone(),
@@ -375,7 +375,7 @@ impl BendersState {
             it: self.it,
             done: self.done,
             z: self.z.clone(),
-            cuts: self.pool.cuts.clone(),
+            cuts: self.pool.cuts().to_vec(),
             cached_loss: self.cached_loss.clone(),
             cached_value: self.cached_value.clone(),
             last_z_col: self.last_z_col.clone(),
@@ -836,6 +836,36 @@ mod tests {
             let certified = CERTIFIED.load(Ordering::Relaxed) - before;
             assert!(solved > set.scenarios.len(), "{pool:?}: a multi-iteration design");
             assert!(certified >= solved, "{pool:?}: {certified} certified of {solved} solves");
+        }
+    }
+
+    #[test]
+    fn reduced_master_keeps_the_bound_on_tinet() {
+        // The final cut pool of the `design_wide` problem: the master's LP
+        // relaxation over the priced columns has the full relaxation's
+        // bound, with the Hamming row off, and on around the final `z`.
+        let (inst, set) = tinet40();
+        let dir = std::env::temp_dir()
+            .join(format!("flexile-reduced-master-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = FlexileOptions {
+            threads: 2,
+            checkpoint_dir: Some(dir.clone()),
+            ..Default::default()
+        };
+        solve_flexile(&inst, &set, &opts);
+        let ck = checkpoint::read_checkpoint(&checkpoint::checkpoint_path(&dir))
+            .expect("final checkpoint");
+        let _ = std::fs::remove_dir_all(&dir);
+        let prep = prepare(&inst, &set, &opts);
+        let pool = CutPool::from_cuts(ck.cuts);
+        assert!(!pool.is_empty());
+        for hamming_limit in [0, 40] {
+            let master = MasterOptions { hamming_limit, ..Default::default() };
+            let fixed = crate::master::tests::assert_reduced_bound_matches(
+                &inst, &set, &pool, &prep.allowed, &prep.betas, &ck.z, &master,
+            );
+            assert!(fixed > 0, "hamming {hamming_limit}: no column was fixed");
         }
     }
 

@@ -24,8 +24,22 @@
 //!   substitution for a commercial MIP solver on large instances; Fig. 14's
 //!   optimality-gap experiment measures the end-to-end effect.
 //!
+//! The LP relaxation holds only the columns a cut can price. A column
+//! `z_fq` that no stored cut of `q` prices (every `w_f ≤ PRICE_TOL`) has
+//! zero cost, and its only coefficient is a positive one in flow `f`'s
+//! coverage row. So `z_fq = 1` is optimal, and the relaxation fixes it
+//! there: its probability is credited to the coverage row, whose target
+//! becomes `min(β_k, Σ_allowed p_q)` minus the fixed mass (the row goes
+//! when that is ≤ 0). Perfect scenarios never carry a cut, so on wide
+//! inputs nearly every column is fixed this way. The exact mode keeps
+//! every column.
+//!
 //! The Hamming stabilizer is off by default (`hamming_limit` 0). When it is
-//! enabled, the exact mode enforces it, and the rounding does not.
+//! enabled, the exact mode enforces it, and the rounding does not. The LP
+//! relaxation then also keeps every column whose previous value is 0: at
+//! `z = 1` it would add 1 to the distance, so fixing it is not free. Every
+//! fixed column has previous value 1 and adds 0, so the Hamming row counts
+//! only the columns it keeps.
 
 use crate::subproblem::Cut;
 use flexile_lp::{solve_mip, solve_robust, MipOptions, Model, Sense, SimplexOptions, VarId};
@@ -33,22 +47,60 @@ use flexile_scenario::ScenarioSet;
 use flexile_traffic::Instance;
 use std::time::Duration;
 
+/// A cut prices `z_fq` when its `w_f` exceeds this; the cut rows drop
+/// smaller duals, and a column no cut prices is fixed at 1 in the LP
+/// relaxation.
+const PRICE_TOL: f64 = 1e-12;
+
 /// Cuts stored per scenario (each `solve` of `S_q` appends one).
 #[derive(Debug, Default, Clone)]
 pub struct CutPool {
     /// `cuts[q]` holds the cuts generated from scenario `q`.
-    pub cuts: Vec<Vec<Cut>>,
+    cuts: Vec<Vec<Cut>>,
+    /// `pressure[q][f]`: the largest `w_f` among scenario `q`'s cuts, the
+    /// cost pressure of marking `(f, q)` critical. Empty until `q` has a
+    /// cut, which reads as 0 for every flow.
+    pressure: Vec<Vec<f64>>,
 }
 
 impl CutPool {
     /// Empty pool for `nq` scenarios.
     pub fn new(nq: usize) -> Self {
-        CutPool { cuts: vec![Vec::new(); nq] }
+        CutPool { cuts: vec![Vec::new(); nq], pressure: vec![Vec::new(); nq] }
+    }
+
+    /// Pool holding `cuts[q]` for each scenario `q` (a checkpoint's cuts).
+    pub(crate) fn from_cuts(cuts: Vec<Vec<Cut>>) -> Self {
+        let mut pool = CutPool::new(cuts.len());
+        for (q, scenario_cuts) in cuts.into_iter().enumerate() {
+            for cut in scenario_cuts {
+                pool.push(q, cut);
+            }
+        }
+        pool
     }
 
     /// Add a cut learned from scenario `q`.
     pub fn push(&mut self, q: usize, cut: Cut) {
+        let pressure = &mut self.pressure[q];
+        if pressure.is_empty() {
+            pressure.resize(cut.w.len(), 0.0);
+        }
+        for (p, &w) in pressure.iter_mut().zip(&cut.w) {
+            *p = p.max(w);
+        }
         self.cuts[q].push(cut);
+    }
+
+    /// The stored cuts, `cuts()[q]` from scenario `q`.
+    pub(crate) fn cuts(&self) -> &[Vec<Cut>] {
+        &self.cuts
+    }
+
+    /// Cut pressure of `(f, q)`: the largest `w_f` among scenario `q`'s
+    /// cuts, 0 when it has none.
+    fn pressure(&self, f: usize, q: usize) -> f64 {
+        self.pressure[q].get(f).copied().unwrap_or(0.0)
     }
 
     /// Total cuts stored.
@@ -84,11 +136,14 @@ impl Default for MasterOptions {
     }
 }
 
-/// Build the master model: `penalty` and the `z[f][q]` columns (binary
-/// when `exact`, in `[0, 1]` otherwise; `None` where not `allowed`) under
-/// the coverage, cut and Hamming rows.
+/// Build the master model: `penalty` and the `z[f][q]` columns under the
+/// coverage, cut and Hamming rows. When `exact`, every allowed `z` is a
+/// binary column. Otherwise the columns are in `[0, 1]`, and an allowed
+/// `z` that no cut prices (and, with the Hamming row on, was 1 in `prev`)
+/// is fixed at 1 and left out (module docs). `None` marks a `z` that is
+/// not `allowed` or is fixed.
 #[allow(clippy::too_many_arguments)]
-fn master_model(
+pub(crate) fn master_model(
     inst: &Instance,
     set: &ScenarioSet,
     pool: &CutPool,
@@ -100,56 +155,64 @@ fn master_model(
 ) -> (Model, Vec<Vec<Option<VarId>>>) {
     let nf = inst.num_flows();
     let nq = set.scenarios.len();
-
-    // Per-arc capacities per scenario (cut evaluation needs them).
-    let cap_arc: Vec<Vec<f64>> = set
-        .scenarios
-        .iter()
-        .map(|s| {
-            (0..inst.num_arcs())
-                .map(|a| inst.arc_capacity(a) * s.cap_factor[inst.arc_link(a)])
-                .collect()
-        })
-        .collect();
+    let hamming = opts.hamming_limit > 0;
 
     let mut m = Model::new(Sense::Min);
     let penalty = m.add_var("penalty", 0.0, f64::INFINITY, 1.0);
     let mut z: Vec<Vec<Option<VarId>>> = vec![vec![None; nq]; nf];
     for f in 0..nf {
         for q in 0..nq {
-            if allowed[f][q] {
-                let v = if exact {
-                    m.add_binary(&format!("z_{f}_{q}"), 0.0)
-                } else {
-                    m.add_var(&format!("z_{f}_{q}"), 0.0, 1.0, 0.0)
-                };
-                z[f][q] = Some(v);
+            if !allowed[f][q] {
+                continue;
+            }
+            if exact {
+                z[f][q] = Some(m.add_binary("z", 0.0));
+            } else if pool.pressure(f, q) > PRICE_TOL || (hamming && !prev[f][q]) {
+                z[f][q] = Some(m.add_var("z", 0.0, 1.0, 0.0));
             }
         }
     }
-    // Coverage (3).
+    // Coverage (3), with the fixed columns' mass credited.
     for f in 0..nf {
         let k = inst.flow_class(f);
-        let coeffs: Vec<(VarId, f64)> = (0..nq)
-            .filter_map(|q| z[f][q].map(|v| (v, set.scenarios[q].prob)))
-            .collect();
-        if coeffs.is_empty() {
-            continue; // flow never connected; coverage is unreachable
+        let mut coeffs: Vec<(VarId, f64)> = Vec::new();
+        let (mut reachable, mut fixed) = (0.0, 0.0);
+        for q in (0..nq).filter(|&q| allowed[f][q]) {
+            let p = set.scenarios[q].prob;
+            reachable += p;
+            match z[f][q] {
+                Some(v) => coeffs.push((v, p)),
+                None => fixed += p,
+            }
         }
-        m.add_row_ge(&coeffs, betas[k].min(coeffs.iter().map(|c| c.1).sum()));
+        // No row when the coverage is unreachable (the flow is never
+        // connected) or the fixed columns already meet it.
+        let target = betas[k].min(reachable) - fixed;
+        if coeffs.is_empty() || (fixed > 0.0 && target <= 0.0) {
+            continue;
+        }
+        m.add_row_ge(&coeffs, target);
     }
-    // Cut rows (19): Penalty ≥ g_q(z_{·q}).
+    // Cut rows (19): Penalty ≥ g_q(z_{·q}). A column a cut prices is never
+    // fixed, so every fixed column's `w_f` is dropped here anyway.
     for q in 0..nq {
+        if pool.cuts[q].is_empty() {
+            continue;
+        }
+        let s = &set.scenarios[q];
+        let cap_arc: Vec<f64> = (0..inst.num_arcs())
+            .map(|a| inst.arc_capacity(a) * s.cap_factor[inst.arc_link(a)])
+            .collect();
         for cut in &pool.cuts[q] {
             // g = d_const + Σ_f w_f (z_fq − 1) + Σ_a u_a cap_a(q)
             let mut constant = cut.d_const;
-            for (&u, &c) in cut.u.iter().zip(cap_arc[q].iter()) {
+            for (&u, &c) in cut.u.iter().zip(cap_arc.iter()) {
                 constant += u * c;
             }
             let mut coeffs: Vec<(VarId, f64)> = vec![(penalty, 1.0)];
             for f in 0..nf {
                 let w = cut.w[f];
-                if w <= 1e-12 {
+                if w <= PRICE_TOL {
                     continue;
                 }
                 constant -= w;
@@ -162,8 +225,9 @@ fn master_model(
             m.add_row_ge(&coeffs, constant);
         }
     }
-    // Hamming stabilizer (23): Σ_{prev=1}(1−z) + Σ_{prev=0} z ≤ Limit.
-    if opts.hamming_limit > 0 {
+    // Hamming stabilizer (23): Σ_{prev=1}(1−z) + Σ_{prev=0} z ≤ Limit, over
+    // the columns the model holds (a fixed column adds 0).
+    if hamming {
         let mut coeffs = Vec::new();
         let mut ones = 0usize;
         for f in 0..nf {
@@ -228,43 +292,39 @@ pub fn solve_master(
 
     // LP relaxation + greedy rounding. The robust ladder absorbs transient
     // solver faults; a terminal failure falls back to greedy rounding on a
-    // zero relaxation (pressure + probability ordering still applies).
-    let (frac, lb) = match solve_robust(&m, &SimplexOptions::default(), None).result {
-        Ok(sol) => {
-            let frac: Vec<Vec<f64>> = (0..nf)
-                .map(|f| {
-                    (0..nq)
-                        .map(|q| z[f][q].map_or(0.0, |v| sol.value(v)))
-                        .collect()
-                })
-                .collect();
-            (frac, sol.objective.max(0.0))
+    // zero relaxation, fixed columns still at 1 (pressure + probability
+    // ordering still applies).
+    let sol = solve_robust(&m, &SimplexOptions::default(), None).result.ok();
+    let lb = sol.as_ref().map_or(0.0, |s| s.objective.max(0.0));
+    // The relaxation's value of an allowed `z`; a fixed column is at 1.
+    let frac = |f: usize, q: usize| -> f64 {
+        match z[f][q] {
+            Some(v) => sol.as_ref().map_or(0.0, |s| s.value(v)),
+            None => 1.0,
         }
-        Err(_) => (vec![vec![0.0; nq]; nf], 0.0),
     };
 
     // Note: the greedy rounding below does not re-impose the Hamming
     // stabilizer (the LP relaxation above does); with the stabilizer
     // enabled the exact mode should be used for strict step bounds.
-    // Cut pressure of marking (f, q) critical: the largest w_f among the
-    // scenario's cuts.
-    let pressure = |f: usize, q: usize| -> f64 {
-        pool.cuts[q].iter().map(|c| c.w[f]).fold(0.0, f64::max)
-    };
     let mut out = vec![vec![false; nq]; nf];
+    let mut cands: Vec<(f64, f64, f64, usize)> = Vec::new();
     for f in 0..nf {
         let k = inst.flow_class(f);
-        let mut cands: Vec<usize> = (0..nq).filter(|&q| allowed[f][q]).collect();
-        // Greedy: low pressure first, then high probability, then high
+        // Greedy: low cut pressure first, then high probability, then high
         // fractional value from the relaxation.
-        cands.sort_by(|&a, &b| {
-            let pa = (pressure(f, a), -set.scenarios[a].prob, -frac[f][a]);
-            let pb = (pressure(f, b), -set.scenarios[b].prob, -frac[f][b]);
-            pa.partial_cmp(&pb).unwrap_or(std::cmp::Ordering::Equal)
+        cands.clear();
+        cands.extend(
+            (0..nq)
+                .filter(|&q| allowed[f][q])
+                .map(|q| (pool.pressure(f, q), -set.scenarios[q].prob, -frac(f, q), q)),
+        );
+        cands.sort_by(|a, b| {
+            (a.0, a.1, a.2).partial_cmp(&(b.0, b.1, b.2)).unwrap_or(std::cmp::Ordering::Equal)
         });
-        let target: f64 = betas[k].min(cands.iter().map(|&q| set.scenarios[q].prob).sum());
+        let target: f64 = betas[k].min(cands.iter().map(|c| set.scenarios[c.3].prob).sum());
         let mut acc = 0.0;
-        for &q in &cands {
+        for &(.., q) in &cands {
             if acc + 1e-12 >= target {
                 break;
             }
@@ -276,10 +336,61 @@ pub fn solve_master(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::subproblem::tests::{fig1_instance, fig1_scenarios};
     use crate::subproblem::SubproblemTemplate;
+    use flexile_lp::LpError;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Fig. 1 after one round of cuts with every flow critical.
+    fn fig1_round_one() -> (Instance, ScenarioSet, CutPool) {
+        let inst = fig1_instance();
+        let set = fig1_scenarios();
+        let mut pool = CutPool::new(set.scenarios.len());
+        let mut t = SubproblemTemplate::new(&inst, None);
+        for (q, scen) in set.scenarios.iter().enumerate() {
+            pool.push(q, t.solve(&inst, scen, &[true, true]).unwrap().cut);
+        }
+        (inst, set, pool)
+    }
+
+    /// Oracle for the LP-relaxation master: the model `solve_master`
+    /// relaxes, which holds only the priced columns, has the bound of the
+    /// full relaxation (the exact-mode model with its binaries relaxed),
+    /// or both are infeasible. Returns how many allowed columns the
+    /// reduced model fixed.
+    pub(crate) fn assert_reduced_bound_matches(
+        inst: &Instance,
+        set: &ScenarioSet,
+        pool: &CutPool,
+        allowed: &[Vec<bool>],
+        betas: &[f64],
+        prev: &[Vec<bool>],
+        opts: &MasterOptions,
+    ) -> usize {
+        let (full, _) = master_model(inst, set, pool, allowed, betas, prev, opts, true);
+        let (reduced, z) = master_model(inst, set, pool, allowed, betas, prev, opts, false);
+        match (full.solve(), reduced.solve()) {
+            (Ok(a), Ok(b)) => assert!(
+                (a.objective - b.objective).abs() <= 1e-9 * a.objective.abs().max(1.0),
+                "full relaxation {} vs reduced {}",
+                a.objective,
+                b.objective
+            ),
+            (Err(LpError::Infeasible), Err(LpError::Infeasible)) => {}
+            (a, b) => panic!(
+                "full relaxation {:?} vs reduced {:?}",
+                a.map(|s| s.objective),
+                b.map(|s| s.objective)
+            ),
+        }
+        let kept = z.iter().flatten().filter(|v| v.is_some()).count();
+        let allowed_cols = allowed.iter().flatten().filter(|&&a| a).count();
+        allowed_cols - kept
+    }
 
     fn connected_matrix(
         inst: &Instance,
@@ -304,17 +415,9 @@ mod tests {
         // both flows critical, the master should mark f1 non-critical in
         // the A-B-failure scenario and f2 non-critical in the A-C-failure
         // scenario, achieving penalty 0.
-        let inst = fig1_instance();
-        let set = fig1_scenarios();
+        let (inst, set, pool) = fig1_round_one();
         let allowed = connected_matrix(&inst, &set);
         let betas = vec![0.99];
-        let mut pool = CutPool::new(set.scenarios.len());
-        let mut t = SubproblemTemplate::new(&inst, None);
-        let z_all: Vec<bool> = vec![true, true];
-        for (q, scen) in set.scenarios.iter().enumerate() {
-            let s = t.solve(&inst, scen, &z_all).unwrap();
-            pool.push(q, s.cut);
-        }
         let prev = allowed.clone();
         let (z, bound) = solve_master(
             &inst,
@@ -348,14 +451,8 @@ mod tests {
     fn exact_master_matches_brute_force() {
         // Fig. 1 after one round of cuts with every flow critical, with and
         // without the Hamming row.
-        let inst = fig1_instance();
-        let set = fig1_scenarios();
+        let (inst, set, pool) = fig1_round_one();
         let allowed = connected_matrix(&inst, &set);
-        let mut pool = CutPool::new(set.scenarios.len());
-        let mut t = SubproblemTemplate::new(&inst, None);
-        for (q, scen) in set.scenarios.iter().enumerate() {
-            pool.push(q, t.solve(&inst, scen, &[true, true]).unwrap().cut);
-        }
         for hamming_limit in [0, 2] {
             let opts = MasterOptions { hamming_limit, ..Default::default() };
             let (m, _) = master_model(&inst, &set, &pool, &allowed, &[0.995], &allowed, &opts, true);
@@ -388,22 +485,116 @@ mod tests {
 
     #[test]
     fn hamming_limit_restricts_change() {
-        let inst = fig1_instance();
-        let set = fig1_scenarios();
+        // One round of Fig. 1 cuts, and a `prev` that has the A-B-failure
+        // scenario non-critical for f2 and everything else allowed critical.
+        // Unrestricted, the (exact) master moves more than one column, as
+        // the cuts of both single-failure scenarios bite; a limit of 1
+        // allows only one move.
+        let (inst, set, pool) = fig1_round_one();
         let allowed = connected_matrix(&inst, &set);
-        let pool = CutPool::new(set.scenarios.len());
-        // prev: everything allowed is critical.
-        let prev = allowed.clone();
+        let qab = set.scenarios.iter().position(|s| s.failed_units == vec![0]).unwrap();
+        let mut prev = allowed.clone();
+        prev[1][qab] = false;
+        let dist = |z: &[Vec<bool>]| -> usize {
+            z.iter().flatten().zip(prev.iter().flatten()).filter(|(a, b)| a != b).count()
+        };
+        let free = MasterOptions::default();
+        let (z, _) = solve_master(&inst, &set, &pool, &allowed, &[0.99], &prev, &free);
+        assert!(dist(&z) > 1, "the limit must bind: unrestricted distance {}", dist(&z));
         let opts = MasterOptions { hamming_limit: 1, ..Default::default() };
         let (z, _) = solve_master(&inst, &set, &pool, &allowed, &[0.99], &prev, &opts);
-        let mut dist = 0;
-        for f in 0..z.len() {
-            for q in 0..z[f].len() {
-                if z[f][q] != prev[f][q] {
-                    dist += 1;
+        assert!(dist(&z) <= 1, "hamming distance {} exceeds limit", dist(&z));
+        // The LP relaxation's Hamming row still holds columns: the priced
+        // ones and the one `prev` has at 0.
+        let (m, zv) = master_model(&inst, &set, &pool, &allowed, &[0.99], &prev, &opts, false);
+        assert!(zv[1][qab].is_some());
+        assert!(m.num_vars() > 2, "{} columns", m.num_vars());
+    }
+
+    #[test]
+    fn reduced_relaxation_keeps_the_bound_on_fig1() {
+        let (inst, set, pool) = fig1_round_one();
+        let allowed = connected_matrix(&inst, &set);
+        let mut fixed = 0;
+        for hamming_limit in [0, 1, 2] {
+            let opts = MasterOptions { hamming_limit, ..Default::default() };
+            for q in 0..set.scenarios.len() {
+                // `prev` with scenario q non-critical for flow 0.
+                let mut prev = allowed.clone();
+                prev[0][q] = false;
+                for beta in [0.9, 0.99, 0.995] {
+                    fixed += assert_reduced_bound_matches(
+                        &inst, &set, &pool, &allowed, &[beta], &prev, &opts,
+                    );
                 }
             }
         }
-        assert!(dist <= 1, "hamming distance {dist} exceeds limit");
+        assert!(fixed > 0, "no column was fixed: the reduction went untested");
+    }
+
+    /// Sprint at 8 pairs over its 12 most likely single- and double-link
+    /// failure scenarios.
+    fn sprint8() -> (Instance, ScenarioSet, Vec<Vec<bool>>) {
+        let topo = flexile_topo::topology_by_name("Sprint").expect("Sprint is in the zoo");
+        let units = flexile_scenario::model::link_units(&topo, &vec![0.01; topo.num_links()]);
+        let set = flexile_scenario::enumerate_scenarios(
+            &units,
+            topo.num_links(),
+            &flexile_scenario::EnumOptions {
+                prob_cutoff: 0.0,
+                max_scenarios: 12,
+                coverage_target: 2.0,
+            },
+        );
+        let inst = Instance::single_class(topo, 7, 0.6, Some(8));
+        let allowed = connected_matrix(&inst, &set);
+        (inst, set, allowed)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Random cut pools: per scenario up to three cuts with random
+        /// `w` (some `w_f` exactly 0, so some columns go unpriced), `u`
+        /// and `d_const`; with the Hamming row off, and on with a `prev`
+        /// that mixes true and false.
+        #[test]
+        fn reduced_relaxation_keeps_the_bound_on_random_pools(
+            seed in any::<u64>(),
+            hamming in any::<bool>(),
+        ) {
+            let (inst, set, allowed) = sprint8();
+            let (nf, nq, na) = (inst.num_flows(), set.scenarios.len(), inst.num_arcs());
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut pool = CutPool::new(nq);
+            for q in 0..nq {
+                for _ in 0..rng.random_range(0usize..4) {
+                    let w: Vec<f64> = (0..nf)
+                        .map(|_| {
+                            if rng.random_bool(0.6) { 0.0 } else { rng.random_range(0.0..1.0) }
+                        })
+                        .collect();
+                    // Each capacity term is at most 0.2 in size, so that
+                    // the cut is positive at `z = 1` more often than not.
+                    let u = (0..na)
+                        .map(|a| {
+                            if rng.random_bool(0.8) {
+                                0.0
+                            } else {
+                                -rng.random_range(0.0..0.2) / inst.arc_capacity(a)
+                            }
+                        })
+                        .collect();
+                    let d_const = w.iter().sum::<f64>() + rng.random_range(0.0..1.0);
+                    pool.push(q, Cut { w, u, d_const });
+                }
+            }
+            let prev: Vec<Vec<bool>> =
+                (0..nf).map(|_| (0..nq).map(|_| rng.random_bool(0.8)).collect()).collect();
+            let hamming_limit = if hamming { rng.random_range(1..nf * nq / 4) } else { 0 };
+            let opts = MasterOptions { hamming_limit, ..Default::default() };
+            let beta = rng.random_range(0.5..1.0);
+            assert_reduced_bound_matches(&inst, &set, &pool, &allowed, &[beta], &prev, &opts);
+        }
     }
 }
