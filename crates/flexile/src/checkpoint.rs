@@ -5,14 +5,14 @@
 //! run after process death: the proposed criticality `z`, the master's cut
 //! pool, per-scenario caches and pruning flags, the best incumbent, the
 //! per-iteration statistics, the bound trajectory, and each scenario's
-//! pool slot: whether a template is resident and, if so, its warm basis.
+//! pool slot: whether it is resident and, if so, its warm basis.
 //!
 //! **Warm bases are persisted as they are.** Every subproblem solve
-//! re-installs its template's whole RHS, so a resident template's warm
-//! basis is its only state between solves. `decompose_resume` rebuilds
-//! each resident template seeded with its stored basis and solves no LP to
-//! do so; the donors are solved again, so later rebuilds start where the
-//! uninterrupted run's would. The pool's unit tests compare every slot's
+//! installs its scenario's whole RHS and loss bounds in a worker's shared
+//! model, so a scenario's slot is its only state between solves.
+//! `decompose_resume` puts every slot back as stored and solves no LP to
+//! do so; the donors are solved again, so slots emptied later start where
+//! the uninterrupted run's would. The pool's unit tests compare every slot's
 //! [`flexile_lp::Basis::fingerprint`] after a snapshot/restore round trip
 //! with the uninterrupted run's; the crash tests assert that resumed runs
 //! reach bit-identical final designs.
@@ -59,7 +59,7 @@ use std::path::{Path, PathBuf};
 /// Version 3 dropped the batch-width options component (4 → 3 parts).
 /// Version 4 started each stored solve-column chain at the donor-seeded
 /// template rather than a cold one. Version 5 stores each resident
-/// template's warm basis in place of its chain, so resume solves no LP to
+/// slot's warm basis in place of its chain, so resume solves no LP to
 /// rebuild it. Version 6 dropped the pruning switch from the `search`
 /// component (pruning is always on).
 pub const CHECKPOINT_VERSION: u32 = 6;
@@ -201,11 +201,11 @@ pub struct CheckpointState {
     pub last_z_col: Vec<Option<Vec<bool>>>,
     /// Perfect-scenario pruning flags.
     pub perfect: Vec<bool>,
-    /// Pool LRU stamps (last iteration each template was used).
+    /// Pool LRU stamps (last iteration each slot was used).
     pub stamps: Vec<u64>,
-    /// Per-scenario pool slot: `None` when no template is resident (the
-    /// next solve builds one from its donor), else the resident template's
-    /// warm basis (`Some(None)`: its next solve is cold).
+    /// Per-scenario pool slot: `None` when not resident (the next solve
+    /// starts from its donor), else the resident slot's warm basis
+    /// (`Some(None)`: its next solve is cold).
     pub bases: Vec<Option<Option<Basis>>>,
     /// Best incumbent so far.
     pub best: Option<BestIncumbent>,

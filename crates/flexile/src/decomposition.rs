@@ -17,10 +17,11 @@
 //! * **Persistent scenario-solve pool** — subproblems run on a pool of
 //!   workers that lives for the whole decomposition (the private `pool`
 //!   module):
-//!   one warm template *per scenario* so iteration `k+1` dual-restarts from
+//!   one warm basis *per scenario* so iteration `k+1` dual-restarts from
 //!   iteration `k`'s basis of the *same* scenario (the shared dual space /
 //!   warm-start trick of the reformulated `S_q`, applied across
-//!   iterations), and every template's first solve dual-restarts from a
+//!   iterations), solved on one model per worker and demand factor, and
+//!   every scenario's first solve dual-restarts from a
 //!   donor basis (the all-alive scenario's all-critical optimum, one per
 //!   demand factor, solved before the first wave) — applied across
 //!   scenarios. A work-stealing scheduler and a bounded basis-residency
@@ -37,7 +38,7 @@
 //! The loop's entire mutable state lives in one private `BendersState` that
 //! can be checkpointed at iteration boundaries (see [`crate::checkpoint`])
 //! and restored by [`decompose_resume`], which re-solves the donor bases,
-//! reinstalls each resident template's checkpointed warm basis and then
+//! reinstalls each resident slot's checkpointed warm basis and then
 //! continues to a final solution bit-identical to an uninterrupted run.
 //! Worker panics are contained and quarantined inside the pool. A warm
 //! restart cannot hang: the LP layer caps its dual repair at about a cold
@@ -145,6 +146,8 @@ pub fn evaluate_criticality(
     let nf = inst.num_flows();
     let betas = crate::effective_betas(inst, set);
     let mut tmpl: Option<SubproblemTemplate> = None;
+    // Each solve restarts from the previous optimum of the same factor.
+    let mut warm = None;
     let mut loss = vec![vec![1.0; set.scenarios.len()]; nf];
     for (q, scen) in set.scenarios.iter().enumerate() {
         let rebuild = tmpl
@@ -152,12 +155,14 @@ pub fn evaluate_criticality(
             .is_none_or(|t| !t.matches_factor(scen.demand_factor));
         if rebuild {
             tmpl = Some(SubproblemTemplate::for_demand_factor(inst, None, scen.demand_factor));
+            warm = None;
         }
         let zq: Vec<bool> = (0..nf).map(|f| critical[f][q]).collect();
         // A scenario whose LP fails terminally keeps its pessimistic
         // initialization (loss 1 everywhere) instead of aborting the
         // whole evaluation.
-        if let Ok(sol) = tmpl.as_mut().expect("template built").solve(inst, scen, &zq) {
+        let tmpl = tmpl.as_mut().expect("template built");
+        if let Ok((sol, _)) = tmpl.solve_with_stats(inst, scen, &zq, &mut warm) {
             for f in 0..nf {
                 loss[f][q] = sol.loss[f];
             }
@@ -193,29 +198,31 @@ fn prepare(inst: &Instance, set: &ScenarioSet, opts: &FlexileOptions) -> Prepare
         })
         .collect();
 
-    // γ variant: per-flow loss upper bounds (needs optimal ScenLoss per
-    // scenario — single class only).
-    let loss_ub: Option<Vec<Vec<f64>>> = opts.gamma.map(|gamma| {
-        assert_eq!(inst.num_classes(), 1, "γ variant is defined for single-class runs");
-        set.scenarios
-            .iter()
-            .map(|scen| {
-                let opt = flexile_te::mcf::optimal_scen_loss(inst, scen, true);
-                (0..nf)
-                    .map(|f| {
-                        let p = inst.flow_pair(f);
-                        if inst.tunnels[0].pair_alive(p, &scen.dead_mask()) {
-                            (gamma + opt).clamp(0.0, 1.0)
-                        } else {
-                            1.0
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
-    });
-
+    let loss_ub = opts.gamma.map(|gamma| gamma_loss_bounds(inst, set, gamma));
     Prepared { betas, allowed, loss_ub }
+}
+
+/// The γ variant's per-scenario, per-flow loss upper bounds (§4.4): the
+/// scenario's optimal ScenLoss plus `gamma` for flows with a live tunnel.
+/// Single class only.
+pub(crate) fn gamma_loss_bounds(inst: &Instance, set: &ScenarioSet, gamma: f64) -> Vec<Vec<f64>> {
+    assert_eq!(inst.num_classes(), 1, "γ variant is defined for single-class runs");
+    set.scenarios
+        .iter()
+        .map(|scen| {
+            let opt = flexile_te::mcf::optimal_scen_loss(inst, scen, true);
+            (0..inst.num_flows())
+                .map(|f| {
+                    let p = inst.flow_pair(f);
+                    if inst.tunnels[0].pair_alive(p, &scen.dead_mask()) {
+                        (gamma + opt).clamp(0.0, 1.0)
+                    } else {
+                        1.0
+                    }
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Run Flexile's offline phase.
@@ -241,8 +248,8 @@ pub fn solve_flexile(inst: &Instance, set: &ScenarioSet, opts: &FlexileOptions) 
 /// The checkpoint must match the given problem and options bit-for-bit
 /// (validated by fingerprint); version or checksum mismatches are refused
 /// with a typed [`CheckpointError`]. The pool re-solves the donor bases
-/// and rebuilds every template that was resident at the checkpoint, seeded
-/// with the warm basis the checkpoint stored for it (no LP is solved), after
+/// and puts back every slot that was resident at the checkpoint, with the
+/// warm basis the checkpoint stored for it (no LP is solved), after
 /// which the continuation is bit-identical to the original trajectory.
 pub fn decompose_resume(
     inst: &Instance,
@@ -561,7 +568,7 @@ fn run_decomposition(
             let col: Vec<bool> = (0..nf).map(|f| state.z[f][q]).collect();
             if sol.value < 1e-9 && col == allowed.iter().map(|r| r[q]).collect::<Vec<bool>>() {
                 state.perfect[q] = true;
-                // Never solved again: drop its pooled template early.
+                // Never solved again: drop its warm basis early.
                 pool.retire(q);
             }
             state.cached_loss[q] = Some(sol.loss.clone());

@@ -5,7 +5,7 @@
 //!
 //! * [`KillPoint::Worker`] panics inside a pool worker right before it
 //!   solves scenario `scenario` in iteration `iteration` — exercising the
-//!   `catch_unwind` containment, template quarantine, and bounded-retry
+//!   `catch_unwind` containment, slot quarantine, and bounded-retry
 //!   machinery of the scenario pool.
 //! * [`KillPoint::Abort`] unwinds the *whole* decomposition out of
 //!   iteration `iteration` (after the subproblem fan-out, before any state

@@ -10,8 +10,9 @@
 //!
 //! * [`subproblem`] (§4.2) — the per-scenario LP `S_q` in the reformulated
 //!   form (17)/(18) whose left-hand side is scenario-independent, so one
-//!   template model is re-solved per scenario with only RHS changes and a
-//!   warm-started basis; its duals yield the per-scenario Benders cuts (21).
+//!   template model per demand factor is re-solved per scenario with only
+//!   RHS and bound changes and a warm-started basis; its duals yield the
+//!   per-scenario Benders cuts (21).
 //! * [`master`] (§4.2) — the cut-collecting master problem (M) with the
 //!   per-flow coverage constraint (3) and the optional Hamming-distance
 //!   stabilizer (23); solved exactly by branch-and-bound on small instances

@@ -351,8 +351,10 @@ pub(crate) mod tests {
         let set = fig1_scenarios();
         let mut pool = CutPool::new(set.scenarios.len());
         let mut t = SubproblemTemplate::new(&inst, None);
+        let mut warm = None;
         for (q, scen) in set.scenarios.iter().enumerate() {
-            pool.push(q, t.solve(&inst, scen, &[true, true]).unwrap().cut);
+            let (sol, _) = t.solve_with_stats(&inst, scen, &[true, true], &mut warm).unwrap();
+            pool.push(q, sol.cut);
         }
         (inst, set, pool)
     }

@@ -9,19 +9,23 @@
 //!
 //! This module provides that state management:
 //!
-//! * **Per-scenario templates** — one long-lived [`SubproblemTemplate`] per
-//!   scenario (γ-variant loss bounds included), so iteration `k+1` restarts
-//!   scenario `q` from scenario `q`'s own optimal basis via the explicit
-//!   dual-simplex RHS path ([`flexile_lp::Model::solve_rhs_restart`]).
+//! * **Per-scenario warm bases, per-worker models** — a scenario's slot
+//!   holds only its warm basis. Every scenario of a demand factor has the
+//!   same LHS, so each worker keeps one [`SubproblemTemplate`] per demand
+//!   factor and, before each solve, installs the scenario's RHS and its γ
+//!   loss bounds (§4.4) in it. The solve takes the slot's basis in and
+//!   leaves its optimum there, so iteration `k+1` restarts scenario `q`
+//!   from scenario `q`'s own optimal basis via the explicit dual-simplex
+//!   RHS path ([`flexile_lp::Model::solve_rhs_restart`]).
 //! * **Donor bases** — before the first wave, one *donor* per distinct
 //!   demand factor is solved serially: the lowest-index scenario with that
 //!   factor (the all-alive state in enumerated sets) at the all-critical
-//!   column, under a `flexile.donor` span. Every template the pool builds
-//!   — first build, LRU rebuild, quarantine rebuild — is
-//!   seeded with its factor's donor basis, so even a scenario's first
-//!   solve is a dual restart rather than a cold two-phase solve. Templates
-//!   of different demand factors differ in their (17) coefficients and
-//!   never share a donor. [`PoolPolicy::Cold`] solves no donor.
+//!   column, under a `flexile.donor` span. Every empty slot — before its
+//!   first solve, after an LRU eviction, after a quarantine — starts from
+//!   its factor's donor basis, so even a scenario's first solve is a dual
+//!   restart rather than a cold two-phase solve. Models of different
+//!   demand factors differ in their (17) coefficients and never share a
+//!   donor. [`PoolPolicy::Cold`] solves no donor.
 //! * **Persistent workers** — one `thread::scope` spans the *whole*
 //!   decomposition; workers park on a condvar between iterations instead of
 //!   being respawned, and iterations are dispatched as epochs.
@@ -30,43 +34,51 @@
 //!   longer idles the other workers. Claims that deviate from the old static
 //!   striping are counted as `flexile.steal`.
 //! * **Bounded basis residency** — an LRU budget over the per-scenario
-//!   templates (evicted only at iteration boundaries, oldest last-use first,
-//!   ties broken by lower scenario index, so eviction — and therefore every
-//!   solve's warm-start history — is deterministic regardless of thread
-//!   count or timing). A residency of 0 is the cold-every-iteration policy.
+//!   warm bases (evicted only at iteration boundaries, oldest last-use
+//!   first, ties broken by lower scenario index, so eviction — and
+//!   therefore every solve's warm-start history — is deterministic
+//!   regardless of thread count or timing). A residency of 0 is the
+//!   cold-every-iteration policy.
+//!
+//! A worker's model carries no state from one solve to the next. Each
+//! solve overwrites every RHS entry and every loss bound, and takes its
+//! basis from the slot; everything else in the model (the LHS, the
+//! objective, the other bounds) is the same for every scenario of the
+//! factor. So a solve's result depends neither on which worker runs it nor
+//! on what that worker solved before, and one model per factor serves
+//! every scenario.
 //!
 //! ## Crash safety
 //!
 //! A panic inside a subproblem solve is **contained**: the solve runs under
-//! `catch_unwind`, the panicking scenario's template is *quarantined*
-//! (dropped, so the next attempt rebuilds it from its donor), and the solve is
-//! retried in place up to [`MAX_PANIC_RETRIES`] times. A scenario that
+//! `catch_unwind`, the panicking scenario's slot is *quarantined* (cleared,
+//! so the next attempt restarts from its donor), the worker drops its
+//! model of that factor (rebuilt on next use), and the solve is retried in
+//! place up to [`MAX_PANIC_RETRIES`] times. A scenario that
 //! keeps panicking surfaces a typed [`PoolError::ScenarioPoisoned`] —
 //! which the decomposition treats like any other failed solve (pessimistic
 //! losses, retried next iteration) — instead of aborting the run. Every
 //! lock acquisition recovers from mutex poisoning (a panicked worker leaves
-//! each structure in a consistent state: templates are quarantined, queues
+//! each structure in a consistent state: slots are quarantined, queues
 //! only ever append), so one contained panic cannot cascade into
 //! process-wide `PoisonError` unwinding. Counted as
 //! `flexile.worker_panic` / `flexile.scenario_quarantined`.
 //!
-//! Every solve re-installs the template's whole RHS, so a slot's only
-//! state between solves is whether a template is resident and, if so, its
-//! warm basis. A checkpoint stores exactly that per slot ([`PoolSnapshot`]),
-//! and [`PoolHandle::restore`] rebuilds each resident template on the
-//! calling thread and seeds it with its stored basis, solving no LP. The
-//! resumed pool still solves its donors, so later LRU and quarantine
-//! rebuilds start where the uninterrupted run's would.
+//! A slot's only state between solves is whether it is resident and, if
+//! so, its warm basis. A checkpoint stores exactly that per slot
+//! ([`PoolSnapshot`]), and [`PoolHandle::restore`] puts it back, solving no
+//! LP. The resumed pool still solves its donors, so slots emptied later by
+//! eviction or quarantine refill where the uninterrupted run's would.
 //!
 //! Determinism: a donor depends only on the inputs (it is solved on the
-//! calling thread before any worker runs), and after seeding, scenario
-//! `q`'s solve sequence depends only on its own solve history (its
-//! template is locked per solve and touched by no other scenario), so the
-//! decomposition output is bit-identical across thread counts, runs and
-//! resumes.
+//! calling thread before any worker runs), and after that, scenario `q`'s
+//! solve sequence depends only on its own solve history (its slot is
+//! locked per solve and touched by no other scenario, and the model it is
+//! solved on carries nothing over), so the decomposition output is
+//! bit-identical across thread counts, runs and resumes.
 
 use crate::subproblem::{same_demand_factor, SolveStats, SubproblemSolution, SubproblemTemplate};
-use flexile_lp::{Basis, LpError, SolveScratch};
+use flexile_lp::{Basis, LpError};
 use flexile_scenario::ScenarioSet;
 use flexile_traffic::Instance;
 use std::fmt;
@@ -79,21 +91,22 @@ use std::time::Instant;
 /// scenario is reported as poisoned for the iteration.
 pub const MAX_PANIC_RETRIES: u32 = 2;
 
-/// Scenario templates (and their warm bases) kept resident between
-/// iterations under [`PoolPolicy::PerScenario`]; LRU beyond this.
-/// Deliberately generous: a template is small next to the scenario set
-/// itself. Hashed into the checkpoint's `pool_policy` fingerprint.
+/// Scenario warm bases kept resident between iterations under
+/// [`PoolPolicy::PerScenario`]; LRU beyond this. Deliberately generous: a
+/// basis holds one index per row and one status per row and column of
+/// `S_q`, small next to the scenario set itself. Hashed into the
+/// checkpoint's `pool_policy` fingerprint.
 pub(crate) const BASIS_RESIDENCY: usize = 4096;
 
 /// How the decomposition schedules and reuses subproblem solves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PoolPolicy {
-    /// Persistent pool, one warm template per scenario seeded with its
+    /// Persistent pool, one warm basis per scenario starting from its
     /// demand factor's donor basis, work-stealing scheduler (the default).
     #[default]
     PerScenario,
-    /// No basis reuse at all: no donor, and every iteration rebuilds and
-    /// solves cold. The baseline warm restarts are measured against.
+    /// No basis reuse at all: no donor, and every solve is cold. The
+    /// baseline warm restarts are measured against.
     Cold,
 }
 
@@ -105,7 +118,7 @@ pub enum PoolError {
     /// The LP itself failed (see [`LpError`] for the retry taxonomy).
     Solver(LpError),
     /// The scenario's solve panicked more than [`MAX_PANIC_RETRIES`] times
-    /// in a row, each retry from a cold-rebuilt template. The scenario is
+    /// in a row, each retry from its donor basis on a rebuilt model. The scenario is
     /// skipped this iteration (pessimistic losses) and retried next round.
     ScenarioPoisoned {
         /// Scenario whose solves kept panicking.
@@ -145,7 +158,7 @@ type ScenResult = (usize, Result<(SubproblemSolution, SolveStats), PoolError>);
 
 /// Acquire a mutex, recovering the inner value if a previous holder
 /// panicked. Every structure guarded here stays consistent across a panic
-/// (templates are quarantined by the containment path; control queues only
+/// (slots are quarantined by the containment path; control queues only
 /// append), so propagating the poison would turn one contained fault into a
 /// process-wide cascade.
 fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -182,64 +195,96 @@ impl<'a> PoolCtx<'a> {
         PoolCtx { inst, set, loss_ub, donors: Vec::new() }
     }
 
-    /// The donor basis of a demand factor, if one was solved.
-    fn donor(&self, factor: f64) -> Option<&Basis> {
+    /// The donor basis of scenario `q`'s demand factor, if one was solved:
+    /// the warm state of a slot that holds none.
+    fn donor(&self, q: usize) -> Option<&Basis> {
+        let factor = self.set.scenarios[q].demand_factor;
         self.donors.iter().find(|(f, _)| same_demand_factor(*f, factor)).map(|(_, basis)| basis)
     }
 
-    /// Scenario `q`'s template, seeded with `warm`.
-    fn template(&self, q: usize, warm: Option<Basis>) -> SubproblemTemplate {
-        let mut tmpl = SubproblemTemplate::for_demand_factor(
-            self.inst,
-            self.loss_ub.map(|ub| ub[q].clone()),
-            self.set.scenarios[q].demand_factor,
-        );
-        tmpl.seed(warm);
-        tmpl
-    }
-
-    /// Build scenario `q`'s template, seeded with its factor's donor basis.
-    fn build_template(&self, q: usize) -> SubproblemTemplate {
-        self.template(q, self.donor(self.set.scenarios[q].demand_factor).cloned())
+    /// Solve scenario `q` with criticality column `col` on `models`,
+    /// restarting from `warm` and leaving the new warm state there. The
+    /// model is shared by every scenario of `q`'s demand factor, so this
+    /// installs everything that is `q`'s own: its γ loss bounds here, its
+    /// RHS inside the solve.
+    fn solve_on(
+        &self,
+        models: &mut Models,
+        q: usize,
+        col: &[bool],
+        warm: &mut Option<Basis>,
+    ) -> Result<(SubproblemSolution, SolveStats), LpError> {
+        let scen = &self.set.scenarios[q];
+        let tmpl = models.get(self.inst, scen.demand_factor);
+        if let Some(ub) = self.loss_ub {
+            tmpl.set_loss_bounds(&ub[q]);
+        }
+        tmpl.solve_with_stats(self.inst, scen, col, warm)
     }
 
     /// Solve one donor per distinct demand factor, serially and in scenario
     /// order: the lowest-index scenario with the factor, all flows
-    /// critical. The result depends only on the inputs.
+    /// critical, cold. The result depends only on the inputs.
     fn solve_donors(&mut self) {
         let all_critical = vec![true; self.inst.num_flows()];
-        let mut tried: Vec<f64> = Vec::new();
+        let mut models = Models::default();
         for (q, scen) in self.set.scenarios.iter().enumerate() {
             let factor = scen.demand_factor;
-            if tried.iter().any(|&f| same_demand_factor(f, factor)) {
+            if models.has(factor) {
                 continue;
             }
-            tried.push(factor);
             let _sp = flexile_obs::span("flexile.donor", "flexile")
                 .field("scenario", q)
                 .field("demand_factor", factor);
-            let mut tmpl = self.build_template(q);
-            if tmpl.solve(self.inst, scen, &all_critical).is_ok() {
-                self.donors.extend(tmpl.warm_basis().cloned().map(|basis| (factor, basis)));
+            let mut warm = None;
+            if self.solve_on(&mut models, q, &all_critical, &mut warm).is_ok() {
+                self.donors.extend(warm.map(|basis| (factor, basis)));
             }
         }
+    }
+}
+
+/// One worker's subproblem models: a [`SubproblemTemplate`] per demand
+/// factor, built on first use.
+#[derive(Default)]
+struct Models(Vec<SubproblemTemplate>);
+
+impl Models {
+    fn has(&self, factor: f64) -> bool {
+        self.0.iter().any(|t| t.matches_factor(factor))
+    }
+
+    /// The model of `factor`, built if this worker has none.
+    fn get(&mut self, inst: &Instance, factor: f64) -> &mut SubproblemTemplate {
+        let i = match self.0.iter().position(|t| t.matches_factor(factor)) {
+            Some(i) => i,
+            None => {
+                self.0.push(SubproblemTemplate::for_demand_factor(inst, None, factor));
+                self.0.len() - 1
+            }
+        };
+        &mut self.0[i]
+    }
+
+    /// Drop the model of `factor`, whatever state a panic left it in.
+    fn discard(&mut self, factor: f64) {
+        self.0.retain(|t| !t.matches_factor(factor));
     }
 }
 
 /// The pool's state at an iteration boundary, for checkpointing.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct PoolSnapshot {
-    /// Last iteration each scenario's template was used (0 = never/evicted).
+    /// Last iteration each scenario's slot was used (0 = never/evicted).
     pub stamps: Vec<u64>,
-    /// Each scenario's slot: `None` when no template is resident (the next
-    /// solve builds one from the donor), else the resident template's warm
-    /// basis (`Some(None)`: the next solve is cold).
-    pub bases: Vec<Option<Option<Basis>>>,
+    /// Each scenario's slot (see [`Slot`]).
+    pub bases: Vec<Slot>,
 }
 
-/// A scenario's long-lived template; `None` until built, and after an
-/// eviction or a quarantine.
-type Slot = Option<SubproblemTemplate>;
+/// A scenario's warm state: `None` when not resident (the next solve
+/// starts from the donor basis), else the basis the next solve restarts
+/// from (`Some(None)`: the next solve is cold).
+pub(crate) type Slot = Option<Option<Basis>>;
 
 /// An epoch's work order, claimed off a shared cursor.
 struct Job {
@@ -272,37 +317,39 @@ struct Shared {
 }
 
 /// One contained solve of scenario `q`: panics inside the
-/// claim-template-and-solve region quarantine the template and retry from
-/// a rebuilt one, bounded by [`MAX_PANIC_RETRIES`].
+/// claim-slot-and-solve region quarantine the slot, drop the worker's
+/// model of `q`'s demand factor and retry from the donor basis, bounded by
+/// [`MAX_PANIC_RETRIES`].
 fn solve_contained(
     slots: &[Mutex<Slot>],
+    models: &mut Models,
     ctx: &PoolCtx<'_>,
     it: usize,
     q: usize,
     col: &[bool],
     worker: usize,
-    scratch: &mut SolveScratch,
 ) -> Result<(SubproblemSolution, SolveStats), PoolError> {
     let mut attempts = 0u32;
     loop {
         attempts += 1;
-        let scratch = &mut *scratch;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut slot = lock_recover(&slots[q]);
-            let tmpl = slot.get_or_insert_with(|| ctx.build_template(q));
+            let warm = slot.get_or_insert_with(|| ctx.donor(q).cloned());
             crate::killpoints::maybe_fire_worker(it, q);
             let _sq = flexile_obs::span("flexile.subproblem", "flexile").field("scenario", q);
-            tmpl.solve_with_stats(ctx.inst, &ctx.set.scenarios[q], col, scratch)
+            ctx.solve_on(models, q, col, warm)
         }));
         match outcome {
             Ok(res) => return res.map_err(PoolError::Solver),
             Err(payload) => {
                 flexile_obs::add("flexile.worker_panic", 1);
                 flexile_obs::flight::dump("worker_panic");
-                // Quarantine: whatever state the panic left the template
-                // in, it is never used again. The next attempt (this retry
-                // or a later iteration) rebuilds it from its donor.
+                // Quarantine: whatever state the panic left the slot and
+                // the model in, neither is used again. The next attempt
+                // (this retry or a later iteration) restarts from the
+                // donor on a rebuilt model.
                 *lock_recover(&slots[q]) = None;
+                models.discard(ctx.set.scenarios[q].demand_factor);
                 flexile_obs::add("flexile.scenario_quarantined", 1);
                 flexile_obs::flight::dump("scenario_quarantined");
                 if attempts > MAX_PANIC_RETRIES {
@@ -326,10 +373,7 @@ fn worker_loop(
     nworkers: usize,
 ) {
     let mut my_epoch = 0u64;
-    // One scratch pool per worker: every solve this worker performs —
-    // first solve, restart, or containment retry — reuses the same simplex
-    // work vectors (cleared and re-zeroed per solve, so bit-transparent).
-    let mut scratch = SolveScratch::new();
+    let mut models = Models::default();
     loop {
         let job = {
             let mut g = lock_recover(&shared.ctl);
@@ -359,7 +403,7 @@ fn worker_loop(
             }
             let q = job.todo[i];
             let t0 = Instant::now();
-            let res = solve_contained(slots, ctx, job.it, q, &job.cols[i], id, &mut scratch);
+            let res = solve_contained(slots, &mut models, ctx, job.it, q, &job.cols[i], id);
             let busy = t0.elapsed().as_micros() as u64;
             let mut g = lock_recover(&shared.ctl);
             g.worker_busy[id] += busy;
@@ -377,9 +421,8 @@ fn worker_loop(
 pub(crate) struct PoolHandle<'a> {
     shared: &'a Shared,
     slots: &'a [Mutex<Slot>],
-    ctx: &'a PoolCtx<'a>,
     residency: usize,
-    /// Last iteration each scenario's template was used (0 = never/evicted).
+    /// Last iteration each scenario's slot was used (0 = never/evicted).
     stamp: Vec<u64>,
 }
 
@@ -456,8 +499,8 @@ impl PoolHandle<'_> {
         results
     }
 
-    /// Drop `q`'s template (an LRU eviction, or perfect-scenario pruning:
-    /// the decomposition will never solve `q` again).
+    /// Drop `q`'s warm basis (an LRU eviction, or perfect-scenario
+    /// pruning: the decomposition will never solve `q` again).
     pub(crate) fn retire(&mut self, q: usize) {
         *lock_recover(&self.slots[q]) = None;
         self.stamp[q] = 0;
@@ -470,26 +513,22 @@ impl PoolHandle<'_> {
         // contents are quiescent and consistent with `stamp`.
         PoolSnapshot {
             stamps: self.stamp.clone(),
-            bases: self
-                .slots
-                .iter()
-                .map(|s| lock_recover(s).as_ref().map(|t| t.warm_basis().cloned()))
-                .collect(),
+            bases: self.slots.iter().map(|s| lock_recover(s).clone()).collect(),
         }
     }
 
-    /// Restore a snapshot: rebuild each resident template seeded with its
-    /// stored basis, and restore the LRU stamps. Solves nothing.
+    /// Restore a snapshot: every slot's warm state and the LRU stamps.
+    /// Solves nothing.
     pub(crate) fn restore(&mut self, snap: PoolSnapshot) {
         self.stamp = snap.stamps;
         for (q, warm) in snap.bases.into_iter().enumerate() {
-            *lock_recover(&self.slots[q]) = warm.map(|warm| self.ctx.template(q, warm));
+            *lock_recover(&self.slots[q]) = warm;
         }
     }
 }
 
 /// Run `f` with a persistent scenario pool of `nworkers` threads under
-/// `policy` (donor-seeded, [`BASIS_RESIDENCY`] warm templates for
+/// `policy` (donor-seeded, [`BASIS_RESIDENCY`] warm bases for
 /// [`PoolPolicy::PerScenario`], none for [`PoolPolicy::Cold`]). The donors
 /// are solved on the calling thread before any worker starts. Workers
 /// live exactly as long as `f` — including when `f` unwinds (e.g. an armed
@@ -540,7 +579,6 @@ pub(crate) fn with_pool<R>(
         let mut handle = PoolHandle {
             shared: &shared,
             slots: &slots,
-            ctx: &ctx,
             residency,
             stamp: vec![0; nq],
         };
@@ -559,10 +597,8 @@ mod tests {
 
     /// Each slot's warm-basis fingerprint (`None` for an empty slot).
     fn fingerprints(pool: &PoolHandle<'_>) -> Vec<Option<u64>> {
-        pool.slots
-            .iter()
-            .map(|s| lock_recover(s).as_ref().and_then(|t| t.warm_basis().map(Basis::fingerprint)))
-            .collect()
+        let print = |s: &Mutex<Slot>| lock_recover(s).clone().flatten().map(|b| b.fingerprint());
+        pool.slots.iter().map(print).collect()
     }
 
     /// Solves that succeeded and reused a basis.
@@ -573,10 +609,14 @@ mod tests {
     /// Snapshot `pool`, restore the snapshot into a fresh pool of `threads`
     /// workers, and return the restored slots' fingerprints. The restore
     /// runs on the calling thread and must solve nothing there.
-    fn restored_fingerprints(pool: &PoolHandle<'_>, threads: usize) -> Vec<Option<u64>> {
+    fn restored_fingerprints(
+        pool: &PoolHandle<'_>,
+        inst: &Instance,
+        set: &ScenarioSet,
+        threads: usize,
+    ) -> Vec<Option<u64>> {
         let snap = pool.snapshot();
-        let ctx = PoolCtx::new(pool.ctx.inst, pool.ctx.set, pool.ctx.loss_ub);
-        with_pool(ctx, threads, PoolPolicy::PerScenario, |fresh| {
+        with_pool(PoolCtx::new(inst, set, None), threads, PoolPolicy::PerScenario, |fresh| {
             let before = flexile_lp::fault::attempts();
             fresh.restore(snap);
             assert_eq!(flexile_lp::fault::attempts(), before, "restore solves no LP");
@@ -602,7 +642,7 @@ mod tests {
             assert!(evicted[..nq / 2].iter().all(Option::is_none));
             assert!(evicted[nq / 2..].iter().all(Option::is_some));
             for threads in [1, 2] {
-                assert_eq!(restored_fingerprints(pool, threads), evicted);
+                assert_eq!(restored_fingerprints(pool, &inst, &set, threads), evicted);
             }
             let rebuilt = pool.solve_iteration(2, &half, flipped);
             assert_eq!(warm_hits(&rebuilt), half.len(), "an LRU rebuild restarts from the donor");
@@ -612,23 +652,26 @@ mod tests {
             assert!(live[nq / 2..].iter().all(Option::is_none));
             assert!(pool.snapshot().bases[nq / 2..].iter().all(Option::is_none));
             for threads in [1, 2] {
-                assert_eq!(restored_fingerprints(pool, threads), live);
+                assert_eq!(restored_fingerprints(pool, &inst, &set, threads), live);
             }
         });
     }
 
     #[test]
-    fn restore_keeps_a_template_whose_failed_solve_dropped_its_basis() {
+    fn restore_keeps_a_slot_whose_failed_solve_dropped_its_basis() {
         let inst = fig1_instance();
         let set = fig1_scenarios();
         let q = 1;
+        let mut ctx = PoolCtx::new(&inst, &set, None);
+        ctx.solve_donors();
         with_pool(PoolCtx::new(&inst, &set, None), 1, PoolPolicy::PerScenario, |pool| {
-            let solve = |it: usize, col: &[bool]| {
-                solve_contained(pool.slots, pool.ctx, it, q, col, 0, &mut SolveScratch::new())
+            let mut models = Models::default();
+            let mut solve = |it: usize, col: &[bool]| {
+                solve_contained(pool.slots, &mut models, &ctx, it, q, col, 0)
             };
             assert!(solve(1, &[true, true]).is_ok());
-            // The warm restart runs out of iterations, so the template drops
-            // its basis; the cold ladder then fails too.
+            // The warm restart runs out of iterations, so the solve drops
+            // the slot's basis; the cold ladder then fails too.
             let (failed, _) =
                 with_injector(FaultInjector::always(FaultKind::IterationLimit), || {
                     solve(2, &[true, false])
@@ -637,7 +680,7 @@ mod tests {
             let live = fingerprints(pool);
             assert_eq!(live[q], None, "the next solve of the live pool is cold");
             assert_eq!(pool.snapshot().bases[q], Some(None), "resident, without a basis");
-            assert_eq!(restored_fingerprints(pool, 1), live);
+            assert_eq!(restored_fingerprints(pool, &inst, &set, 1), live);
         });
     }
 
@@ -648,12 +691,14 @@ mod tests {
         let mut ctx = PoolCtx::new(&inst, &set, None);
         ctx.solve_donors();
         assert_eq!(ctx.donors.len(), 2, "one donor per demand factor");
-        let donor_print =
-            |factor: f64| -> u64 { ctx.donor(factor).expect("donor for the factor").fingerprint() };
+        let donor_print = |factor: f64| -> u64 {
+            let (_, basis) = ctx.donors.iter().find(|(f, _)| *f == factor).expect("a donor");
+            basis.fingerprint()
+        };
         assert_ne!(donor_print(1.0), donor_print(3.0), "the two factors' optima differ");
-        for (q, scen) in set.scenarios.iter().enumerate() {
-            let seeded = ctx.build_template(q).warm_basis().map(Basis::fingerprint);
-            assert_eq!(seeded, Some(donor_print(scen.demand_factor)), "scenario {q}");
+        for q in 0..set.scenarios.len() {
+            let seeded = ctx.donor(q).map(Basis::fingerprint);
+            assert_eq!(seeded, Some(donor_print(set.scenarios[q].demand_factor)), "scenario {q}");
         }
 
         let hits = assert_first_wave_reaches_the_cold_optimum(&inst, &set);
@@ -685,6 +730,87 @@ mod tests {
         assert!(hits > 0, "the donor seeds first solves");
         let failures = CERTIFICATE_FAILURES.lock().unwrap_or_else(|e| e.into_inner());
         assert!(failures.is_empty(), "{} failed certificates: {failures:?}", failures.len());
+    }
+
+    /// Sprint at 6 pairs over its 12 most likely failure scenarios.
+    fn sprint() -> (Instance, ScenarioSet) {
+        let topo = flexile_topo::topology_by_name("Sprint").expect("Sprint is in the zoo");
+        let probs = flexile_scenario::link_failure_probs(topo.num_links(), 0.8, 0.001, 42);
+        let units = flexile_scenario::model::link_units(&topo, &probs);
+        let set = flexile_scenario::enumerate_scenarios(
+            &units,
+            topo.num_links(),
+            &flexile_scenario::EnumOptions {
+                prob_cutoff: 1e-6,
+                max_scenarios: 12,
+                coverage_target: 0.9999,
+            },
+        );
+        (Instance::single_class(topo, 7, 0.95, Some(6)), set)
+    }
+
+    /// Everything a subproblem solve returns, as bits.
+    fn solve_bits(sol: &SubproblemSolution, warm: &Option<Basis>) -> Vec<u64> {
+        let floats = std::iter::once(sol.value)
+            .chain(sol.alpha.iter().copied())
+            .chain(sol.loss.iter().copied())
+            .chain(sol.cut.w.iter().copied())
+            .chain(sol.cut.u.iter().copied())
+            .chain(std::iter::once(sol.cut.d_const));
+        floats.map(f64::to_bits).chain(warm.as_ref().map(Basis::fingerprint)).collect()
+    }
+
+    #[test]
+    fn gamma_bounds_do_not_leak_across_a_shared_model() {
+        // Under γ every scenario has its own loss bounds, yet one worker
+        // solves every scenario of a demand factor on one model. Scenario
+        // by scenario, ascending and then descending (each solve restarting
+        // from the scenario's previous basis), that model must give exactly
+        // what a fresh template built with the scenario's own bounds gives
+        // from the same basis.
+        for (inst, set) in [(fig1_instance(), fig1_scenarios()), sprint()] {
+            let loss_ub = crate::decomposition::gamma_loss_bounds(&inst, &set, 0.2);
+            let nq = set.scenarios.len();
+            assert!(
+                loss_ub.iter().flatten().any(|&ub| ub < 1.0),
+                "{}: no γ bound below 1, the test would prove nothing",
+                inst.topo.name
+            );
+            let mut ctx = PoolCtx::new(&inst, &set, Some(&loss_ub));
+            ctx.solve_donors();
+            let slots: Vec<Mutex<Slot>> = (0..nq).map(|_| Mutex::new(None)).collect();
+            let mut models = Models::default();
+            let mut bounded = 0;
+            for (it, q) in (0..nq).chain((0..nq).rev()).enumerate() {
+                // Every third flow non-critical, so the bounds bind on it.
+                let col: Vec<bool> = (0..inst.num_flows()).map(|f| (f + q) % 3 != 0).collect();
+                let mut warm =
+                    lock_recover(&slots[q]).clone().unwrap_or_else(|| ctx.donor(q).cloned());
+                let (shared, _) = solve_contained(&slots, &mut models, &ctx, it + 1, q, &col, 0)
+                    .expect("shared-model solve");
+                let scen = &set.scenarios[q];
+                let mut fresh = SubproblemTemplate::for_demand_factor(
+                    &inst,
+                    Some(loss_ub[q].clone()),
+                    scen.demand_factor,
+                );
+                let (own, _) = fresh
+                    .solve_with_stats(&inst, scen, &col, &mut warm)
+                    .expect("fresh-template solve");
+                let slot = lock_recover(&slots[q]).clone().expect("the slot is resident");
+                assert_eq!(
+                    solve_bits(&shared, &slot),
+                    solve_bits(&own, &warm),
+                    "{} scenario {q}, solve {}",
+                    inst.topo.name,
+                    it + 1
+                );
+                let at_bound = |f: usize| own.loss[f] >= loss_ub[q][f] - 1e-9;
+                bounded +=
+                    (0..inst.num_flows()).filter(|&f| loss_ub[q][f] < 1.0 && at_bound(f)).count();
+            }
+            assert!(bounded > 0, "{}: no γ bound was tight at any solve", inst.topo.name);
+        }
     }
 
     /// Solve every scenario all-critical once under each policy: every

@@ -15,13 +15,16 @@
 //! scenario `q` is two `set_rhs` sweeps plus a warm-started simplex run
 //! from another optimal basis of the same LHS. An RHS-only change keeps a
 //! basis dual feasible, so any scenario's optimum is a valid dual restart
-//! for any other. The decomposition's pool keeps one template per scenario
-//! (so iteration `k+1` restarts from the same scenario's iteration-`k`
-//! basis) and seeds each new template with the *donor* basis: the
-//! all-alive scenario's all-critical optimum for the template's demand
-//! factor. Demand factors enter the (17) coefficients, so a donor never
-//! crosses factors; the §4.4 γ loss bounds only move variable bounds,
-//! which the restart re-reads, so they share donors.
+//! for any other. So one template serves every scenario of a demand
+//! factor: the decomposition's pool keeps one per worker and demand
+//! factor, and keeps one warm basis per scenario (so iteration `k+1`
+//! restarts from the same scenario's iteration-`k` basis), which a solve
+//! takes in and hands back. A scenario's first solve restarts from the
+//! *donor* basis: the all-alive scenario's all-critical optimum for its
+//! demand factor. Demand factors enter the (17) coefficients, so neither a
+//! template nor a donor crosses factors; the §4.4 γ loss bounds only move
+//! variable bounds, which the pool installs before each solve and the
+//! restart re-reads, so they share both.
 //!
 //! LP duality gives the cut (21): with `w_f = ∂val/∂rhs₍₁₀₎` and
 //! `u_a = ∂val/∂rhs₍₁₈₎`,
@@ -37,7 +40,7 @@
 
 use flexile_lp::{
     solve_robust, Basis, LpError, Model, RestartKind, RowId, Sense, SimplexOptions, Solution,
-    SolveScratch, VarId,
+    VarId,
 };
 use flexile_scenario::Scenario;
 use flexile_traffic::Instance;
@@ -109,8 +112,9 @@ pub(crate) fn same_demand_factor(a: f64, b: f64) -> bool {
     (a - b).abs() < 1e-12
 }
 
-/// Reusable template for `S_q`: built once, re-solved per scenario with RHS
-/// updates and basis warm starts.
+/// Reusable template for `S_q`: built once per demand factor, re-solved per
+/// scenario with RHS updates and basis warm starts. The warm basis belongs
+/// to the caller: each solve takes it in and hands the new one back.
 pub struct SubproblemTemplate {
     model: Model,
     /// The demand factor the template was built for (§4.4 TM scenarios).
@@ -123,7 +127,6 @@ pub struct SubproblemTemplate {
     l_vars: Vec<VarId>,
     num_flows: usize,
     num_arcs: usize,
-    warm: Option<Basis>,
 }
 
 impl SubproblemTemplate {
@@ -200,54 +203,63 @@ impl SubproblemTemplate {
             l_vars,
             num_flows: nf,
             num_arcs: na,
-            warm: None,
         }
     }
 
-    /// Solve `S_q` for `scen` with criticality column `z[f] ∈ {0,1}`.
+    /// Solve `S_q` cold for `scen` with criticality column `z[f] ∈ {0,1}`.
     pub fn solve(
         &mut self,
         inst: &Instance,
         scen: &Scenario,
         z: &[bool],
     ) -> Result<SubproblemSolution, LpError> {
-        self.solve_with_stats(inst, scen, z, &mut SolveScratch::new()).map(|(sol, _)| sol)
+        self.solve_with_stats(inst, scen, z, &mut None).map(|(sol, _)| sol)
     }
 
-    /// [`Self::solve`] on caller-owned solver scratch, additionally
-    /// reporting how the solve restarted.
+    /// [`Self::solve`] restarting from `warm`, additionally reporting how
+    /// the solve restarted.
     ///
-    /// When a warm basis is saved from a previous solve of this template or
-    /// seeded from another template of the same demand factor,
-    /// only the RHS and loss bounds changed since (criticality flips and
+    /// `warm` is a basis of a template of the same demand factor: an
+    /// earlier solve's, a donor's, or one a checkpoint stored. Since it was
+    /// captured only the RHS and loss bounds changed (criticality flips and
     /// capacity scaling — the §4.2 reformulation guarantees the LHS is
     /// scenario-independent), so the solve first goes through the explicit
     /// [`flexile_lp::Model::solve_rhs_restart`] dual path, whose repair is
     /// bounded by the LP layer's restart pivot cap. A retryable failure
     /// there falls back to the full [`solve_robust`] escalation ladder.
     ///
-    /// The pool threads one [`SolveScratch`] through every solve a worker
-    /// performs, so the per-iteration simplex work vectors are allocated
-    /// once per worker instead of once per scenario solve. Scratch reuse is
-    /// bit-transparent: a recycled buffer is cleared and re-zeroed to the
-    /// exact length a fresh allocation would have.
+    /// On return `warm` holds the basis the next solve should restart from:
+    /// this solve's optimum, or `None` once a runaway restart showed the
+    /// old one is not worth retrying. A failed solve that never dropped it
+    /// leaves it as it was.
     pub fn solve_with_stats(
         &mut self,
         inst: &Instance,
         scen: &Scenario,
         z: &[bool],
-        scratch: &mut SolveScratch,
+        warm: &mut Option<Basis>,
     ) -> Result<(SubproblemSolution, SolveStats), LpError> {
         self.check_scenario(scen, z);
         let cap_arc = self.install_rhs(inst, scen, z);
         let opts = Self::solve_opts();
-        let first =
-            self.warm.as_ref().map(|warm| self.model.solve_rhs_restart(&opts, warm, scratch));
-        let (sol, stats) = self.resolve_outcome(first, &opts)?;
+        let first = warm.as_ref().map(|basis| self.model.solve_rhs_restart(&opts, basis));
+        let (sol, stats) = self.resolve_outcome(first, &opts, warm)?;
         #[cfg(test)]
         tests::certify_solve(&self.model, &sol);
-        self.warm = Some(sol.basis.clone());
-        Ok((self.extract(&sol, z, &cap_arc), stats))
+        let out = self.extract(&sol, z, &cap_arc);
+        *warm = Some(sol.basis);
+        Ok((out, stats))
+    }
+
+    /// Install per-flow loss bounds `0 ≤ l_f ≤ ub[f]` (the §4.4 γ knob).
+    /// A template serves many scenarios, each with its own bounds, so the
+    /// pool installs them before every solve, as the solve installs the
+    /// RHS.
+    pub(crate) fn set_loss_bounds(&mut self, ub: &[f64]) {
+        assert_eq!(ub.len(), self.num_flows);
+        for (&v, &u) in self.l_vars.iter().zip(ub) {
+            self.model.set_bounds(v, 0.0, u);
+        }
     }
 
     fn check_scenario(&self, scen: &Scenario, z: &[bool]) {
@@ -290,9 +302,10 @@ impl SubproblemTemplate {
     /// through the escalation ladder: the single authority on the retry
     /// taxonomy.
     fn resolve_outcome(
-        &mut self,
+        &self,
         first: Option<Result<(Solution, RestartKind), LpError>>,
         opts: &SimplexOptions,
+        warm: &mut Option<Basis>,
     ) -> Result<(Solution, SolveStats), LpError> {
         match first {
             Some(Ok((sol, kind))) => {
@@ -306,7 +319,7 @@ impl SubproblemTemplate {
             // A numerical failure escalates through the full ladder
             // (which retries the warm basis first, then colder modes).
             Some(Err(LpError::Numerical(_))) => {
-                let out = solve_robust(&self.model, opts, self.warm.as_ref());
+                let out = solve_robust(&self.model, opts, warm.as_ref());
                 let iterations = out.report.total_iterations();
                 Ok((out.result?, SolveStats { iterations, ..Default::default() }))
             }
@@ -314,7 +327,7 @@ impl SubproblemTemplate {
             // same basis under the same budget would only repeat the
             // runaway, so drop it and solve cold.
             Some(Err(LpError::IterationLimit)) | None => {
-                self.warm = None;
+                *warm = None;
                 let out = solve_robust(&self.model, opts, None);
                 let iterations = out.report.total_iterations();
                 Ok((out.result?, SolveStats { iterations, ..Default::default() }))
@@ -357,19 +370,6 @@ impl SubproblemTemplate {
     /// Whether this template was built for the given demand factor.
     pub fn matches_factor(&self, factor: f64) -> bool {
         same_demand_factor(self.demand_factor, factor)
-    }
-
-    /// The basis the next solve restarts from, if any.
-    pub(crate) fn warm_basis(&self) -> Option<&Basis> {
-        self.warm.as_ref()
-    }
-
-    /// Set the warm basis the next solve restarts from: a donor's optimum,
-    /// or a basis a checkpoint stored for this template. `None` makes the
-    /// next solve cold. The basis must come from a template of the same
-    /// demand factor, and therefore the same LHS; loss bounds may differ.
-    pub(crate) fn seed(&mut self, basis: Option<Basis>) {
-        self.warm = basis;
     }
 }
 
@@ -493,12 +493,14 @@ pub(crate) mod tests {
         let set = fig1_scenarios();
         let mut t = SubproblemTemplate::new(&inst, None);
         let z = vec![true, true];
-        let mut total_iters = 0;
+        let mut warm = None;
+        let mut hits = 0;
         for scen in &set.scenarios {
-            let _ = t.solve(&inst, scen, &z).unwrap();
-            total_iters += 1;
+            let (_, stats) = t.solve_with_stats(&inst, scen, &z, &mut warm).unwrap();
+            hits += usize::from(stats.warm_hit);
+            assert!(warm.is_some(), "a solve hands its basis back");
         }
-        assert_eq!(total_iters, 8);
+        assert_eq!(hits, set.scenarios.len() - 1, "every solve after the first restarts");
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! quarantine exhaustion, and checkpoint/resume bit-identity.
 //!
 //! * **Worker kill sweep** — a worker panic at any (iteration, scenario) is
-//!   contained, quarantined, retried from a template rebuilt from its
-//!   donor, and the decomposition still converges; a panic in iteration 1
+//!   contained, quarantined, retried from its donor basis on a rebuilt
+//!   model, and the decomposition still converges; a panic in iteration 1
 //!   (where every solve is a first solve from the donor anyway) leaves the
 //!   output bit-identical.
 //! * **Abort + resume** — an abort that unwinds the whole decomposition
@@ -11,8 +11,8 @@
 //!   the previous boundary, and [`decompose_resume`] continues to a final
 //!   design bit-identical to an uninterrupted run — including across a
 //!   different thread count — because the checkpoint stores each resident
-//!   template's warm basis and resume reinstalls it without solving. One
-//!   input has more scenarios than the pool keeps templates for and
+//!   slot's warm basis and resume reinstalls it without solving. One
+//!   input has more scenarios than the pool keeps warm bases for and
 //!   checkpoints after a contained worker panic, so its checkpoint stores
 //!   a quarantined-and-rebuilt slot next to evicted and retired ones.
 //! * **Zero-fault identity** — checkpointing on (any cadence) vs. off does
@@ -87,7 +87,7 @@ fn fig1_setup() -> (Instance, ScenarioSet) {
 
 /// The Fig. 1 set repeated 600 times at 1/600 of each probability: 4 800
 /// scenarios, 4 200 of them never perfect, so after iteration 1 more
-/// templates are live than the pool's residency budget (4 096) keeps.
+/// warm bases are live than the pool's residency budget (4 096) keeps.
 fn fig1_wide_setup() -> (Instance, ScenarioSet) {
     let (inst, mut set) = fig1_setup();
     let copies = 600;
@@ -190,11 +190,11 @@ fn worker_kill_sweep_fig1() {
             );
             assert_monotone(&d, "worker kill");
             if it == 1 {
-                // In iteration 1 every template makes its first solve, a
+                // In iteration 1 every scenario makes its first solve, a
                 // dual restart from its demand factor's donor basis. The
-                // quarantined retry rebuilds the template from the same
-                // donor and repeats that solve, so the whole run is
-                // bit-identical.
+                // quarantined retry restarts from the same donor on a
+                // rebuilt model and repeats that solve, so the whole run
+                // is bit-identical.
                 assert_eq!(
                     design_bits(&d),
                     ref_bits,
@@ -396,7 +396,7 @@ fn resume_after_quarantine_and_eviction_is_bit_identical() {
     };
     // The uninterrupted run takes the same contained panic: the last copy
     // of scenario 1 (the lowest indices are the ones evicted) has its
-    // first solve retried from a rebuilt, donor-seeded template.
+    // first solve retried from its donor basis on a rebuilt model.
     let q = set.scenarios.len() - 7;
     let kill = KillPoint::Worker { iteration: 1, scenario: q };
     let dir = temp_dir("wide-ref");
@@ -418,7 +418,7 @@ fn resume_after_quarantine_and_eviction_is_bit_identical() {
     let ck_path = checkpoint_path(&dir);
     let ck = read_checkpoint(&ck_path).expect("iteration-1 checkpoint");
     assert_eq!(ck.it, 1);
-    assert!(matches!(ck.bases[q], Some(Some(_))), "the rebuilt template is stored warm");
+    assert!(matches!(ck.bases[q], Some(Some(_))), "the retried slot is stored warm");
     let absent = |perfect: bool| {
         (0..ck.nq).filter(|&s| ck.bases[s].is_none() && ck.perfect[s] == perfect).count()
     };

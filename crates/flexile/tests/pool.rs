@@ -20,7 +20,6 @@
 
 use flexile_core::subproblem::SubproblemTemplate;
 use flexile_core::{solve_flexile, FlexileDesign, FlexileOptions, PoolPolicy};
-use flexile_lp::SolveScratch;
 use flexile_scenario::{enumerate_scenarios, model::link_units, EnumOptions, ScenarioSet};
 use flexile_topo::{NodeId, Topology, TunnelClass, TunnelSet};
 use flexile_traffic::{ClassConfig, Instance};
@@ -104,8 +103,8 @@ fn pool_output_identical_across_repeated_runs() {
 #[test]
 fn gamma_variant_deterministic_across_threads() {
     let _g = exclusive();
-    // The per-scenario pool also caches the γ-variant templates; determinism
-    // must hold there too.
+    // Under γ each scenario has its own loss bounds, installed in a shared
+    // model before every solve; determinism must hold there too.
     let (inst, set) = fig1_setup();
     let mut reference = None;
     for threads in [1, 2, 8] {
@@ -147,15 +146,15 @@ fn warm_restart_matches_cold_solves() {
             .iter()
             .map(|z| z.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect())
             .collect();
-        // One persistent template carries its basis through the whole trace;
+        // One template restarts each step from the previous step's basis;
         // the cold reference rebuilds from scratch every step.
         let mut warm_tmpl = SubproblemTemplate::for_demand_factor(&inst, None, scen.demand_factor);
-        let mut scratch = SolveScratch::new();
+        let mut warm = None;
         let mut warm_sols = Vec::new();
         let mut cold_sols = Vec::new();
         for z in &trace {
             let (warm_sol, stats) = warm_tmpl
-                .solve_with_stats(&inst, scen, z, &mut scratch)
+                .solve_with_stats(&inst, scen, z, &mut warm)
                 .expect("warm solve");
             let mut cold_tmpl =
                 SubproblemTemplate::for_demand_factor(&inst, None, scen.demand_factor);

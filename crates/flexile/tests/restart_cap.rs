@@ -7,7 +7,7 @@
 //!
 //! * across pool thread counts;
 //! * through an abort and checkpoint resume, which reinstalls the warm
-//!   bases the checkpoint stored, including a template whose abandoned
+//!   bases the checkpoint stored, including a slot whose abandoned
 //!   restart left it on the cold solve's basis.
 //!
 //! The instance is InternetMCI at 20 pairs, MLU 0.9 and 60 scenarios: the

@@ -86,14 +86,6 @@ pub trait BasisEngine {
 
 }
 
-/// Build the engine for `kind`.
-pub fn make_engine(kind: EngineKind) -> Box<dyn BasisEngine> {
-    match kind {
-        EngineKind::Dense => Box::new(DenseEngine::new()),
-        EngineKind::SparseLu => Box::new(LuEngine::new()),
-    }
-}
-
 fn singular() -> LpError {
     LpError::Numerical("singular basis at refactorization".into())
 }
@@ -190,56 +182,73 @@ impl BasisEngine for DenseEngine {
 // ---------------------------------------------------------------------------
 
 /// One product-form factor: column `r` of `E` is the pivot's FTRAN image
-/// `w`, stored as the diagonal `w_r` plus the sparse off-diagonal entries.
+/// `w`, stored as the diagonal `w_r` plus the sparse off-diagonal entries
+/// `eta_entries[start..end]` of its [`LuEngine`].
 struct Eta {
     r: u32,
     wr: f64,
-    entries: Vec<(u32, f64)>,
+    start: usize,
+    end: usize,
 }
 
 impl Eta {
     /// `v ← E⁻¹ v`. Only touches anything when `v[r] ≠ 0`, which is what
     /// makes eta replay cheap on hypersparse FTRANs.
     #[inline]
-    fn apply_ftran(&self, v: &mut [f64]) {
+    fn apply_ftran(&self, entries: &[(u32, f64)], v: &mut [f64]) {
         let vr = v[self.r as usize];
         if vr == 0.0 {
             return;
         }
         let t = vr / self.wr;
         v[self.r as usize] = t;
-        for &(i, wi) in &self.entries {
+        for &(i, wi) in &entries[self.start..self.end] {
             v[i as usize] -= wi * t;
         }
     }
 
     /// `cᵀ ← cᵀ E⁻¹`: only component `r` changes.
     #[inline]
-    fn apply_btran(&self, c: &mut [f64]) {
+    fn apply_btran(&self, entries: &[(u32, f64)], c: &mut [f64]) {
         let mut acc = c[self.r as usize];
-        for &(i, wi) in &self.entries {
+        for &(i, wi) in &entries[self.start..self.end] {
             acc -= wi * c[i as usize];
         }
         c[self.r as usize] = acc / self.wr;
     }
-
 }
 
 /// Sparse LU basis engine: Markowitz-ordered factorization plus a
 /// product-form eta file, with sparsity-exploiting FTRAN/BTRAN.
+///
+/// Every buffer — the factors, their elimination workspace and the eta
+/// file, whose factors share one entry vector — is cleared, not freed, at
+/// refactorization, so an engine reused across solves (see
+/// [`crate::simplex`]'s per-thread workspaces) stops allocating once it has
+/// seen its largest basis.
+#[derive(Default)]
 pub struct LuEngine {
     lu: LuFactors,
     etas: Vec<Eta>,
+    eta_entries: Vec<(u32, f64)>,
     scratch: Vec<f64>,
 }
 
 impl LuEngine {
     /// Fresh engine; unusable until the first [`BasisEngine::refactor`].
     pub fn new() -> Self {
-        LuEngine {
-            lu: LuFactors::new(),
-            etas: Vec::new(),
-            scratch: Vec::new(),
+        LuEngine::default()
+    }
+
+    fn apply_etas_ftran(&self, v: &mut [f64]) {
+        for eta in &self.etas {
+            eta.apply_ftran(&self.eta_entries, v);
+        }
+    }
+
+    fn apply_etas_btran(&self, c: &mut [f64]) {
+        for eta in self.etas.iter().rev() {
+            eta.apply_btran(&self.eta_entries, c);
         }
     }
 
@@ -248,12 +257,6 @@ impl LuEngine {
             let nnz = v.iter().filter(|x| **x != 0.0).count();
             flexile_obs::observe(name, nnz as f64);
         }
-    }
-}
-
-impl Default for LuEngine {
-    fn default() -> Self {
-        LuEngine::new()
     }
 }
 
@@ -268,6 +271,7 @@ impl BasisEngine for LuEngine {
         col_of: &mut ColSource<'_>,
     ) -> Result<(), LpError> {
         self.etas.clear();
+        self.eta_entries.clear();
         if !self.lu.factorize(m, col_of) {
             return Err(singular());
         }
@@ -286,9 +290,7 @@ impl BasisEngine for LuEngine {
             out[r] += v;
         }
         self.lu.ftran_in_place(out, &mut self.scratch);
-        for eta in &self.etas {
-            eta.apply_ftran(out);
-        }
+        self.apply_etas_ftran(out);
         Self::observe_nnz("lp.ftran_nnz", out);
     }
 
@@ -296,17 +298,13 @@ impl BasisEngine for LuEngine {
         flexile_obs::add("lp.ftran_calls", 1);
         out.copy_from_slice(rhs);
         self.lu.ftran_in_place(out, &mut self.scratch);
-        for eta in &self.etas {
-            eta.apply_ftran(out);
-        }
+        self.apply_etas_ftran(out);
     }
 
     fn btran(&mut self, c: &[f64], out: &mut [f64]) {
         flexile_obs::add("lp.btran_calls", 1);
         out.copy_from_slice(c);
-        for eta in self.etas.iter().rev() {
-            eta.apply_btran(out);
-        }
+        self.apply_etas_btran(out);
         self.lu.btran_in_place(out, &mut self.scratch);
         Self::observe_nnz("lp.btran_nnz", out);
     }
@@ -315,9 +313,7 @@ impl BasisEngine for LuEngine {
         flexile_obs::add("lp.btran_calls", 1);
         out.iter_mut().for_each(|v| *v = 0.0);
         out[r] = 1.0;
-        for eta in self.etas.iter().rev() {
-            eta.apply_btran(out);
-        }
+        self.apply_etas_btran(out);
         self.lu.btran_in_place(out, &mut self.scratch);
         Self::observe_nnz("lp.btran_nnz", out);
     }
@@ -327,16 +323,18 @@ impl BasisEngine for LuEngine {
         if wr.abs() < ETA_PIVOT_TOL {
             return Err(tiny_eta(wr));
         }
-        let entries: Vec<(u32, f64)> = w
-            .iter()
-            .enumerate()
-            .filter(|&(i, &wi)| i != r && wi != 0.0)
-            .map(|(i, &wi)| (i as u32, wi))
-            .collect();
+        let start = self.eta_entries.len();
+        self.eta_entries.extend(
+            w.iter()
+                .enumerate()
+                .filter(|&(i, &wi)| i != r && wi != 0.0)
+                .map(|(i, &wi)| (i as u32, wi)),
+        );
+        let end = self.eta_entries.len();
         if flexile_obs::enabled() {
-            flexile_obs::observe("lp.eta_nnz", (entries.len() + 1) as f64);
+            flexile_obs::observe("lp.eta_nnz", (end - start + 1) as f64);
         }
-        self.etas.push(Eta { r: r as u32, wr, entries });
+        self.etas.push(Eta { r: r as u32, wr, start, end });
         Ok(())
     }
 
@@ -462,6 +460,13 @@ mod tests {
         }
     }
 
+    fn make_engine(kind: EngineKind) -> Box<dyn BasisEngine> {
+        match kind {
+            EngineKind::Dense => Box::new(DenseEngine::new()),
+            EngineKind::SparseLu => Box::new(LuEngine::new()),
+        }
+    }
+
     #[test]
     fn singular_basis_rejected_at_factorization() {
         for kind in [EngineKind::Dense, EngineKind::SparseLu] {
@@ -498,6 +503,5 @@ mod tests {
     #[test]
     fn default_engine_is_sparse_lu() {
         assert_eq!(EngineKind::default(), EngineKind::SparseLu);
-        assert_eq!(make_engine(EngineKind::default()).kind(), EngineKind::SparseLu);
     }
 }

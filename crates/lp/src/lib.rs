@@ -81,4 +81,4 @@ pub use mip::{solve_mip, MipOptions, MipResult, MipStatus};
 pub use model::{Cmp, Model, RowId, Sense, VarId};
 pub use robust::{solve_robust, RobustOutcome, Rung, RungAttempt, SolveReport};
 pub use rowgen::{solve_with_rowgen, RowGenOptions, RowGenResult, RowSpec};
-pub use simplex::{Basis, RestartKind, SimplexOptions, Solution, SolveScratch, SolveStatus};
+pub use simplex::{Basis, RestartKind, SimplexOptions, Solution, SolveStatus};

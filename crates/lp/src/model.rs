@@ -6,7 +6,7 @@
 //! [`Model::solve`] solves the continuous relaxation.
 
 use crate::error::LpError;
-use crate::simplex::{self, Basis, RestartKind, SimplexOptions, Solution, SolveScratch};
+use crate::simplex::{self, Basis, RestartKind, SimplexOptions, Solution};
 use crate::sparse::{ColMatrix, SparseCol};
 
 /// Optimization direction.
@@ -252,17 +252,14 @@ impl Model {
     /// the dual-feasibility scan and repairs the basis with dual-simplex
     /// pivots directly. Exactly one attempt (one fault-injection poll) with
     /// no retry: callers that want the escalation ladder fall back to
-    /// [`crate::solve_robust`] on a retryable error. `scratch` holds the
-    /// work vectors, so a pool worker performing many restarts back to back
-    /// reuses them across solves. Returns the solution together with how
-    /// the restart was actually satisfied.
+    /// [`crate::solve_robust`] on a retryable error. Returns the solution
+    /// together with how the restart was actually satisfied.
     pub fn solve_rhs_restart(
         &self,
         opts: &SimplexOptions,
         warm: &Basis,
-        scratch: &mut SolveScratch,
     ) -> Result<(Solution, RestartKind), LpError> {
-        simplex::rhs_restart(self, opts, warm, scratch)
+        simplex::rhs_restart(self, opts, warm)
     }
 
     /// Evaluate the objective at a point.

@@ -51,11 +51,12 @@
 //!   [`crate::solve_robust`], which picks each attempt's refactorization
 //!   interval and whether it runs under Bland's rule.
 
-use crate::basis::{make_engine, BasisEngine, EngineKind};
+use crate::basis::{BasisEngine, DenseEngine, EngineKind, LuEngine};
 use crate::error::LpError;
 use crate::model::{Cmp, Model, Sense};
 use crate::sparse::SparseCol;
 use crate::tol::FEAS_TOL;
+use std::cell::RefCell;
 
 /// Reduced-cost (dual) tolerance.
 const DUAL_TOL: f64 = 1e-7;
@@ -317,38 +318,75 @@ impl Solution {
     }
 }
 
-/// Reusable pool of dense `f64` work vectors shared across solves.
-///
-/// Every simplex phase needs a handful of `m`-length scratch vectors (BTRAN
-/// duals, FTRAN columns, cost gathers, devex weights). Allocating them per
-/// solve is invisible for one cold solve but measurable in the decomposition
-/// pool, where each worker performs thousands of warm restarts whose entire
-/// pivot count is often zero. A `SolveScratch` owns the buffers across
-/// solves: `grab` pops a vector and resets it to all zeros — bit-identical
-/// to a fresh `vec![0.0; len]` — and `put` returns it.
+/// Dense `f64` work vectors recycled across the phases of an attempt and
+/// across attempts: `grab` pops a vector and resets it to all zeros —
+/// bit-identical to a fresh `vec![0.0; len]` — and `put` returns it.
 #[derive(Debug, Default)]
-pub struct SolveScratch {
-    pool: Vec<Vec<f64>>,
-}
+struct Buffers(Vec<Vec<f64>>);
 
-impl SolveScratch {
-    /// Empty pool; buffers are created on first use and recycled after.
-    pub fn new() -> Self {
-        SolveScratch::default()
-    }
-
+impl Buffers {
     /// Pop a buffer and reset it to `len` zeros (identical to
     /// `vec![0.0; len]`, so pooling can never perturb solver output).
     fn grab(&mut self, len: usize) -> Vec<f64> {
-        let mut v = self.pool.pop().unwrap_or_default();
+        let mut v = self.0.pop().unwrap_or_default();
         v.clear();
         v.resize(len, 0.0);
         v
     }
 
-    /// Return a buffer to the pool for reuse by a later solve.
+    /// Return a buffer to the pool for reuse by a later grab.
     fn put(&mut self, v: Vec<f64>) {
-        self.pool.push(v);
+        self.0.push(v);
+    }
+}
+
+/// One attempt's working memory: the sparse LU engine (factors, their
+/// elimination workspace and the eta file) and the dense work vectors.
+///
+/// Each thread keeps a free list of these. Every attempt takes one
+/// ([`SolveScratch::take`]) and gives it back when it ends, so a thread
+/// that solves thousands of LPs back to back — a scenario-pool worker, the
+/// master's node LPs, the online controller — builds its LU workspace once
+/// instead of once per solve. A solve nested inside a live attempt (an
+/// abandoned restart's cold finish) takes a second one. Reuse is
+/// bit-transparent: the engine clears every buffer at
+/// refactorization, and [`Buffers::grab`] zeroes what it hands out.
+#[derive(Default)]
+struct SolveScratch {
+    lu: LuEngine,
+    bufs: Buffers,
+}
+
+thread_local! {
+    /// This thread's idle workspaces.
+    static IDLE_WORKSPACES: RefCell<Vec<SolveScratch>> = const { RefCell::new(Vec::new()) };
+}
+
+impl SolveScratch {
+    /// A workspace from this thread's free list, or a new one.
+    fn take() -> Loan {
+        Loan(IDLE_WORKSPACES.with(|idle| idle.borrow_mut().pop()).unwrap_or_default())
+    }
+}
+
+/// A workspace on loan to one attempt. Dropping it hands it back to the
+/// thread's free list — unless the attempt is unwinding, in which case the
+/// workspace is dropped with whatever state the panic left in it.
+struct Loan(SolveScratch);
+
+impl Drop for Loan {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            return;
+        }
+        let ws = std::mem::take(&mut self.0);
+        // During thread teardown the free list may already be gone; then
+        // the workspace is simply dropped.
+        let _ = IDLE_WORKSPACES.try_with(|idle| {
+            if let Ok(mut idle) = idle.try_borrow_mut() {
+                idle.push(ws);
+            }
+        });
     }
 }
 
@@ -376,7 +414,7 @@ struct Work<'a> {
     cost2: Vec<f64>,
     basis: Vec<usize>,
     status: Vec<VarStatus>,
-    engine: Box<dyn BasisEngine>,
+    engine: &'a mut dyn BasisEngine,
     xb: Vec<f64>,
     /// Reduced-RHS scratch reused by [`Work::recompute_xb`] so the hot
     /// refactorization path never allocates.
@@ -552,7 +590,7 @@ fn run_phase(
     total_iters: &mut usize,
     refactor_every: usize,
     ctl: PhaseCtl,
-    scratch: &mut SolveScratch,
+    scratch: &mut Buffers,
 ) -> Result<PhaseEnd, LpError> {
     let m = w.m;
     let mut y = scratch.grab(m);
@@ -871,7 +909,7 @@ fn run_dual_phase(
     iter_budget: &mut usize,
     total_iters: &mut usize,
     refactor_every: usize,
-    scratch: &mut SolveScratch,
+    scratch: &mut Buffers,
 ) -> Result<DualEnd, LpError> {
     let m = w.m;
     let mut y = scratch.grab(m);
@@ -1058,30 +1096,29 @@ fn run_dual_phase(
 /// Whether the current basis is dual feasible for `cost` (reduced costs
 /// have the right sign for every nonbasic status). Takes `&mut Work` only
 /// because the engine's BTRAN reuses internal scratch space.
-fn dual_feasible(w: &mut Work, cost: &[f64]) -> bool {
+fn dual_feasible(w: &mut Work, cost: &[f64], scratch: &mut Buffers) -> bool {
     let m = w.m;
-    let mut cb = vec![0.0; m];
+    let mut cb = scratch.grab(m);
     for (i, &j) in w.basis.iter().enumerate() {
         cb[i] = cost[j];
     }
-    let mut y = vec![0.0; m];
+    let mut y = scratch.grab(m);
     w.engine.btran(&cb, &mut y);
-    for j in 0..w.ncols() {
+    let ok = (0..w.ncols()).all(|j| {
         if w.status[j] == VarStatus::Basic || w.ub[j] - w.lb[j] <= 0.0 {
-            continue;
+            return true;
         }
         let d = cost[j] - w.col_dot(j, &y);
-        let ok = match w.status[j] {
+        match w.status[j] {
             VarStatus::AtLower => d >= -DUAL_TOL * 10.0,
             VarStatus::AtUpper => d <= DUAL_TOL * 10.0,
             VarStatus::FreeZero => d.abs() <= DUAL_TOL * 10.0,
             VarStatus::Basic => true,
-        };
-        if !ok {
-            return false;
         }
-    }
-    true
+    });
+    scratch.put(cb);
+    scratch.put(y);
+    ok
 }
 
 /// One solve attempt, cold or warm from `warm`: exactly one
@@ -1093,11 +1130,11 @@ pub(crate) fn attempt(
     warm: Option<&Basis>,
     mode: Mode,
 ) -> Result<Solution, LpError> {
-    let mut scratch = SolveScratch::new();
     match warm {
-        None => solve_cold(model, opts, mode, &mut scratch, true),
-        Some(_) => solve_attempt_traced(model, opts, warm, mode, false, &mut scratch, true)
-            .map(|(sol, _)| sol),
+        None => solve_cold(model, opts, mode, true),
+        Some(_) => {
+            solve_attempt_traced(model, opts, warm, mode, false, true).map(|(sol, _)| sol)
+        }
     }
 }
 
@@ -1107,9 +1144,8 @@ pub(crate) fn rhs_restart(
     model: &Model,
     opts: &SimplexOptions,
     warm: &Basis,
-    scratch: &mut SolveScratch,
 ) -> Result<(Solution, RestartKind), LpError> {
-    solve_attempt_traced(model, opts, Some(warm), Mode::DEFAULT, true, scratch, true)
+    solve_attempt_traced(model, opts, Some(warm), Mode::DEFAULT, true, true)
 }
 
 /// One cold attempt: presolve when enabled, then the two-phase simplex from
@@ -1125,7 +1161,6 @@ fn solve_cold(
     model: &Model,
     opts: &SimplexOptions,
     mode: Mode,
-    scratch: &mut SolveScratch,
     poll: bool,
 ) -> Result<Solution, LpError> {
     if opts.presolve && !mode.bland {
@@ -1133,7 +1168,7 @@ fn solve_cold(
             return Ok(sol);
         }
     }
-    solve_attempt_traced(model, opts, None, mode, false, scratch, poll).map(|(sol, _)| sol)
+    solve_reduced(model, opts, mode, poll)
 }
 
 /// Solve an already-presolved model directly, bypassing the presolve hook
@@ -1144,8 +1179,7 @@ pub(crate) fn solve_reduced(
     mode: Mode,
     poll: bool,
 ) -> Result<Solution, LpError> {
-    let mut scratch = SolveScratch::new();
-    solve_attempt_traced(model, opts, None, mode, false, &mut scratch, poll).map(|(sol, _)| sol)
+    solve_attempt_traced(model, opts, None, mode, false, poll).map(|(sol, _)| sol)
 }
 
 fn solve_attempt_traced(
@@ -1154,7 +1188,6 @@ fn solve_attempt_traced(
     warm: Option<&Basis>,
     mode: Mode,
     rhs_only: bool,
-    scratch: &mut SolveScratch,
     poll: bool,
 ) -> Result<(Solution, RestartKind), LpError> {
     let refactor_every = mode.refactor_every;
@@ -1211,6 +1244,16 @@ fn solve_attempt_traced(
         cost2[j] = sign * model.obj[j];
     }
 
+    let mut loan = SolveScratch::take();
+    let SolveScratch { lu, bufs: scratch } = &mut loan.0;
+    let mut dense;
+    let engine: &mut dyn BasisEngine = match opts.engine {
+        EngineKind::SparseLu => lu,
+        EngineKind::Dense => {
+            dense = DenseEngine::new();
+            &mut dense
+        }
+    };
     let mut w = Work {
         model,
         n,
@@ -1221,7 +1264,7 @@ fn solve_attempt_traced(
         cost2,
         basis: (n..n + m).collect(),
         status: Vec::new(),
-        engine: make_engine(opts.engine),
+        engine,
         xb: vec![0.0; m],
         rhs_scratch: Vec::with_capacity(m),
         pivots_since_refactor: 0,
@@ -1267,7 +1310,7 @@ fn solve_attempt_traced(
                         c.resize(w.ncols(), 0.0);
                         c
                     };
-                    if rhs_only || dual_feasible(&mut w, &cost_now) {
+                    if rhs_only || dual_feasible(&mut w, &cost_now, scratch) {
                         flexile_obs::add("lp.dual_restarts", 1);
                         let dual_from = total_iters;
                         // The repair runs under the restart cap; whatever it
@@ -1299,7 +1342,7 @@ fn solve_attempt_traced(
                                 flexile_obs::add("lp.warm.miss", 1);
                                 solve_span.set("abandoned", spent);
                                 drop(solve_span);
-                                let mut sol = solve_cold(model, opts, mode, scratch, false)?;
+                                let mut sol = solve_cold(model, opts, mode, false)?;
                                 sol.iterations += spent;
                                 return Ok((sol, RestartKind::Cold));
                             }
@@ -1513,15 +1556,14 @@ fn initial_status(lb: f64, ub: f64, prefer: VarStatus) -> VarStatus {
 mod tests {
     use crate::model::{Model, Sense};
     use super::{Basis, Solution};
-    use crate::SolveScratch;
 
-    /// One RHS-only restart on fresh scratch buffers.
+    /// One RHS-only restart.
     fn restart(
         m: &Model,
         opts: &crate::SimplexOptions,
         warm: &super::Basis,
     ) -> Result<(super::Solution, super::RestartKind), crate::LpError> {
-        m.solve_rhs_restart(opts, warm, &mut SolveScratch::new())
+        m.solve_rhs_restart(opts, warm)
     }
 
     fn assert_close(a: f64, b: f64) {
@@ -1944,6 +1986,109 @@ mod tests {
             // The abandoned repair's pivots are still accounted.
             assert_eq!(sol.iterations, cold.iterations + need - 1);
         }
+    }
+
+    /// Transportation LP: `s` sources with supplies, `s` sinks with
+    /// demands, deterministic costs. With presolve off its basis has `2s`
+    /// rows.
+    fn transport_lp(s: usize) -> Model {
+        let mut m = Model::new(Sense::Min);
+        let cost = |i: usize, j: usize| ((i * 7 + j * 13) % 17 + 1) as f64;
+        let x: Vec<Vec<_>> = (0..s)
+            .map(|i| {
+                (0..s)
+                    .map(|j| m.add_var(&format!("x{i}_{j}"), 0.0, f64::INFINITY, cost(i, j)))
+                    .collect()
+            })
+            .collect();
+        for (i, row) in x.iter().enumerate() {
+            let coeffs: Vec<_> = row.iter().map(|&v| (v, 1.0)).collect();
+            m.add_row_le(&coeffs, 10.0 + (i % 3) as f64);
+        }
+        for j in 0..s {
+            let coeffs: Vec<_> = x.iter().map(|row| (row[j], 1.0)).collect();
+            m.add_row_ge(&coeffs, 9.0 + (j % 2) as f64);
+        }
+        m
+    }
+
+    /// `x`, duals, basis fingerprint and iterations of a solve, as bits.
+    type SolveBits = (Vec<u64>, Vec<u64>, u64, usize);
+
+    fn solve_bits(sol: &Solution) -> SolveBits {
+        (bits(&sol.x), bits(&sol.duals), sol.basis.fingerprint(), sol.iterations)
+    }
+
+    fn idle_workspaces() -> usize {
+        super::IDLE_WORKSPACES.with(|idle| idle.borrow().len())
+    }
+
+    #[test]
+    fn workspace_reuse_is_bit_transparent() {
+        use crate::fault::{with_injector, FaultInjector, FaultKind};
+        let no_presolve = crate::SimplexOptions { presolve: false, ..Default::default() };
+        let presolved = {
+            // A fixed column and a singleton row for presolve to remove.
+            let (mut m, _) = packing_lp();
+            let fixed = m.add_var("fixed", 2.0, 2.0, 1.0);
+            let x0 = crate::model::VarId(0);
+            m.add_row_le(&[(fixed, 1.0), (x0, 1.0)], 9.0);
+            m.add_row_le(&[(x0, 1.0)], 3.0);
+            m
+        };
+        let (runaway, warm, need) = runaway_setup();
+        // Each solve in turn, on whatever workspaces the ones before left
+        // on this thread.
+        type Solve<'a> = Box<dyn Fn() -> Solution + Sync + 'a>;
+        let solves: Vec<(&str, Solve)> = vec![
+            ("large", Box::new(|| transport_lp(20).solve_with(&no_presolve, None).unwrap())),
+            ("small", Box::new(|| packing_lp().0.solve_with(&no_presolve, None).unwrap())),
+            ("presolved", Box::new(|| presolved.solve().unwrap())),
+            (
+                "abandoned restart",
+                Box::new(|| {
+                    let opts = crate::SimplexOptions::default();
+                    let (sol, kind) = with_restart_cap(Some(need - 1), || {
+                        restart(&runaway, &opts, &warm).unwrap()
+                    });
+                    assert_eq!(kind, super::RestartKind::Cold, "the restart is abandoned");
+                    sol
+                }),
+            ),
+            (
+                "Bland rung",
+                Box::new(|| {
+                    let faults = FaultInjector::new()
+                        .at(0, FaultKind::Numerical)
+                        .at(1, FaultKind::Numerical);
+                    let (out, _) = with_injector(faults, || {
+                        crate::solve_robust(&transport_lp(6), &no_presolve, None)
+                    });
+                    assert_eq!(out.report.succeeded_rung(), Some(crate::Rung::BlandSafe));
+                    out.result.unwrap()
+                }),
+            ),
+        ];
+        for (name, solve) in &solves {
+            let reused = solve_bits(&solve());
+            let fresh = std::thread::scope(|s| s.spawn(|| solve_bits(&solve())).join().unwrap());
+            assert_eq!(reused, fresh, "{name}: a reused workspace changed the solve");
+        }
+        // The abandoned restart finished cold inside its own attempt, on a
+        // second workspace.
+        assert_eq!(idle_workspaces(), 2);
+    }
+
+    #[test]
+    fn an_unwinding_attempt_drops_its_workspace() {
+        drop(super::SolveScratch::take());
+        assert_eq!(idle_workspaces(), 1);
+        let unwound = std::panic::catch_unwind(|| {
+            let _loan = super::SolveScratch::take();
+            panic!("a solve unwinds");
+        });
+        assert!(unwound.is_err());
+        assert_eq!(idle_workspaces(), 0, "the loan was dropped, not handed back");
     }
 
     #[test]

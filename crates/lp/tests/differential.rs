@@ -11,7 +11,6 @@
 
 use flexile_lp::{
     solve_robust, Basis, Cmp, EngineKind, LpError, Model, Sense, SimplexOptions, Solution,
-    SolveScratch,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -169,7 +168,7 @@ proptest! {
                 m.set_rhs(r, m.rhs_of(r) + scale * rng.random_range(-1.0..1.0));
             }
         }
-        let warm = m.solve_rhs_restart(&lu, &first.basis, &mut SolveScratch::new());
+        let warm = m.solve_rhs_restart(&lu, &first.basis);
         let cold = solve_on(&m, EngineKind::SparseLu, None);
         let (warm, cold) = match (warm, cold) {
             (Ok((w, _)), Ok(c)) => (w, c),
