@@ -21,7 +21,6 @@
 //!   fig14        optimality gap per decomposition iteration vs IP
 //!   fig15        offline solve time vs topology size (IP vs Flexile)
 //!   fig18        max low-priority scale with zero 99%-ile loss
-//!   lp_basis     basis-engine benchmark: dense inverse vs sparse LU
 //!   checkpoint   crash-safety guard: checkpoint cadence sweep + overhead bound
 //!   crash_resume process-level kill/resume driver (see flags below)
 //!   summary      headline results incl. the FFC baseline and SLO compliance
@@ -181,7 +180,7 @@ fn usage() {
          crash_resume flags: --checkpoint DIR [--every N] [--resume] \
          [--kill-iter N] [--kill-scenario I:K]\n\
          experiments: motivation table2 fig5 fig6 fig9a fig9b fig9c fig10 fig11 \
-         fig12 fig13 fig14 fig15 fig18 lp_basis checkpoint crash_resume summary all"
+         fig12 fig13 fig14 fig15 fig18 checkpoint crash_resume summary all"
     );
 }
 
@@ -201,7 +200,6 @@ fn run(experiment: &str, cfg: &ExpConfig, limit: usize) -> bool {
         "fig14" => figs_perf::run_fig14(cfg),
         "fig15" => figs_perf::run_fig15(cfg, limit),
         "fig18" => figs_sweep::run_fig18(cfg),
-        "lp_basis" => flexile_bench::lp_basis::run_lp_basis(cfg, limit),
         "checkpoint" => flexile_bench::checkpoint::run_checkpoint(cfg, limit),
         "summary" => flexile_bench::summary::run_summary(cfg),
         _ => return false,

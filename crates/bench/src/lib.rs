@@ -15,7 +15,6 @@ pub mod figs_ibm;
 pub mod figs_motivation;
 pub mod figs_perf;
 pub mod figs_sweep;
-pub mod lp_basis;
 pub mod setup;
 pub mod summary;
 

@@ -30,7 +30,7 @@ fn full_with_explicit_caps_is_a_usage_error() {
 
 #[test]
 fn retired_experiments_are_unknown() {
-    for name in ["slo", "warm_restart", "bench-check"] {
+    for name in ["slo", "warm_restart", "bench-check", "lp_basis"] {
         assert_usage_error(&[name], "unknown experiment");
     }
 }

@@ -61,8 +61,9 @@ use std::path::{Path, PathBuf};
 /// template rather than a cold one. Version 5 stores each resident
 /// slot's warm basis in place of its chain, so resume solves no LP to
 /// rebuild it. Version 6 dropped the pruning switch from the `search`
-/// component (pruning is always on).
-pub const CHECKPOINT_VERSION: u32 = 6;
+/// component (pruning is always on). Version 7 dropped the Hamming limit
+/// from the `master` component.
+pub const CHECKPOINT_VERSION: u32 = 7;
 
 const MAGIC: &[u8; 8] = b"FLXCKPT\0";
 
@@ -332,7 +333,6 @@ pub fn options_fingerprint_parts(opts: &FlexileOptions) -> [u64; OPTIONS_COMPONE
     }
 
     let mut master = Fnv::new();
-    master.u64(opts.master.hamming_limit as u64);
     master.u64(opts.master.exact_threshold as u64);
 
     let mut pool_policy = Fnv::new();

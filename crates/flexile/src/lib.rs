@@ -14,9 +14,9 @@
 //!   RHS and bound changes and a warm-started basis; its duals yield the
 //!   per-scenario Benders cuts (21).
 //! * [`master`] (§4.2) — the cut-collecting master problem (M) with the
-//!   per-flow coverage constraint (3) and the optional Hamming-distance
-//!   stabilizer (23); solved exactly by branch-and-bound on small instances
-//!   and by LP-relaxation + per-flow greedy rounding on large ones.
+//!   per-flow coverage constraint (3); solved exactly by branch-and-bound
+//!   on small instances and by LP-relaxation + per-flow greedy rounding on
+//!   large ones.
 //! * [`decomposition`] (§4.2, Algorithm 1) — the iteration loop with the
 //!   connected-flow starting heuristic (Proposition 1), perfect-scenario and
 //!   unchanged-critical-set pruning, and parallel subproblem solving.

@@ -7,7 +7,6 @@
 //! min  Penalty
 //! s.t. Penalty ≥ g_q(z_{·q})        for every stored cut, per scenario (19)
 //!      Σ_q p_q z_fq ≥ β_k           coverage per flow (3)
-//!      Σ |z_fq − z'_fq| ≤ Limit     Hamming stabilizer (23), if enabled
 //!      z_fq = 0 where flow f is disconnected in q (starting heuristic §4.2)
 //! ```
 //!
@@ -34,12 +33,10 @@
 //! inputs nearly every column is fixed this way. The exact mode keeps
 //! every column.
 //!
-//! The Hamming stabilizer is off by default (`hamming_limit` 0). When it is
-//! enabled, the exact mode enforces it, and the rounding does not. The LP
-//! relaxation then also keeps every column whose previous value is 0: at
-//! `z = 1` it would add 1 to the distance, so fixing it is not free. Every
-//! fixed column has previous value 1 and adds 0, so the Hamming row counts
-//! only the columns it keeps.
+//! The paper's optional Hamming-distance stabilizer (23), which bounds how
+//! far `z` may move per iteration, is not implemented: on the benchmark
+//! workloads no limit lowered a penalty, and on the exact-mode one small
+//! limits raised it or slowed the design (EXPERIMENTS.md).
 
 use crate::subproblem::Cut;
 use flexile_lp::{solve_mip, solve_robust, MipOptions, Model, Sense, SimplexOptions, VarId};
@@ -117,9 +114,6 @@ impl CutPool {
 /// Master-solving configuration.
 #[derive(Debug, Clone)]
 pub struct MasterOptions {
-    /// Hamming-distance limit per iteration (eq. 23). `0` disables the
-    /// stabilizer.
-    pub hamming_limit: usize,
     /// Use exact branch-and-bound when `|F|·|Q| ≤ exact_threshold`.
     pub exact_threshold: usize,
     /// Branch-and-bound budget for the exact mode.
@@ -128,34 +122,25 @@ pub struct MasterOptions {
 
 impl Default for MasterOptions {
     fn default() -> Self {
-        MasterOptions {
-            hamming_limit: 0,
-            exact_threshold: 600,
-            mip_time_limit: Duration::from_secs(20),
-        }
+        MasterOptions { exact_threshold: 600, mip_time_limit: Duration::from_secs(20) }
     }
 }
 
 /// Build the master model: `penalty` and the `z[f][q]` columns under the
-/// coverage, cut and Hamming rows. When `exact`, every allowed `z` is a
-/// binary column. Otherwise the columns are in `[0, 1]`, and an allowed
-/// `z` that no cut prices (and, with the Hamming row on, was 1 in `prev`)
-/// is fixed at 1 and left out (module docs). `None` marks a `z` that is
-/// not `allowed` or is fixed.
-#[allow(clippy::too_many_arguments)]
+/// coverage and cut rows. When `exact`, every allowed `z` is a binary
+/// column. Otherwise the columns are in `[0, 1]`, and an allowed `z` that
+/// no cut prices is fixed at 1 and left out (module docs). `None` marks a
+/// `z` that is not `allowed` or is fixed.
 pub(crate) fn master_model(
     inst: &Instance,
     set: &ScenarioSet,
     pool: &CutPool,
     allowed: &[Vec<bool>],
     betas: &[f64],
-    prev: &[Vec<bool>],
-    opts: &MasterOptions,
     exact: bool,
 ) -> (Model, Vec<Vec<Option<VarId>>>) {
     let nf = inst.num_flows();
     let nq = set.scenarios.len();
-    let hamming = opts.hamming_limit > 0;
 
     let mut m = Model::new(Sense::Min);
     let penalty = m.add_var("penalty", 0.0, f64::INFINITY, 1.0);
@@ -167,7 +152,7 @@ pub(crate) fn master_model(
             }
             if exact {
                 z[f][q] = Some(m.add_binary("z", 0.0));
-            } else if pool.pressure(f, q) > PRICE_TOL || (hamming && !prev[f][q]) {
+            } else if pool.pressure(f, q) > PRICE_TOL {
                 z[f][q] = Some(m.add_var("z", 0.0, 1.0, 0.0));
             }
         }
@@ -225,25 +210,6 @@ pub(crate) fn master_model(
             m.add_row_ge(&coeffs, constant);
         }
     }
-    // Hamming stabilizer (23): Σ_{prev=1}(1−z) + Σ_{prev=0} z ≤ Limit, over
-    // the columns the model holds (a fixed column adds 0).
-    if hamming {
-        let mut coeffs = Vec::new();
-        let mut ones = 0usize;
-        for f in 0..nf {
-            for q in 0..nq {
-                if let Some(v) = z[f][q] {
-                    if prev[f][q] {
-                        coeffs.push((v, -1.0));
-                        ones += 1;
-                    } else {
-                        coeffs.push((v, 1.0));
-                    }
-                }
-            }
-        }
-        m.add_row_le(&coeffs, opts.hamming_limit as f64 - ones as f64);
-    }
     (m, z)
 }
 
@@ -251,22 +217,20 @@ pub(crate) fn master_model(
 /// lower bound on the penalty.
 ///
 /// `allowed[f][q]` marks (connected) flow/scenario combinations that may be
-/// critical; `betas[k]` are the per-class coverage targets; `prev` is the
-/// previous iteration's `z` for the Hamming stabilizer.
+/// critical; `betas[k]` are the per-class coverage targets.
 pub fn solve_master(
     inst: &Instance,
     set: &ScenarioSet,
     pool: &CutPool,
     allowed: &[Vec<bool>],
     betas: &[f64],
-    prev: &[Vec<bool>],
     opts: &MasterOptions,
 ) -> (Vec<Vec<bool>>, f64) {
     let nf = inst.num_flows();
     let nq = set.scenarios.len();
     let exact = nf * nq <= opts.exact_threshold;
 
-    let (m, z) = master_model(inst, set, pool, allowed, betas, prev, opts, exact);
+    let (m, z) = master_model(inst, set, pool, allowed, betas, exact);
 
     if exact {
         let mip_opts = MipOptions {
@@ -304,9 +268,6 @@ pub fn solve_master(
         }
     };
 
-    // Note: the greedy rounding below does not re-impose the Hamming
-    // stabilizer (the LP relaxation above does); with the stabilizer
-    // enabled the exact mode should be used for strict step bounds.
     let mut out = vec![vec![false; nq]; nf];
     let mut cands: Vec<(f64, f64, f64, usize)> = Vec::new();
     for f in 0..nf {
@@ -370,11 +331,9 @@ pub(crate) mod tests {
         pool: &CutPool,
         allowed: &[Vec<bool>],
         betas: &[f64],
-        prev: &[Vec<bool>],
-        opts: &MasterOptions,
     ) -> usize {
-        let (full, _) = master_model(inst, set, pool, allowed, betas, prev, opts, true);
-        let (reduced, z) = master_model(inst, set, pool, allowed, betas, prev, opts, false);
+        let (full, _) = master_model(inst, set, pool, allowed, betas, true);
+        let (reduced, z) = master_model(inst, set, pool, allowed, betas, false);
         match (full.solve(), reduced.solve()) {
             (Ok(a), Ok(b)) => assert!(
                 (a.objective - b.objective).abs() <= 1e-9 * a.objective.abs().max(1.0),
@@ -419,17 +378,8 @@ pub(crate) mod tests {
         // scenario, achieving penalty 0.
         let (inst, set, pool) = fig1_round_one();
         let allowed = connected_matrix(&inst, &set);
-        let betas = vec![0.99];
-        let prev = allowed.clone();
-        let (z, bound) = solve_master(
-            &inst,
-            &set,
-            &pool,
-            &allowed,
-            &betas,
-            &prev,
-            &MasterOptions::default(),
-        );
+        let (z, bound) =
+            solve_master(&inst, &set, &pool, &allowed, &[0.99], &MasterOptions::default());
         // Coverage: each flow's critical mass ≥ 0.99.
         for f in 0..2 {
             let mass: f64 = (0..set.scenarios.len())
@@ -451,16 +401,12 @@ pub(crate) mod tests {
 
     #[test]
     fn exact_master_matches_brute_force() {
-        // Fig. 1 after one round of cuts with every flow critical, with and
-        // without the Hamming row.
+        // Fig. 1 after one round of cuts with every flow critical.
         let (inst, set, pool) = fig1_round_one();
         let allowed = connected_matrix(&inst, &set);
-        for hamming_limit in [0, 2] {
-            let opts = MasterOptions { hamming_limit, ..Default::default() };
-            let (m, _) = master_model(&inst, &set, &pool, &allowed, &[0.995], &allowed, &opts, true);
-            assert!(m.has_integers());
-            crate::mip_oracle::assert_solve_mip_matches(&m);
-        }
+        let (m, _) = master_model(&inst, &set, &pool, &allowed, &[0.995], true);
+        assert!(m.has_integers());
+        crate::mip_oracle::assert_solve_mip_matches(&m);
     }
 
     #[test]
@@ -472,45 +418,9 @@ pub(crate) mod tests {
         set.scenarios.truncate(1);
         let allowed = connected_matrix(&inst, &set);
         let pool = CutPool::new(1);
-        let prev = allowed.clone();
-        let (z, _) = solve_master(
-            &inst,
-            &set,
-            &pool,
-            &allowed,
-            &[0.999],
-            &prev,
-            &MasterOptions::default(),
-        );
+        let (z, _) =
+            solve_master(&inst, &set, &pool, &allowed, &[0.999], &MasterOptions::default());
         assert!(z[0][0] && z[1][0]);
-    }
-
-    #[test]
-    fn hamming_limit_restricts_change() {
-        // One round of Fig. 1 cuts, and a `prev` that has the A-B-failure
-        // scenario non-critical for f2 and everything else allowed critical.
-        // Unrestricted, the (exact) master moves more than one column, as
-        // the cuts of both single-failure scenarios bite; a limit of 1
-        // allows only one move.
-        let (inst, set, pool) = fig1_round_one();
-        let allowed = connected_matrix(&inst, &set);
-        let qab = set.scenarios.iter().position(|s| s.failed_units == vec![0]).unwrap();
-        let mut prev = allowed.clone();
-        prev[1][qab] = false;
-        let dist = |z: &[Vec<bool>]| -> usize {
-            z.iter().flatten().zip(prev.iter().flatten()).filter(|(a, b)| a != b).count()
-        };
-        let free = MasterOptions::default();
-        let (z, _) = solve_master(&inst, &set, &pool, &allowed, &[0.99], &prev, &free);
-        assert!(dist(&z) > 1, "the limit must bind: unrestricted distance {}", dist(&z));
-        let opts = MasterOptions { hamming_limit: 1, ..Default::default() };
-        let (z, _) = solve_master(&inst, &set, &pool, &allowed, &[0.99], &prev, &opts);
-        assert!(dist(&z) <= 1, "hamming distance {} exceeds limit", dist(&z));
-        // The LP relaxation's Hamming row still holds columns: the priced
-        // ones and the one `prev` has at 0.
-        let (m, zv) = master_model(&inst, &set, &pool, &allowed, &[0.99], &prev, &opts, false);
-        assert!(zv[1][qab].is_some());
-        assert!(m.num_vars() > 2, "{} columns", m.num_vars());
     }
 
     #[test]
@@ -518,18 +428,8 @@ pub(crate) mod tests {
         let (inst, set, pool) = fig1_round_one();
         let allowed = connected_matrix(&inst, &set);
         let mut fixed = 0;
-        for hamming_limit in [0, 1, 2] {
-            let opts = MasterOptions { hamming_limit, ..Default::default() };
-            for q in 0..set.scenarios.len() {
-                // `prev` with scenario q non-critical for flow 0.
-                let mut prev = allowed.clone();
-                prev[0][q] = false;
-                for beta in [0.9, 0.99, 0.995] {
-                    fixed += assert_reduced_bound_matches(
-                        &inst, &set, &pool, &allowed, &[beta], &prev, &opts,
-                    );
-                }
-            }
+        for beta in [0.9, 0.99, 0.995] {
+            fixed += assert_reduced_bound_matches(&inst, &set, &pool, &allowed, &[beta]);
         }
         assert!(fixed > 0, "no column was fixed: the reduction went untested");
     }
@@ -558,13 +458,9 @@ pub(crate) mod tests {
 
         /// Random cut pools: per scenario up to three cuts with random
         /// `w` (some `w_f` exactly 0, so some columns go unpriced), `u`
-        /// and `d_const`; with the Hamming row off, and on with a `prev`
-        /// that mixes true and false.
+        /// and `d_const`.
         #[test]
-        fn reduced_relaxation_keeps_the_bound_on_random_pools(
-            seed in any::<u64>(),
-            hamming in any::<bool>(),
-        ) {
+        fn reduced_relaxation_keeps_the_bound_on_random_pools(seed in any::<u64>()) {
             let (inst, set, allowed) = sprint8();
             let (nf, nq, na) = (inst.num_flows(), set.scenarios.len(), inst.num_arcs());
             let mut rng = StdRng::seed_from_u64(seed);
@@ -591,12 +487,8 @@ pub(crate) mod tests {
                     pool.push(q, Cut { w, u, d_const });
                 }
             }
-            let prev: Vec<Vec<bool>> =
-                (0..nf).map(|_| (0..nq).map(|_| rng.random_bool(0.8)).collect()).collect();
-            let hamming_limit = if hamming { rng.random_range(1..nf * nq / 4) } else { 0 };
-            let opts = MasterOptions { hamming_limit, ..Default::default() };
             let beta = rng.random_range(0.5..1.0);
-            assert_reduced_bound_matches(&inst, &set, &pool, &allowed, &[beta], &prev, &opts);
+            assert_reduced_bound_matches(&inst, &set, &pool, &allowed, &[beta]);
         }
     }
 }

@@ -295,7 +295,7 @@ impl SubproblemTemplate {
     /// starts skip presolve anyway, so this pins down the cold solves: the
     /// ladder's and the one a restart past its pivot cap finishes with).
     fn solve_opts() -> SimplexOptions {
-        SimplexOptions { max_iters: 2_000_000, presolve: false, ..Default::default() }
+        SimplexOptions { max_iters: 2_000_000, presolve: false }
     }
 
     /// Continue a warm fast-path outcome (`Some`) or a cold start (`None`)

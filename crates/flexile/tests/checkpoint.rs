@@ -177,10 +177,10 @@ proptest! {
 
 #[test]
 fn version_bump_is_refused() {
-    // Both directions: a checkpoint from the previous format (one more
-    // options-fingerprint component) or a newer one is a typed refusal,
-    // never a misparse.
-    for v in [CHECKPOINT_VERSION - 1, CHECKPOINT_VERSION + 1] {
+    // Both directions: a checkpoint from any earlier format (version 6
+    // hashed the Hamming limit into the `master` options component) or a
+    // newer one is a typed refusal, never a misparse.
+    for v in (1..CHECKPOINT_VERSION).chain([CHECKPOINT_VERSION + 1]) {
         let state = arb_state(11, 2, 3, 2, 1);
         let mut blob = encode(&state);
         // Version is the u32 right after the 8-byte magic.

@@ -1,56 +1,32 @@
-//! Pluggable basis representations for the revised simplex.
+//! The basis representation of the revised simplex.
 //!
 //! The simplex kernel only ever touches the basis through four linear-algebra
 //! primitives — FTRAN (`B⁻¹a`), BTRAN (`cᵀB⁻¹`), a rank-1 pivot update, and
 //! a from-scratch refactorization — so those four calls are the whole
-//! [`BasisEngine`] contract. Two implementations exist:
-//!
-//! * [`LuEngine`] (default): sparse Markowitz LU ([`LuFactors`]) plus a
-//!   product-form **eta file**. Each pivot appends one sparse eta factor
-//!   (`B_new = B_old · E`) instead of densely updating an inverse, and both
-//!   solve directions replay the file around the permuted triangular solves:
-//!   FTRAN applies `E⁻¹` chronologically after the LU solve, BTRAN applies
-//!   `E⁻ᵀ` in reverse before it. Periodic refactorization (driven by the
-//!   simplex, same cadence as before) resets the file.
-//! * [`DenseEngine`]: the original explicit dense inverse (Gauss–Jordan
-//!   refactorization + dense rank-1 eta updates). O(m²) per pivot, but
-//!   simple and numerically transparent — it survives as the differential
-//!   -testing oracle and as the engine behind the Bland-safe rung of
-//!   [`crate::solve_robust`].
-//!
-//! The engines are *numerically* interchangeable (differential tests pin
-//! them to ≤1e-9 of each other on every tier-1 fixture) but not bit-equal:
-//! pivot order inside the factorization differs, so iterate trajectories can
-//! diverge on degenerate ties. Everything downstream treats the choice as a
-//! performance knob, selected via [`crate::SimplexOptions::engine`].
+//! [`BasisEngine`] contract. Every solve runs on [`LuEngine`]: sparse
+//! Markowitz LU ([`LuFactors`]) plus a product-form **eta file**. Each pivot
+//! appends one sparse eta factor (`B_new = B_old · E`) instead of densely
+//! updating an inverse, and both solve directions replay the file around the
+//! permuted triangular solves: FTRAN applies `E⁻¹` chronologically after the
+//! LU solve, BTRAN applies `E⁻ᵀ` in reverse before it. Periodic
+//! refactorization (driven by the simplex) resets the file. The tests also
+//! implement the contract with an explicit dense inverse, the oracle the
+//! sparse engine is checked against.
 
 use crate::error::LpError;
-use crate::sparse::{ColSource, DenseMat, LuFactors, SparseCol};
+use crate::sparse::{ColSource, LuFactors, SparseCol};
 
 /// Pivot magnitude below which a product-form update is refused; the ratio
 /// test guarantees pivots ≥ 5e-8, so hitting this means the iterate has
 /// already gone numerically astray and the caller should refactorize.
-const ETA_PIVOT_TOL: f64 = 1e-12;
-
-/// Which basis representation a solve should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// Explicit dense inverse: the original engine, kept as an oracle.
-    Dense,
-    /// Sparse Markowitz LU + eta file (default).
-    #[default]
-    SparseLu,
-}
+pub(crate) const ETA_PIVOT_TOL: f64 = 1e-12;
 
 /// Basis-representation contract used by the simplex kernel.
 ///
 /// All methods take `&mut self` so implementations can reuse internal
 /// scratch buffers across calls; none of them allocates on the hot path
 /// after the first refactorization at a given dimension.
-pub trait BasisEngine {
-    /// Which representation this is.
-    fn kind(&self) -> EngineKind;
-
+pub(crate) trait BasisEngine {
     /// Rebuild the factorization from scratch for the `m × m` basis whose
     /// column at basis position `pos` is supplied by `col_of(pos, out)` as
     /// pushed `(row, value)` entries. Discards any accumulated eta factors.
@@ -80,106 +56,15 @@ pub trait BasisEngine {
     /// is `w` and the leaving basic position is `r`, so `B_new = B · E` with
     /// `E = I` except column `r = w`. Fails if `|w[r]|` is degenerate.
     fn update(&mut self, w: &[f64], r: usize) -> Result<(), LpError>;
-
-    /// Eta factors accumulated since the last refactorization.
-    fn eta_len(&self) -> usize;
-
 }
 
-fn singular() -> LpError {
+pub(crate) fn singular() -> LpError {
     LpError::Numerical("singular basis at refactorization".into())
 }
 
-fn tiny_eta(wr: f64) -> LpError {
+pub(crate) fn tiny_eta(wr: f64) -> LpError {
     LpError::Numerical(format!("eta pivot {wr:.3e} too small for basis update"))
 }
-
-// ---------------------------------------------------------------------------
-// Dense oracle engine
-// ---------------------------------------------------------------------------
-
-/// Explicit dense basis inverse (the pre-LU engine, verbatim numerics).
-pub struct DenseEngine {
-    binv: DenseMat,
-    entries: Vec<(u32, f64)>,
-    etas: usize,
-}
-
-impl DenseEngine {
-    /// Fresh engine; unusable until the first [`BasisEngine::refactor`].
-    pub fn new() -> Self {
-        DenseEngine { binv: DenseMat::identity(0), entries: Vec::new(), etas: 0 }
-    }
-}
-
-impl Default for DenseEngine {
-    fn default() -> Self {
-        DenseEngine::new()
-    }
-}
-
-impl BasisEngine for DenseEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Dense
-    }
-
-    fn refactor(
-        &mut self,
-        m: usize,
-        col_of: &mut ColSource<'_>,
-    ) -> Result<(), LpError> {
-        self.etas = 0;
-        let mut entries = std::mem::take(&mut self.entries);
-        let ok = self.binv.invert_from_columns(m, |pos, out| {
-            entries.clear();
-            col_of(pos, &mut entries);
-            for &(r, v) in &entries {
-                out[r as usize] += v;
-            }
-        });
-        self.entries = entries;
-        if ok {
-            Ok(())
-        } else {
-            Err(singular())
-        }
-    }
-
-    fn ftran(&mut self, col: &SparseCol, out: &mut [f64]) {
-        self.binv.mul_sparse(col, out);
-    }
-
-    fn ftran_dense(&mut self, rhs: &[f64], out: &mut [f64]) {
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.binv.row(i).iter().zip(rhs.iter()).map(|(a, b)| a * b).sum();
-        }
-    }
-
-    fn btran(&mut self, c: &[f64], out: &mut [f64]) {
-        self.binv.pre_mul_dense(c, out);
-    }
-
-    fn btran_unit(&mut self, r: usize, out: &mut [f64]) {
-        out.copy_from_slice(self.binv.row(r));
-    }
-
-    fn update(&mut self, w: &[f64], r: usize) -> Result<(), LpError> {
-        if w[r].abs() < ETA_PIVOT_TOL {
-            return Err(tiny_eta(w[r]));
-        }
-        self.binv.eta_update(w, r);
-        self.etas += 1;
-        Ok(())
-    }
-
-    fn eta_len(&self) -> usize {
-        self.etas
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sparse LU + eta-file engine
-// ---------------------------------------------------------------------------
 
 /// One product-form factor: column `r` of `E` is the pivot's FTRAN image
 /// `w`, stored as the diagonal `w_r` plus the sparse off-diagonal entries
@@ -227,7 +112,7 @@ impl Eta {
 /// [`crate::simplex`]'s per-thread workspaces) stops allocating once it has
 /// seen its largest basis.
 #[derive(Default)]
-pub struct LuEngine {
+pub(crate) struct LuEngine {
     lu: LuFactors,
     etas: Vec<Eta>,
     eta_entries: Vec<(u32, f64)>,
@@ -235,11 +120,6 @@ pub struct LuEngine {
 }
 
 impl LuEngine {
-    /// Fresh engine; unusable until the first [`BasisEngine::refactor`].
-    pub fn new() -> Self {
-        LuEngine::default()
-    }
-
     fn apply_etas_ftran(&self, v: &mut [f64]) {
         for eta in &self.etas {
             eta.apply_ftran(&self.eta_entries, v);
@@ -261,10 +141,6 @@ impl LuEngine {
 }
 
 impl BasisEngine for LuEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::SparseLu
-    }
-
     fn refactor(
         &mut self,
         m: usize,
@@ -337,15 +213,12 @@ impl BasisEngine for LuEngine {
         self.etas.push(Eta { r: r as u32, wr, start, end });
         Ok(())
     }
-
-    fn eta_len(&self) -> usize {
-        self.etas.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense::DenseEngine;
 
     /// Deterministic sparse nonsingular test basis: diagonally dominant
     /// with a few off-diagonal entries per column.
@@ -381,7 +254,7 @@ mod tests {
         let m = 30;
         let cols = basis_cols(m, 11);
         let mut dense = DenseEngine::new();
-        let mut lu = LuEngine::new();
+        let mut lu = LuEngine::default();
         refactor_from(&mut dense, &cols);
         refactor_from(&mut lu, &cols);
 
@@ -417,7 +290,7 @@ mod tests {
         // updated basis.
         let m = 25;
         let mut cols = basis_cols(m, 23);
-        let mut lu = LuEngine::new();
+        let mut lu = LuEngine::default();
         refactor_from(&mut lu, &cols);
 
         let replacements: [(usize, Vec<(u32, f64)>); 4] = [
@@ -433,11 +306,11 @@ mod tests {
             lu.update(&w, *pos).expect("well-conditioned pivot");
             cols[*pos] = newcol.clone();
         }
-        assert_eq!(lu.eta_len(), replacements.len());
+        assert_eq!(lu.etas.len(), replacements.len());
 
-        let mut fresh = LuEngine::new();
+        let mut fresh = LuEngine::default();
         refactor_from(&mut fresh, &cols);
-        assert_eq!(fresh.eta_len(), 0, "refactorization resets the eta file");
+        assert!(fresh.etas.is_empty(), "refactorization resets the eta file");
 
         let rhs = SparseCol::from_entries(vec![(1, 2.0), (13, -1.0), (24, 0.5)]);
         let (mut via_etas, mut via_fresh) = (vec![0.0; m], vec![0.0; m]);
@@ -460,17 +333,14 @@ mod tests {
         }
     }
 
-    fn make_engine(kind: EngineKind) -> Box<dyn BasisEngine> {
-        match kind {
-            EngineKind::Dense => Box::new(DenseEngine::new()),
-            EngineKind::SparseLu => Box::new(LuEngine::new()),
-        }
+    /// Both implementations of the contract, labelled.
+    fn engines() -> [(&'static str, Box<dyn BasisEngine>); 2] {
+        [("dense", Box::new(DenseEngine::new())), ("lu", Box::new(LuEngine::default()))]
     }
 
     #[test]
     fn singular_basis_rejected_at_factorization() {
-        for kind in [EngineKind::Dense, EngineKind::SparseLu] {
-            let mut engine = make_engine(kind);
+        for (label, mut engine) in engines() {
             let res = engine.refactor(4, &mut |pos, out| {
                 // Columns 1 and 3 identical ⇒ singular.
                 let p = if pos == 3 { 1 } else { pos };
@@ -479,9 +349,9 @@ mod tests {
             });
             match res {
                 Err(LpError::Numerical(msg)) => {
-                    assert!(msg.contains("singular"), "{kind:?}: {msg}")
+                    assert!(msg.contains("singular"), "{label}: {msg}")
                 }
-                other => panic!("{kind:?}: expected singular error, got {other:?}"),
+                other => panic!("{label}: expected singular error, got {other:?}"),
             }
         }
     }
@@ -490,18 +360,12 @@ mod tests {
     fn degenerate_eta_pivot_rejected() {
         let m = 5;
         let cols = basis_cols(m, 3);
-        for kind in [EngineKind::Dense, EngineKind::SparseLu] {
-            let mut engine = make_engine(kind);
+        for (label, mut engine) in engines() {
             engine
                 .refactor(m, &mut |pos, out| out.extend_from_slice(&cols[pos]))
                 .unwrap();
             let w = vec![1.0, 0.0, 1.0, 1.0, 1.0];
-            assert!(engine.update(&w, 1).is_err(), "{kind:?} must refuse a zero pivot");
+            assert!(engine.update(&w, 1).is_err(), "{label} must refuse a zero pivot");
         }
-    }
-
-    #[test]
-    fn default_engine_is_sparse_lu() {
-        assert_eq!(EngineKind::default(), EngineKind::SparseLu);
     }
 }

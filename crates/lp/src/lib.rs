@@ -8,13 +8,11 @@
 //! * [`Model`] — a row/column model builder with per-variable bounds,
 //!   `≤ / ≥ / =` rows and a linear objective.
 //! * [`simplex`] — a bounded-variable two-phase revised simplex method over a
-//!   pluggable [`basis`] engine: by default a sparse Markowitz LU
-//!   factorization with product-form eta-file updates and periodic
-//!   refactorization (the original dense explicit inverse remains selectable
-//!   as a differential-testing oracle via [`EngineKind::Dense`]),
-//!   devex candidate-list pricing with Dantzig and Bland fallbacks, a
-//!   bound-flipping long-step dual ratio test, and warm starts from a
-//!   previously optimal basis.
+//!   sparse Markowitz LU factorization of the basis with product-form
+//!   eta-file updates and periodic refactorization (the tests check it
+//!   against an explicit dense inverse), devex candidate-list pricing with
+//!   Dantzig and Bland fallbacks, a bound-flipping long-step dual ratio
+//!   test, and warm starts from a previously optimal basis.
 //! * [`presolve`] / [`crash`] — the cold-start accelerators: a reduce /
 //!   postsolve pass (fixed- and free-column elimination, empty/singleton-row
 //!   removal, bound tightening) with exact primal+dual recovery, and a
@@ -30,7 +28,7 @@
 //!   perturbation) with an auditable [`SolveReport`], and a deterministic
 //!   [`FaultInjector`] for chaos-testing every failure path. The ladder is
 //!   the only retry policy: [`Model::solve`] and [`Model::solve_with`] run
-//!   it, and one [`SimplexOptions`] (iteration cap, engine, presolve)
+//!   it, and one [`SimplexOptions`] (iteration cap, presolve)
 //!   configures every rung; the pricing rule is a rung setting.
 //! * [`certificate`] — an optimality check of a primal/dual pair built only
 //!   on the [`Model`] accessors (primal and dual feasibility,
@@ -60,9 +58,11 @@
 
 #![warn(missing_docs)]
 
-pub mod basis;
+mod basis;
 pub mod certificate;
 pub mod crash;
+#[cfg(test)]
+mod dense;
 pub mod error;
 pub mod fault;
 pub mod mip;
@@ -71,10 +71,9 @@ pub mod presolve;
 pub mod robust;
 pub mod rowgen;
 pub mod simplex;
-pub mod sparse;
+mod sparse;
 pub mod tol;
 
-pub use basis::{BasisEngine, EngineKind};
 pub use error::LpError;
 pub use fault::{FaultInjector, FaultKind};
 pub use mip::{solve_mip, MipOptions, MipResult, MipStatus};

@@ -5,20 +5,17 @@
 //! trading speed for numerical robustness. [`crate::Model::solve`] and
 //! [`crate::Model::solve_with`] are this ladder without the report. The
 //! caller's [`SimplexOptions`] apply to every rung; the rungs vary only the
-//! warm basis, the pricing rule, the engine, the refactorization interval
-//! and Bland's rule:
+//! warm basis, the pricing rule, the refactorization interval and Bland's
+//! rule. Every rung runs on the sparse LU basis engine:
 //!
 //! 1. **Warm** — the caller's options and warm basis: presolve on cold
 //!    starts if enabled, the default refactorization interval (60 pivots),
 //!    pricing picked per solve from the model's shape.
 //! 2. **ColdRefactor** — cold start, Dantzig pricing (no devex weight
 //!    state), refactorize every 8 pivots.
-//! 3. **BlandSafe** — cold start, Bland's rule from the first pivot, tight
-//!    refactorization, on the *dense* basis engine
-//!    ([`crate::EngineKind::Dense`]), no presolve and no crash. Cycle-proof
-//!    and independent of the default sparse-LU representation, so a
-//!    numerical failure inside the LU/eta path cannot recur here; the
-//!    slowest exact mode.
+//! 3. **BlandSafe** — cold start, Bland's rule from the first pivot,
+//!    refactorize every 8 pivots, no presolve and no crash. Cycle-proof;
+//!    the slowest exact mode.
 //! 4. **Perturb** — solve a copy with deterministically jittered finite
 //!    bounds/RHS to break pathological degeneracy, then re-solve the
 //!    original warm from the perturbed basis. If even the clean-up solve
@@ -42,7 +39,6 @@
 use crate::error::LpError;
 use crate::model::Model;
 use crate::simplex::{attempt, Basis, Mode, SimplexOptions, Solution};
-use crate::EngineKind;
 use std::time::Instant;
 
 /// Relative magnitude of the rung-4 bound/RHS jitter.
@@ -73,13 +69,6 @@ impl Rung {
             Rung::BlandSafe => "bland_safe",
             Rung::Perturb => "perturb",
         }
-    }
-
-    /// Whether the rung runs on the caller's [`SimplexOptions::engine`].
-    /// Rungs 3 and 4 switch to the dense oracle, so tests and benches that
-    /// measure one engine check that no attempt reached them.
-    pub fn on_caller_engine(self) -> bool {
-        self <= Rung::ColdRefactor
     }
 }
 
@@ -227,18 +216,14 @@ pub(crate) fn ladder(
     quiet: bool,
 ) -> RobustOutcome {
     let mut report = SolveReport::default();
-    // Bland safe mode on the dense oracle engine, so a failure tied to the
-    // sparse LU/eta representation cannot reproduce itself here.
-    let bland = SimplexOptions { engine: EngineKind::Dense, ..*opts };
-
     let rungs = [
-        (Rung::Warm, opts, warm, Mode::DEFAULT),
-        (Rung::ColdRefactor, opts, None, Mode::SHORT_REFACTOR),
-        (Rung::BlandSafe, &bland, None, Mode::BLAND),
+        (Rung::Warm, warm, Mode::DEFAULT),
+        (Rung::ColdRefactor, None, Mode::SHORT_REFACTOR),
+        (Rung::BlandSafe, None, Mode::BLAND),
     ];
-    for (rung, o, w, mode) in rungs {
+    for (rung, w, mode) in rungs {
         let t0 = Instant::now();
-        match attempt(model, o, w, mode) {
+        match attempt(model, opts, w, mode) {
             Ok(sol) => {
                 report.record(quiet, rung, None, sol.iterations, t0.elapsed());
                 return RobustOutcome { result: Ok(sol), report };
@@ -257,7 +242,7 @@ pub(crate) fn ladder(
     // perturbed solve and the clean-up re-solve.
     let perturbed = perturbed_model(model, PERTURB);
     let t0 = Instant::now();
-    match attempt(&perturbed, &bland, None, Mode::BLAND) {
+    match attempt(&perturbed, opts, None, Mode::BLAND) {
         Ok(psol) => {
             // Clean-up: re-solve the *original* model warm from the
             // perturbed basis; usually a handful of pivots.
@@ -290,6 +275,7 @@ pub(crate) fn ladder(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::certificate::certify;
     use crate::fault::{self, FaultInjector, FaultKind};
     use crate::model::Sense;
 
@@ -415,6 +401,55 @@ mod tests {
         assert_eq!(report.attempts[0].iterations, 0, "faulted attempt has no count");
         assert!(report.attempts[1].iterations > 0);
         assert_eq!(report.total_iterations(), report.attempts[1].iterations);
+    }
+
+    /// Solve `m` with a fault at every attempt before `rung`'s, so `rung`
+    /// answers. Rung 4's clean-up solve runs unfaulted.
+    fn rescued_by(m: &Model, opts: &SimplexOptions, rung: Rung) -> Solution {
+        let faults = (0..rung as u64)
+            .fold(FaultInjector::new(), |inj, i| inj.at(i, FaultKind::Numerical));
+        let (out, _) = fault::with_injector(faults, || solve_robust(m, opts, None));
+        assert_eq!(out.report.succeeded_rung(), Some(rung), "{:?}", out.report.attempts);
+        out.result.expect("rescued solve")
+    }
+
+    /// The Bland-safe and perturbation rungs do not only answer, they
+    /// answer right: each rescue passes the optimality certificate and has
+    /// the objective of the dense oracle's fault-free solve.
+    fn assert_rescues_are_right(m: &Model, opts: &SimplexOptions, label: &str) {
+        let oracle = crate::dense::with_dense_oracle(|| solve_robust(m, opts, None))
+            .result
+            .expect("oracle solve");
+        for rung in [Rung::BlandSafe, Rung::Perturb] {
+            let sol = rescued_by(m, opts, rung);
+            let cert = certify(m, &sol.x, &sol.duals);
+            assert!(cert.holds(1e-9), "{label} {rung:?}: {cert:?}");
+            let tol = 1e-9 * (1.0 + oracle.objective.abs());
+            assert!(
+                (sol.objective - oracle.objective).abs() <= tol,
+                "{label} {rung:?}: objective {} vs oracle {}",
+                sol.objective,
+                oracle.objective
+            );
+        }
+    }
+
+    #[test]
+    fn rescue_rungs_are_certified_on_small_model() {
+        assert_rescues_are_right(&small_model(), &SimplexOptions::default(), "small");
+    }
+
+    #[test]
+    fn rescue_rungs_are_certified_on_degenerate_lps() {
+        let transport = crate::simplex::tests::transport_lp(6);
+        for presolve in [false, true] {
+            let opts = SimplexOptions { presolve, ..Default::default() };
+            assert_rescues_are_right(&transport, &opts, &format!("transport presolve {presolve}"));
+        }
+        for seed in 0..20 {
+            let (m, _) = crate::dense::tests::random_lp(seed);
+            assert_rescues_are_right(&m, &SimplexOptions::default(), &format!("seed {seed}"));
+        }
     }
 
     #[test]

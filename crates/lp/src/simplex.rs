@@ -13,11 +13,9 @@
 //!   rows whose slack value still violates its bounds get a `±1` artificial
 //!   column with phase-1 cost 1. Once the artificial sum reaches zero the
 //!   artificials are frozen at `[0, 0]` and phase 2 runs with the true cost.
-//! * The basis is maintained behind a [`BasisEngine`]: by default a sparse
-//!   Markowitz LU factorization with a product-form eta file appended per
-//!   pivot, refactorized from scratch periodically (and whenever drift is
-//!   detected); the explicit dense inverse survives as the selectable
-//!   [`EngineKind::Dense`] oracle.
+//! * The basis is a sparse Markowitz LU factorization with a product-form
+//!   eta file appended per pivot, refactorized from scratch periodically
+//!   (and whenever drift is detected).
 //! * Pricing is devex by default (`Pricing::Devex`: candidate scores
 //!   `d_j²/w_j` with reference weights updated per pivot) over a
 //!   **candidate list** refilled incrementally from a rotating cursor:
@@ -51,7 +49,7 @@
 //!   [`crate::solve_robust`], which picks each attempt's refactorization
 //!   interval and whether it runs under Bland's rule.
 
-use crate::basis::{BasisEngine, DenseEngine, EngineKind, LuEngine};
+use crate::basis::{BasisEngine, LuEngine};
 use crate::error::LpError;
 use crate::model::{Cmp, Model, Sense};
 use crate::sparse::SparseCol;
@@ -144,10 +142,6 @@ pub struct SimplexOptions {
     /// Hard cap on simplex iterations (phases combined). `0` means automatic
     /// (`50 · (rows + cols) + 10_000`).
     pub max_iters: usize,
-    /// Basis representation. Defaults to the sparse LU engine; the dense
-    /// inverse remains selectable as a differential-testing oracle and is
-    /// what the Bland-safe rung of [`crate::solve_robust`] uses.
-    pub engine: EngineKind,
     /// Run the presolve/postsolve pass ([`crate::presolve`]) before a cold
     /// solve. On by default; callers that need the *unreduced* dual vector
     /// bit-for-bit (the Benders cut extraction) turn it off. Always skipped
@@ -158,11 +152,7 @@ pub struct SimplexOptions {
 
 impl Default for SimplexOptions {
     fn default() -> Self {
-        SimplexOptions {
-            max_iters: 0,
-            engine: EngineKind::default(),
-            presolve: true,
-        }
+        SimplexOptions { max_iters: 0, presolve: true }
     }
 }
 
@@ -1246,13 +1236,16 @@ fn solve_attempt_traced(
 
     let mut loan = SolveScratch::take();
     let SolveScratch { lu, bufs: scratch } = &mut loan.0;
-    let mut dense;
-    let engine: &mut dyn BasisEngine = match opts.engine {
-        EngineKind::SparseLu => lu,
-        EngineKind::Dense => {
-            dense = DenseEngine::new();
-            &mut dense
-        }
+    // Under `dense::with_dense_oracle`, tests run the attempt on the dense
+    // inverse instead.
+    #[cfg(test)]
+    let mut oracle;
+    #[cfg(test)]
+    let lu: &mut dyn BasisEngine = if crate::dense::oracle_selected() {
+        oracle = crate::dense::DenseEngine::new();
+        &mut oracle
+    } else {
+        lu
     };
     let mut w = Work {
         model,
@@ -1264,7 +1257,7 @@ fn solve_attempt_traced(
         cost2,
         basis: (n..n + m).collect(),
         status: Vec::new(),
-        engine,
+        engine: lu,
         xb: vec![0.0; m],
         rhs_scratch: Vec::with_capacity(m),
         pivots_since_refactor: 0,
@@ -1553,7 +1546,7 @@ fn initial_status(lb: f64, ub: f64, prefer: VarStatus) -> VarStatus {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use crate::model::{Model, Sense};
     use super::{Basis, Solution};
 
@@ -1991,7 +1984,7 @@ mod tests {
     /// Transportation LP: `s` sources with supplies, `s` sinks with
     /// demands, deterministic costs. With presolve off its basis has `2s`
     /// rows.
-    fn transport_lp(s: usize) -> Model {
+    pub(crate) fn transport_lp(s: usize) -> Model {
         let mut m = Model::new(Sense::Min);
         let cost = |i: usize, j: usize| ((i * 7 + j * 13) % 17 + 1) as f64;
         let x: Vec<Vec<_>> = (0..s)
@@ -2142,31 +2135,17 @@ mod tests {
         assert_close(s.value(y), 3.0);
     }
 
-    /// Solve on `opts.engine` alone: the ladder's rungs 3 and 4 switch to
-    /// the dense oracle, so no attempt may reach them.
-    fn solve_on(m: &Model, opts: &crate::SimplexOptions, warm: Option<&Basis>) -> Solution {
-        let out = crate::solve_robust(m, opts, warm);
-        assert!(
-            out.report.attempts.iter().all(|a| a.rung.on_caller_engine()),
-            "{:?} solve left its engine: {:?}",
-            opts.engine,
-            out.report.attempts
-        );
-        out.result.unwrap()
-    }
-
     #[test]
     fn dense_engine_remains_selectable() {
-        use crate::basis::EngineKind;
+        use crate::dense::tests::{solve_on, Engine};
         let mut m = Model::new(Sense::Max);
         let x = m.add_var("x", 0.0, f64::INFINITY, 3.0);
         let y = m.add_var("y", 0.0, f64::INFINITY, 5.0);
         m.add_row_le(&[(x, 1.0)], 4.0);
         m.add_row_le(&[(y, 2.0)], 12.0);
         m.add_row_le(&[(x, 3.0), (y, 2.0)], 18.0);
-        let opts = crate::SimplexOptions { engine: EngineKind::Dense, ..Default::default() };
-        let dense = solve_on(&m, &opts, None);
-        let lu = solve_on(&m, &crate::SimplexOptions::default(), None);
+        let dense = solve_on(&m, Engine::Dense, None).unwrap();
+        let lu = solve_on(&m, Engine::Lu, None).unwrap();
         assert_close(dense.objective, 36.0);
         assert!((dense.objective - lu.objective).abs() < 1e-9);
         for (a, b) in dense.x.iter().zip(lu.x.iter()) {
@@ -2181,18 +2160,16 @@ mod tests {
     fn warm_basis_transfers_between_engines() {
         // A basis snapshot is representation-free: a solve on one engine can
         // warm-start the other.
-        use crate::basis::EngineKind;
+        use crate::dense::tests::{solve_on, Engine};
         let mut m = Model::new(Sense::Max);
         let x = m.add_var("x", 0.0, f64::INFINITY, 3.0);
         let y = m.add_var("y", 0.0, f64::INFINITY, 5.0);
         m.add_row_le(&[(x, 1.0)], 4.0);
         let r2 = m.add_row_le(&[(y, 2.0)], 12.0);
         m.add_row_le(&[(x, 3.0), (y, 2.0)], 18.0);
-        let dense_opts =
-            crate::SimplexOptions { engine: EngineKind::Dense, ..Default::default() };
-        let s1 = solve_on(&m, &dense_opts, None);
+        let s1 = solve_on(&m, Engine::Dense, None).unwrap();
         m.set_rhs(r2, 11.0);
-        let s2 = solve_on(&m, &crate::SimplexOptions::default(), Some(&s1.basis));
+        let s2 = solve_on(&m, Engine::Lu, Some(&s1.basis)).unwrap();
         assert_close(s2.objective, 3.0 * (7.0 / 3.0) + 5.0 * 5.5);
         assert!(s2.iterations <= s1.iterations + 2);
     }

@@ -2,18 +2,12 @@
 //!
 //! The constraint matrix is stored column-major ([`ColMatrix`]) because the
 //! revised simplex method consumes columns: pricing needs `y · a_j` per
-//! column and FTRAN needs the entering column itself. Two basis
-//! representations live here:
-//!
-//! * [`DenseMat`] — an explicit dense inverse (Gauss–Jordan refactorization,
-//!   dense rank-1 eta updates). Simple, exact, O(m²) per pivot; kept as the
-//!   differential-testing oracle behind `basis::DenseEngine`.
-//! * [`LuFactors`] — a sparse LU factorization `P B Q = L U` with Markowitz
-//!   ordering and threshold partial pivoting, plus permuted sparse
-//!   triangular solves for FTRAN/BTRAN. This is the default engine: on the
-//!   hypersparse bases that the Flexile LPs produce the factor nnz stays
-//!   near the basis nnz, so refactorization and both solves run in roughly
-//!   O(nnz) instead of O(m²)/O(m³).
+//! column and FTRAN needs the entering column itself. The basis is held as
+//! [`LuFactors`] — a sparse LU factorization `P B Q = L U` with Markowitz
+//! ordering and threshold partial pivoting, plus permuted sparse triangular
+//! solves for FTRAN/BTRAN. On the hypersparse bases that the Flexile LPs
+//! produce the factor nnz stays near the basis nnz, so refactorization and
+//! both solves run in roughly O(nnz) instead of O(m²)/O(m³).
 //!
 //! Markowitz candidates come from count buckets (`ColCounts`): every
 //! active column sits in a bitset bucket for its active count, so the 8
@@ -84,15 +78,6 @@ impl SparseCol {
     pub fn iter(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
         self.rows.iter().zip(self.vals.iter()).map(|(&r, &v)| (r as usize, v))
     }
-
-    /// Sparse dot product with a dense vector.
-    pub fn dot(&self, dense: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for (r, v) in self.iter() {
-            acc += dense[r] * v;
-        }
-        acc
-    }
 }
 
 /// Column-major sparse matrix: one [`SparseCol`] per structural variable.
@@ -106,16 +91,6 @@ impl ColMatrix {
     /// Empty matrix with `nrows` rows and no columns.
     pub fn new(nrows: usize) -> Self {
         ColMatrix { cols: Vec::new(), nrows }
-    }
-
-    /// Number of rows.
-    pub fn nrows(&self) -> usize {
-        self.nrows
-    }
-
-    /// Number of columns.
-    pub fn ncols(&self) -> usize {
-        self.cols.len()
     }
 
     /// Grow the row dimension (existing columns keep their entries).
@@ -164,167 +139,6 @@ impl ColMatrix {
     /// Borrow a column.
     pub fn col(&self, j: usize) -> &SparseCol {
         &self.cols[j]
-    }
-
-    /// Total number of non-zeros.
-    pub fn nnz(&self) -> usize {
-        self.cols.iter().map(|c| c.nnz()).sum()
-    }
-}
-
-/// Dense square matrix stored row-major, used for the basis inverse.
-#[derive(Debug, Clone)]
-pub struct DenseMat {
-    /// Row-major data, length `n * n`.
-    pub data: Vec<f64>,
-    /// Dimension.
-    pub n: usize,
-}
-
-impl DenseMat {
-    /// Identity matrix of dimension `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut data = vec![0.0; n * n];
-        for i in 0..n {
-            data[i * n + i] = 1.0;
-        }
-        DenseMat { data, n }
-    }
-
-    /// Borrow row `i`.
-    #[inline]
-    pub fn row(&self, i: usize) -> &[f64] {
-        &self.data[i * self.n..(i + 1) * self.n]
-    }
-
-    /// Mutably borrow row `i`.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.data[i * self.n..(i + 1) * self.n]
-    }
-
-    /// `out = self * sparse_col` (FTRAN against a sparse column).
-    pub fn mul_sparse(&self, col: &SparseCol, out: &mut [f64]) {
-        out.iter_mut().for_each(|v| *v = 0.0);
-        let n = self.n;
-        for (r, v) in col.iter() {
-            // Column access of a row-major matrix: stride n.
-            let mut idx = r;
-            for o in out.iter_mut() {
-                *o += v * self.data[idx];
-                idx += n;
-            }
-        }
-    }
-
-    /// `out = vec^T * self` (BTRAN against a dense row vector).
-    pub fn pre_mul_dense(&self, vec: &[f64], out: &mut [f64]) {
-        out.iter_mut().for_each(|v| *v = 0.0);
-        for (i, &c) in vec.iter().enumerate() {
-            if c != 0.0 {
-                let row = self.row(i);
-                for (o, &r) in out.iter_mut().zip(row.iter()) {
-                    *o += c * r;
-                }
-            }
-        }
-    }
-
-    /// Gauss–Jordan inversion with partial pivoting, writing the inverse of
-    /// the matrix whose columns are provided by `col_of`. Returns `false` if
-    /// the matrix is numerically singular.
-    pub fn invert_from_columns<F>(&mut self, n: usize, mut col_of: F) -> bool
-    where
-        F: FnMut(usize, &mut [f64]),
-    {
-        // Build the dense matrix B (column j = col_of(j)) in `work`, and run
-        // Gauss–Jordan on [B | I], leaving the inverse in self.data.
-        self.n = n;
-        self.data.clear();
-        self.data.resize(n * n, 0.0);
-        for i in 0..n {
-            self.data[i * n + i] = 1.0;
-        }
-        let mut b = vec![0.0; n * n]; // row-major copy of B
-        let mut scratch = vec![0.0; n];
-        for j in 0..n {
-            scratch.iter_mut().for_each(|v| *v = 0.0);
-            col_of(j, &mut scratch);
-            for i in 0..n {
-                b[i * n + j] = scratch[i];
-            }
-        }
-        for k in 0..n {
-            // Partial pivot.
-            let mut piv = k;
-            let mut best = b[k * n + k].abs();
-            for i in (k + 1)..n {
-                let a = b[i * n + k].abs();
-                if a > best {
-                    best = a;
-                    piv = i;
-                }
-            }
-            if best < 1e-11 {
-                return false;
-            }
-            if piv != k {
-                for j in 0..n {
-                    b.swap(k * n + j, piv * n + j);
-                    self.data.swap(k * n + j, piv * n + j);
-                }
-            }
-            let d = b[k * n + k];
-            let inv = 1.0 / d;
-            for j in 0..n {
-                b[k * n + j] *= inv;
-                self.data[k * n + j] *= inv;
-            }
-            for i in 0..n {
-                if i == k {
-                    continue;
-                }
-                let f = b[i * n + k];
-                if f == 0.0 {
-                    continue;
-                }
-                for j in 0..n {
-                    b[i * n + j] -= f * b[k * n + j];
-                    self.data[i * n + j] -= f * self.data[k * n + j];
-                }
-            }
-        }
-        true
-    }
-
-    /// Eta update after a basis change: the entering column's FTRAN image is
-    /// `w` and the leaving basic position is `r`. Applies `E · self` where
-    /// `E` is the elementary matrix for the pivot.
-    pub fn eta_update(&mut self, w: &[f64], r: usize) {
-        let n = self.n;
-        let wr = w[r];
-        debug_assert!(wr.abs() > 1e-12);
-        let inv = 1.0 / wr;
-        // Row r := row r / w_r
-        for j in 0..n {
-            self.data[r * n + j] *= inv;
-        }
-        // Row i := row i - w_i * row r (i != r)
-        // Split borrows: copy row r (n is small enough that this is cheap).
-        let row_r: Vec<f64> = self.row(r).to_vec();
-        for i in 0..n {
-            if i == r {
-                continue;
-            }
-            let wi = w[i];
-            if wi == 0.0 {
-                continue;
-            }
-            let row_i = self.row_mut(i);
-            for (a, &b) in row_i.iter_mut().zip(row_r.iter()) {
-                *a -= wi * b;
-            }
-        }
     }
 }
 
@@ -545,11 +359,6 @@ pub struct LuFactors {
 }
 
 impl LuFactors {
-    /// Empty factorization (dimension 0).
-    pub fn new() -> Self {
-        LuFactors::default()
-    }
-
     /// Structural non-zeros in `L + U` (including the unit/diagonal entries).
     pub fn nnz(&self) -> usize {
         self.l_vals.len() + self.u_rvals.len() + 2 * self.m
@@ -905,63 +714,13 @@ impl LuFactors {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense::DenseMat;
 
     #[test]
     fn sparse_col_merges_duplicates_and_drops_zeros() {
         let c = SparseCol::from_entries(vec![(3, 1.0), (1, 2.0), (3, -1.0), (0, 5.0)]);
         let entries: Vec<_> = c.iter().collect();
         assert_eq!(entries, vec![(0, 5.0), (1, 2.0)]);
-    }
-
-    #[test]
-    fn sparse_dot() {
-        let c = SparseCol::from_entries(vec![(0, 2.0), (2, 3.0)]);
-        assert_eq!(c.dot(&[1.0, 10.0, 4.0]), 14.0);
-    }
-
-    #[test]
-    fn dense_invert_2x2() {
-        let mut m = DenseMat::identity(2);
-        // B = [[2, 1], [1, 1]]; inverse = [[1, -1], [-1, 2]]
-        let ok = m.invert_from_columns(2, |j, out| {
-            if j == 0 {
-                out[0] = 2.0;
-                out[1] = 1.0;
-            } else {
-                out[0] = 1.0;
-                out[1] = 1.0;
-            }
-        });
-        assert!(ok);
-        assert!((m.data[0] - 1.0).abs() < 1e-12);
-        assert!((m.data[1] + 1.0).abs() < 1e-12);
-        assert!((m.data[2] + 1.0).abs() < 1e-12);
-        assert!((m.data[3] - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dense_invert_singular_detected() {
-        let mut m = DenseMat::identity(2);
-        let ok = m.invert_from_columns(2, |_j, out| {
-            out[0] = 1.0;
-            out[1] = 1.0;
-        });
-        assert!(!ok);
-    }
-
-    #[test]
-    fn eta_update_matches_reinversion() {
-        // Start with B = I, replace column 1 with a = (1, 3)^T.
-        let mut m = DenseMat::identity(2);
-        let a = SparseCol::from_entries(vec![(0, 1.0), (1, 3.0)]);
-        let mut w = vec![0.0; 2];
-        m.mul_sparse(&a, &mut w);
-        m.eta_update(&w, 1);
-        // New basis = [e0, a]; inverse should satisfy inv * a = e1.
-        let mut img = vec![0.0; 2];
-        m.mul_sparse(&a, &mut img);
-        assert!((img[0] - 0.0).abs() < 1e-12);
-        assert!((img[1] - 1.0).abs() < 1e-12);
     }
 
     /// Deterministic pseudo-random sparse nonsingular matrix for LU tests:
@@ -990,7 +749,7 @@ mod tests {
     fn lu_ftran_btran_match_dense_inverse() {
         let m = 40;
         let cols = test_matrix(m, 7);
-        let mut lu = LuFactors::new();
+        let mut lu = LuFactors::default();
         assert!(lu.factorize(m, &mut |j, out| out.extend_from_slice(&cols[j])));
         let mut inv = DenseMat::identity(m);
         assert!(inv.invert_from_columns(m, |j, out| {
@@ -1026,7 +785,7 @@ mod tests {
     #[test]
     fn lu_identity_has_no_fill() {
         let m = 16;
-        let mut lu = LuFactors::new();
+        let mut lu = LuFactors::default();
         assert!(lu.factorize(m, &mut |j, out| out.push((j as u32, 1.0))));
         assert_eq!(lu.nnz(), 2 * m, "identity factors carry only diagonals");
         let mut scratch = vec![0.0; m];
@@ -1041,7 +800,7 @@ mod tests {
     fn lu_detects_singular_matrix() {
         // Duplicate columns: rank m−1.
         let m = 6;
-        let mut lu = LuFactors::new();
+        let mut lu = LuFactors::default();
         let ok = lu.factorize(m, &mut |j, out| {
             let jj = if j == m - 1 { 0 } else { j };
             out.push((jj as u32, 1.0));
@@ -1049,7 +808,7 @@ mod tests {
         });
         assert!(!ok, "rank-deficient matrix must be rejected");
         // An exactly-zero column as well.
-        let mut lu2 = LuFactors::new();
+        let mut lu2 = LuFactors::default();
         let ok2 = lu2.factorize(3, &mut |j, out| {
             if j != 1 {
                 out.push((j as u32, 1.0));
@@ -1096,7 +855,7 @@ mod tests {
                     out[r as usize] += v;
                 }
             });
-            let mut lu = LuFactors::new();
+            let mut lu = LuFactors::default();
             let ok_lu = lu.factorize(m, &mut |j, out| out.extend_from_slice(&cols[j]));
             assert_eq!(ok_dense, ok_lu, "singularity disagreement at seed {seed}");
             if !ok_dense {
@@ -1127,7 +886,7 @@ mod tests {
     fn lu_permuted_diagonal() {
         // A permutation matrix with mixed signs exercises the row/col perms.
         let m = 9;
-        let mut lu = LuFactors::new();
+        let mut lu = LuFactors::default();
         assert!(lu.factorize(m, &mut |j, out| {
             let r = (j + 4) % m;
             let s = if j % 2 == 0 { 1.0 } else { -2.0 };
@@ -1308,7 +1067,7 @@ mod tests {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut factored = 0;
         for (i, (singular, cols)) in golden_bases().iter().enumerate() {
-            let mut lu = LuFactors::new();
+            let mut lu = LuFactors::default();
             let ok = lu.factorize(cols.len(), &mut |j, out| out.extend_from_slice(&cols[j]));
             assert!(!(ok && *singular), "singular basis {i} factored");
             factored += usize::from(ok);
@@ -1401,11 +1160,11 @@ mod tests {
             (slack_basis(200, &mut g), None),
             (cancel_basis(12, &mut g), None),
         ];
-        let mut lu = LuFactors::new();
+        let mut lu = LuFactors::default();
         for (i, (cols, fails_at)) in sequence.iter().enumerate() {
             let m = cols.len();
             let ok = lu.factorize(m, &mut |j, out| out.extend_from_slice(&cols[j]));
-            let mut fresh = LuFactors::new();
+            let mut fresh = LuFactors::default();
             let ok_fresh = fresh.factorize(m, &mut |j, out| out.extend_from_slice(&cols[j]));
             assert_eq!(ok, fails_at.is_none(), "basis {i}");
             assert_eq!(snapshot(&lu, ok), snapshot(&fresh, ok_fresh), "basis {i}");
