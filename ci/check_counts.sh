@@ -50,7 +50,9 @@ counters='[
 
 # [workload, metric, ceiling]: the count must stay strictly below.
 ceilings='[
+  ["design_master", "lp.pivots.dual", 25000],
   ["design_master", "lp.pivots.phase1", 800],
+  ["design_master", "lp.refactorizations", 6500],
   ["design_master", "master.node_lps", 11782],
   ["design_restart", "lp.pivots.dual", 20000],
   ["design_restart", "lp.pivots.phase1", 1500],

@@ -2,8 +2,10 @@
 //!
 //! The simplex kernel only ever touches the basis through four linear-algebra
 //! primitives — FTRAN (`B⁻¹a`), BTRAN (`cᵀB⁻¹`), a rank-1 pivot update, and
-//! a from-scratch refactorization — so those four calls are the whole
-//! [`BasisEngine`] contract. Every solve runs on [`LuEngine`]: sparse
+//! a from-scratch refactorization — so those four calls are the core of the
+//! [`BasisEngine`] contract. Two more let a branch-and-bound child start
+//! from the factors its parent's solve ended on instead of refactorizing
+//! the same basis. Every solve runs on [`LuEngine`]: sparse
 //! Markowitz LU ([`LuFactors`]) plus a product-form **eta file**. Each pivot
 //! appends one sparse eta factor (`B_new = B_old · E`) instead of densely
 //! updating an inverse, and both solve directions replay the file around the
@@ -56,6 +58,21 @@ pub(crate) trait BasisEngine {
     /// is `w` and the leaving basic position is `r`, so `B_new = B · E` with
     /// `E = I` except column `r = w`. Fails if `|w[r]|` is degenerate.
     fn update(&mut self, w: &[f64], r: usize) -> Result<(), LpError>;
+
+    /// The factors of the current basis when they are exactly what a
+    /// refactorization of it would build (no eta factors since the last
+    /// one), so a later solve from the same basis can start from a copy.
+    /// `None` from an engine that does not share its factors.
+    fn fresh_factors(&self) -> Option<&LuFactors> {
+        None
+    }
+
+    /// Start from `f`, the [`Self::fresh_factors`] of this basis on the
+    /// same matrix, in place of a refactorization. `false` when the engine
+    /// cannot take them; the caller then refactorizes.
+    fn install(&mut self, _f: &LuFactors) -> bool {
+        false
+    }
 }
 
 pub(crate) fn singular() -> LpError {
@@ -212,6 +229,19 @@ impl BasisEngine for LuEngine {
         }
         self.etas.push(Eta { r: r as u32, wr, start, end });
         Ok(())
+    }
+
+    fn fresh_factors(&self) -> Option<&LuFactors> {
+        self.etas.is_empty().then_some(&self.lu)
+    }
+
+    fn install(&mut self, f: &LuFactors) -> bool {
+        self.etas.clear();
+        self.eta_entries.clear();
+        self.lu.copy_factors_from(f);
+        self.scratch.clear();
+        self.scratch.resize(f.dim(), 0.0);
+        true
     }
 }
 

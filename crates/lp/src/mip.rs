@@ -9,10 +9,18 @@
 //!   node carries its parent's optimal basis, shared by both children. A
 //!   branching bound change keeps that basis dual feasible, so the LP layer
 //!   repairs it with a dual restart, capped at about a cold solve's cost
-//!   (see [`crate::simplex`]). The cold solves are presolved: the root, and
-//!   the rounding heuristic, whose fixed integer columns presolve removes.
-//!   Warm nodes and dives are not, since their basis addresses the full
-//!   column space.
+//!   (see [`crate::simplex`]), without first scanning it for dual
+//!   feasibility. Three things make that restart cheap. It starts from a
+//!   copy of the LU factors the parent's solve ended on, kept for the
+//!   `CARRY_KEPT` most recently branched nodes, instead of refactorizing
+//!   the same basis. It stops as soon as its duals certify that the node's
+//!   optimum reaches the incumbent's pruning threshold, since such a node
+//!   is dropped whatever its optimum. And its pivot row is built over the
+//!   non-zeros of `e_r B⁻¹` only. None of them changes a returned
+//!   solution, so the search explores the same tree. The cold solves are
+//!   presolved: the root, and the rounding heuristic, whose fixed integer
+//!   columns presolve removes. Warm nodes and dives are not, since their
+//!   basis addresses the full column space.
 //! * **Incumbents.** Until one exists, a fix-and-resolve rounding heuristic
 //!   (a cold solve with every integer fixed) runs at shallow nodes. At the
 //!   root and every `DIVE_EVERY`th node a depth-first dive repeatedly fixes
@@ -27,15 +35,41 @@
 
 use crate::error::LpError;
 use crate::model::{Model, Sense, VarId};
-use crate::simplex::{Basis, SimplexOptions, Solution};
+use crate::simplex::{Basis, NodeLp, SimplexOptions, Solution};
+use crate::sparse::LuFactors;
 use crate::tol::INT_TOL;
+use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// A dive starts at the root and at every `DIVE_EVERY`th explored node.
 const DIVE_EVERY: usize = 50;
+
+/// Branched nodes whose final LU factors are kept for their children (see
+/// `Search::carry`). A child whose parent's factors were dropped
+/// refactorizes instead. Each factorization of a master basis is a few KB.
+const CARRY_KEPT: usize = 32;
+
+#[cfg(test)]
+thread_local! {
+    /// Test-only switch that turns the node cutoff and the carried factors
+    /// off, so tests can require the same search with and without them.
+    static NODE_SHORTCUTS_OFF: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// Test-only tally of warm node LPs: `(stopped at the cutoff, started
+    /// from carried factors)`, so tests can tell the shortcuts fired.
+    static SHORTCUTS_TAKEN: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
+}
+
+/// Whether node LPs stop at the cutoff and start from carried factors.
+fn node_shortcuts() -> bool {
+    #[cfg(test)]
+    if NODE_SHORTCUTS_OFF.with(|c| c.get()) {
+        return false;
+    }
+    true
+}
 
 /// Options for the branch-and-bound search.
 #[derive(Debug, Clone)]
@@ -93,11 +127,38 @@ pub struct MipResult {
 /// Bound override for an integer variable: `(var, lb, ub)`.
 type Fix = (VarId, f64, f64);
 
+/// A warm start: an optimal basis and, while its owner is among the last
+/// `CARRY_KEPT` branched nodes, the LU factors its solve ended on.
+struct Warm {
+    basis: Basis,
+    factors: RefCell<Option<Box<LuFactors>>>,
+}
+
+/// A solved relaxation: its point, objective and warm start.
+struct Relaxed {
+    x: Vec<f64>,
+    objective: f64,
+    warm: Warm,
+}
+
+impl Relaxed {
+    fn new(sol: Solution, factors: Option<Box<LuFactors>>) -> Self {
+        Relaxed {
+            x: sol.x,
+            objective: sol.objective,
+            warm: Warm {
+                basis: sol.basis,
+                factors: RefCell::new(factors),
+            },
+        }
+    }
+}
+
 struct Node {
     fixes: Vec<Fix>,
-    /// The parent's optimal basis, shared with the sibling; `None` at the
+    /// The parent's warm start, shared with the sibling; `None` at the
     /// root, which solves cold.
-    warm: Option<Rc<Basis>>,
+    warm: Option<Rc<Warm>>,
 }
 
 struct HeapEntry {
@@ -172,6 +233,14 @@ struct Search<'a> {
     start: Instant,
     /// Best integer point and its Min-form objective.
     incumbent: Option<(Vec<f64>, f64)>,
+    /// The branched nodes whose warm starts still hold factors, with
+    /// their children's bound, oldest first, at most `CARRY_KEPT`.
+    carried: VecDeque<(f64, Rc<Warm>)>,
+    /// Factor buffers to reuse. Boxed, like every kept `LuFactors`, so a
+    /// warm start without factors stays small and a buffer moves without
+    /// copying the factorization workspace held inline.
+    #[allow(clippy::vec_box)]
+    spares: Vec<Box<LuFactors>>,
 }
 
 impl Search<'_> {
@@ -183,12 +252,48 @@ impl Search<'_> {
         self.start.elapsed() >= self.opts.time_limit
     }
 
+    /// The Min-form bound at and above which a node cannot beat the
+    /// incumbent by more than the gap tolerances; `None` without one.
+    fn cutoff(&self) -> Option<f64> {
+        self.incumbent
+            .as_ref()
+            .map(|(_, inc)| inc - self.opts.abs_gap.max(self.opts.rel_gap * inc.abs()))
+    }
+
     /// Whether a relaxation bound (Min form) cannot beat the incumbent by
     /// more than the gap tolerances.
     fn dominated(&self, bound_min: f64) -> bool {
-        self.incumbent.as_ref().is_some_and(|(_, inc)| {
-            bound_min >= inc - self.opts.abs_gap.max(self.opts.rel_gap * inc.abs())
-        })
+        self.cutoff().is_some_and(|cut| bound_min >= cut)
+    }
+
+    /// Keep `warm`'s factors for its children, whose bound (Min form) is
+    /// `bound`. Past `CARRY_KEPT`, first drop the oldest kept factors that
+    /// no unexplored node shares any more, else those whose children have
+    /// the highest bound, which best-first search reaches last.
+    fn carry(&mut self, warm: &Rc<Warm>, bound: f64) {
+        if warm.factors.borrow().is_none() {
+            return;
+        }
+        if self.carried.len() == CARRY_KEPT {
+            let kept = &self.carried;
+            let at = kept
+                .iter()
+                .position(|(_, w)| Rc::strong_count(w) == 1)
+                .unwrap_or_else(|| {
+                    (1..kept.len()).fold(0, |k, i| if kept[i].0 > kept[k].0 { i } else { k })
+                });
+            if let Some((_, old)) = self.carried.remove(at) {
+                self.recycle(&old);
+            }
+        }
+        self.carried.push_back((bound, Rc::clone(warm)));
+    }
+
+    /// Take `warm`'s factors, if any, back as a spare buffer.
+    fn recycle(&mut self, warm: &Warm) {
+        if let Some(f) = warm.factors.borrow_mut().take() {
+            self.spares.push(f);
+        }
     }
 
     fn offer(&mut self, x: &[f64], obj_min: f64) {
@@ -209,13 +314,11 @@ impl Search<'_> {
             .map_or_else(|| self.work.bounds(v), |f| (f.1, f.2))
     }
 
-    /// Solve the relaxation under `fixes`, cold or warm from `basis`, then
-    /// restore the model's bounds. `None` means infeasible.
-    fn solve_lp(
-        &mut self,
-        fixes: &[Fix],
-        basis: Option<&Basis>,
-    ) -> Result<Option<Solution>, LpError> {
+    /// Solve the relaxation under `fixes`, cold or warm from `warm`, then
+    /// restore the model's bounds. `None` means infeasible, or (warm only)
+    /// that the relaxation's optimum certainly reaches the cutoff, so the
+    /// node is dominated.
+    fn solve_lp(&mut self, fixes: &[Fix], warm: Option<&Warm>) -> Result<Option<Relaxed>, LpError> {
         let saved: Vec<Fix> = fixes
             .iter()
             .map(|&(v, _, _)| {
@@ -226,20 +329,59 @@ impl Search<'_> {
         for &(v, l, u) in fixes {
             self.work.set_bounds(v, l, u);
         }
-        let opts = if basis.is_some() {
-            &self.warm
-        } else {
-            &self.cold
+        let res = match warm {
+            None => self
+                .work
+                .solve_with(&self.cold, None)
+                .map(|sol| Some(Relaxed::new(sol, None))),
+            Some(w) => self.solve_node(w),
         };
-        let res = self.work.solve_with(opts, basis);
         for &(v, l, u) in &saved {
             self.work.set_bounds(v, l, u);
         }
         match res {
-            Ok(sol) => Ok(Some(sol)),
             Err(LpError::Infeasible) => Ok(None),
-            Err(e) => Err(e),
+            res => res,
         }
+    }
+
+    /// The warm node LP under the model's current bounds: `None` when it
+    /// stopped at the cutoff, else the relaxation with the factors its
+    /// solve ended on.
+    fn solve_node(&mut self, warm: &Warm) -> Result<Option<Relaxed>, LpError> {
+        let on = node_shortcuts();
+        let factors = warm.factors.borrow();
+        let mut node = NodeLp {
+            cutoff: self.cutoff().filter(|_| on).unwrap_or(f64::INFINITY),
+            factors: factors.as_deref().filter(|_| on),
+            spare: self.spares.pop(),
+            carried: None,
+        };
+        let res = crate::robust::solve_node(&self.work, &self.warm, &warm.basis, &mut node);
+        if let Some(spare) = node.spare {
+            self.spares.push(spare);
+        }
+        let carried = node.carried.filter(|_| on);
+        #[cfg(test)]
+        SHORTCUTS_TAKEN.with(|t| {
+            let (cut, carry) = t.get();
+            let cut = cut + usize::from(matches!(res, Ok(None)));
+            t.set((cut, carry + usize::from(node.factors.is_some())));
+        });
+        #[cfg(test)]
+        if let Ok(None) = res {
+            // A cut-off node must be one the full solve drops too.
+            match self.work.solve_with(&self.warm, Some(&warm.basis)) {
+                Ok(sol) => assert!(
+                    self.dominated(self.to_min(sol.objective)),
+                    "cut off at {} but the optimum is {}",
+                    node.cutoff,
+                    self.to_min(sol.objective)
+                ),
+                Err(e) => assert_eq!(e, LpError::Infeasible, "cut-off node"),
+            }
+        }
+        Ok(res?.map(|sol| Relaxed::new(sol, carried)))
     }
 
     /// Rounding heuristic: fix every integer to its rounded relaxation value
@@ -264,9 +406,9 @@ impl Search<'_> {
     /// `fixes`: fix the most fractional integer to its nearest value within
     /// the current bounds and warm re-solve, until the point is integral,
     /// infeasible or dominated.
-    fn dive(&mut self, fixes: &[Fix], sol: &Solution) -> Result<(), LpError> {
+    fn dive(&mut self, fixes: &[Fix], sol: &Relaxed) -> Result<(), LpError> {
         let mut fixes = fixes.to_vec();
-        let mut last: Option<Solution> = None;
+        let mut last: Option<Relaxed> = None;
         loop {
             let cur = last.as_ref().unwrap_or(sol);
             let Some((v, val)) = most_fractional(&self.ints, &cur.x) else {
@@ -282,7 +424,7 @@ impl Search<'_> {
                 return Ok(());
             }
             set_fix(&mut fixes, v, r, r);
-            match self.solve_lp(&fixes, Some(&cur.basis))? {
+            match self.solve_lp(&fixes, Some(&cur.warm))? {
                 Some(next) if !self.dominated(self.to_min(next.objective)) => last = Some(next),
                 _ => return Ok(()),
             }
@@ -321,6 +463,8 @@ pub fn solve_mip(model: &Model, opts: &MipOptions) -> Result<MipResult, LpError>
         },
         start: Instant::now(),
         incumbent: None,
+        carried: VecDeque::with_capacity(CARRY_KEPT),
+        spares: Vec::new(),
     };
 
     let mut heap = BinaryHeap::new();
@@ -353,10 +497,12 @@ pub fn solve_mip(model: &Model, opts: &MipOptions) -> Result<MipResult, LpError>
         };
         let obj_min = s.to_min(sol.objective);
         if s.dominated(obj_min) {
+            s.recycle(&sol.warm);
             continue;
         }
         let Some((v, val)) = most_fractional(&s.ints, &sol.x) else {
             s.offer(&sol.x, obj_min);
+            s.recycle(&sol.warm);
             continue;
         };
         if node.fixes.len() <= 1 && s.incumbent.is_none() {
@@ -365,7 +511,8 @@ pub fn solve_mip(model: &Model, opts: &MipOptions) -> Result<MipResult, LpError>
         if nodes == 1 || nodes.is_multiple_of(DIVE_EVERY) {
             s.dive(&node.fixes, &sol)?;
         }
-        let warm = Rc::new(sol.basis);
+        let warm = Rc::new(sol.warm);
+        s.carry(&warm, obj_min);
         let (lo, hi) = s.bounds_under(&node.fixes, v);
         let floor = val.floor();
         for (lo, hi) in [(lo, floor), (floor + 1.0, hi)] {
@@ -587,6 +734,129 @@ mod tests {
             };
             assert_eq!(r.bound, trivial);
         }
+    }
+
+    /// Random small MIP: binaries, a few general integers and bounded
+    /// continuous columns under mixed rows, plus a penalty-like column
+    /// `t ∈ [0, ∞)` that the objective pushes down against `t ≥ ...` rows,
+    /// as in the decomposition master. The rows hold at a random point of
+    /// the box, so the relaxation is feasible; the MIP may not be.
+    fn random_mip(seed: u64) -> Model {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sense = if rng.random_range(0..2u32) == 0 {
+            Sense::Min
+        } else {
+            Sense::Max
+        };
+        let sign = if sense == Sense::Min { 1.0 } else { -1.0 };
+        let mut m = Model::new(sense);
+        let t = m.add_var("t", 0.0, f64::INFINITY, sign);
+        let mut vars = Vec::new();
+        let mut point = Vec::new();
+        for j in 0..rng.random_range(6..16usize) {
+            vars.push(m.add_binary(&format!("b{j}"), rng.random_range(-4.0..4.0)));
+            point.push(rng.random_range(0.0..1.0));
+        }
+        for j in 0..rng.random_range(0..3usize) {
+            let hi = rng.random_range(1..4u32) as f64;
+            let v = m.add_var(&format!("i{j}"), 0.0, hi, rng.random_range(-3.0..3.0));
+            m.set_integer(v);
+            vars.push(v);
+            point.push(rng.random_range(0.0..hi));
+        }
+        for j in 0..rng.random_range(0..3usize) {
+            let hi = rng.random_range(0.5..5.0);
+            vars.push(m.add_var(&format!("c{j}"), 0.0, hi, rng.random_range(-2.0..2.0)));
+            point.push(rng.random_range(0.0..hi));
+        }
+        let row = |rng: &mut StdRng| -> (Vec<(VarId, f64)>, f64) {
+            let mut coeffs = Vec::new();
+            let mut lhs = 0.0;
+            for (&v, &x) in vars.iter().zip(&point) {
+                if rng.random_range(0.0..1.0) < 0.5 {
+                    let a = (rng.random_range(-6..7i32) as f64) * 0.5;
+                    coeffs.push((v, a));
+                    lhs += a * x;
+                }
+            }
+            (coeffs, lhs)
+        };
+        for _ in 0..rng.random_range(2..6usize) {
+            let (coeffs, lhs) = row(&mut rng);
+            if rng.random_range(0..2u32) == 0 {
+                m.add_row_le(&coeffs, lhs + rng.random_range(0.0..1.0));
+            } else {
+                m.add_row_ge(&coeffs, lhs - rng.random_range(0.0..1.0));
+            }
+        }
+        for _ in 0..rng.random_range(1..4usize) {
+            // t ≥ c − a·x, written t + a·x ≥ c.
+            let (mut coeffs, lhs) = row(&mut rng);
+            coeffs.push((t, 1.0));
+            m.add_row_ge(&coeffs, lhs + rng.random_range(0.0..3.0));
+        }
+        m
+    }
+
+    /// Everything a search returns, floats as bits.
+    fn result_bits(
+        r: &Result<MipResult, LpError>,
+    ) -> Result<(MipStatus, Vec<u64>, u64, u64, usize), LpError> {
+        r.clone().map(|r| {
+            let x = r.x.iter().map(|v| v.to_bits()).collect();
+            (
+                r.status,
+                x,
+                r.objective.to_bits(),
+                r.bound.to_bits(),
+                r.nodes,
+            )
+        })
+    }
+
+    /// `f` with the node cutoff and the carried factors off.
+    fn without_shortcuts<T>(f: impl FnOnce() -> T) -> T {
+        NODE_SHORTCUTS_OFF.with(|c| c.set(true));
+        let out = f();
+        NODE_SHORTCUTS_OFF.with(|c| c.set(false));
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        /// The node cutoff and the carried factors change no result: the
+        /// same statuses, points, objectives, bounds and node counts to
+        /// the bit. (Every cut-off node is also re-solved in full, in
+        /// `Search::solve_node`, and must be dominated or infeasible.)
+        #[test]
+        fn node_shortcuts_keep_every_result(seed in 0u64..1_000_000) {
+            let m = random_mip(seed);
+            let on = solve_mip(&m, &MipOptions::default());
+            let off = without_shortcuts(|| solve_mip(&m, &MipOptions::default()));
+            proptest::prop_assert_eq!(result_bits(&on), result_bits(&off), "seed {}", seed);
+        }
+    }
+
+    #[test]
+    fn node_shortcuts_fire_on_random_mips() {
+        SHORTCUTS_TAKEN.with(|t| t.set((0, 0)));
+        for seed in 0..60 {
+            let m = random_mip(seed);
+            solve_mip(&m, &MipOptions::default()).expect("random MIP solves");
+        }
+        let (cut, carried) = SHORTCUTS_TAKEN.with(|t| t.get());
+        assert!(cut > 0, "no node stopped at the cutoff");
+        assert!(carried > 0, "no node started from carried factors");
+        SHORTCUTS_TAKEN.with(|t| t.set((0, 0)));
+        without_shortcuts(|| solve_mip(&random_mip(0), &MipOptions::default()).unwrap());
+        assert_eq!(
+            SHORTCUTS_TAKEN.with(|t| t.get()),
+            (0, 0),
+            "the switch turns both off"
+        );
     }
 
     #[test]

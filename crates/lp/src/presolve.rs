@@ -147,15 +147,8 @@ fn reduce(model: &Model) -> Result<Presolved, LpError> {
         Sense::Max => -1.0,
     };
 
-    // Row-major copy of the matrix (the model is column-major).
-    let mut rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); m];
-    for j in 0..n {
-        for (i, a) in model.cols.col(j).iter() {
-            if a != 0.0 {
-                rows[i].push((j as u32, a));
-            }
-        }
-    }
+    // The model is column-major; the reductions also walk rows.
+    let rows = model.cols.by_row();
 
     let mut tlb = model.lb.clone();
     let mut tub = model.ub.clone();
@@ -164,8 +157,9 @@ fn reduce(model: &Model) -> Result<Presolved, LpError> {
     let mut live_row = vec![true; m];
     let mut col_live = vec![0usize; n];
     let mut row_live = vec![0usize; m];
-    for (i, row) in rows.iter().enumerate() {
-        row_live[i] = row.len();
+    for (i, live) in row_live.iter_mut().enumerate() {
+        let row = rows.row(i);
+        *live = row.len();
         for &(j, _) in row {
             col_live[j as usize] += 1;
         }
@@ -243,7 +237,8 @@ fn reduce(model: &Model) -> Result<Presolved, LpError> {
                     return Ok(Presolved::Infeasible);
                 }
             } else if row_live[i] == 1 {
-                let &(jc, a) = rows[i]
+                let &(jc, a) = rows
+                    .row(i)
                     .iter()
                     .find(|&&(jc, _)| live_col[jc as usize])
                     .expect("live count says one column");
@@ -276,7 +271,7 @@ fn reduce(model: &Model) -> Result<Presolved, LpError> {
             live_row[i] = false;
             removed_rows += 1;
             changed = true;
-            for &(jc, _) in &rows[i] {
+            for &(jc, _) in rows.row(i) {
                 if live_col[jc as usize] {
                     col_live[jc as usize] -= 1;
                 }
@@ -291,7 +286,7 @@ fn reduce(model: &Model) -> Result<Presolved, LpError> {
             }
             let mut act_min = 0.0;
             let mut eligible = true;
-            for &(jc, a) in &rows[i] {
+            for &(jc, a) in rows.row(i) {
                 let j = jc as usize;
                 if !live_col[j] {
                     continue;
@@ -309,7 +304,7 @@ fn reduce(model: &Model) -> Result<Presolved, LpError> {
                 return Ok(Presolved::Infeasible);
             }
             let slack = (rhs[i] - act_min).max(0.0);
-            for &(jc, a) in &rows[i] {
+            for &(jc, a) in rows.row(i) {
                 let j = jc as usize;
                 if !live_col[j] {
                     continue;

@@ -20,7 +20,8 @@
 //!    bounds/RHS to break pathological degeneracy, then re-solve the
 //!    original warm from the perturbed basis. If even the clean-up solve
 //!    fails, the perturbed solution itself is returned (feasible for the
-//!    original up to the perturbation magnitude).
+//!    original up to the perturbation magnitude) and its attempt is marked
+//!    [`RungAttempt::perturbed`], so [`SolveReport::exact`] is false.
 //!
 //! Escalation happens only on retryable errors ([`LpError::Numerical`],
 //! [`LpError::IterationLimit`]); verdicts about the model itself
@@ -38,7 +39,7 @@
 
 use crate::error::LpError;
 use crate::model::Model;
-use crate::simplex::{attempt, Basis, Mode, SimplexOptions, Solution};
+use crate::simplex::{attempt, node_attempt, Basis, Mode, NodeLp, SimplexOptions, Solution};
 use std::time::Instant;
 
 /// Relative magnitude of the rung-4 bound/RHS jitter.
@@ -84,6 +85,10 @@ pub struct RungAttempt {
     pub iterations: usize,
     /// Wall-clock time the attempt took, success or not.
     pub elapsed: std::time::Duration,
+    /// The attempt answered with the perturbed model's solution (rung 4
+    /// when its clean-up re-solve failed): feasible for the original only
+    /// up to the perturbation magnitude, not an exact optimum.
+    pub perturbed: bool,
 }
 
 /// Audit trail of a [`solve_robust`] call.
@@ -97,6 +102,12 @@ impl SolveReport {
     /// The rung that produced the returned solution, if the solve succeeded.
     pub fn succeeded_rung(&self) -> Option<Rung> {
         self.attempts.iter().find(|a| a.error.is_none()).map(|a| a.rung)
+    }
+
+    /// Whether the solve answered with an exact optimum of the model it
+    /// was given: it succeeded, and not with a perturbed solution.
+    pub fn exact(&self) -> bool {
+        self.attempts.iter().any(|a| a.error.is_none() && !a.perturbed)
     }
 
     /// Whether the solve succeeded only after at least one failed attempt.
@@ -122,27 +133,24 @@ impl SolveReport {
 
     /// Record one attempt. With `quiet`, the `lp.rung` event is emitted
     /// only if the attempt escalates the solve or comes after one that did.
-    fn record(
-        &mut self,
-        quiet: bool,
-        rung: Rung,
-        error: Option<LpError>,
-        iterations: usize,
-        elapsed: std::time::Duration,
-    ) {
+    fn record(&mut self, quiet: bool, attempt: RungAttempt) {
+        let RungAttempt { rung, error, iterations, elapsed, perturbed } = &attempt;
         let escalates = error.as_ref().is_some_and(retryable);
-        if flexile_obs::enabled() && (!quiet || escalates || rung != Rung::Warm) {
+        if flexile_obs::enabled() && (!quiet || escalates || *rung != Rung::Warm) {
             let mut ev = flexile_obs::event("lp.rung", "lp")
                 .field("rung", rung.name())
                 .field("ok", error.is_none())
-                .field("iterations", iterations)
+                .field("iterations", *iterations)
                 .field("elapsed_us", elapsed.as_micros() as u64);
-            if let Some(e) = &error {
+            if let Some(e) = error {
                 ev = ev.field("error", e.to_string());
+            }
+            if *perturbed {
+                ev = ev.field("perturbed", true);
             }
             drop(ev); // recorded on drop
         }
-        self.attempts.push(RungAttempt { rung, error, iterations, elapsed });
+        self.attempts.push(attempt);
     }
 }
 
@@ -215,26 +223,55 @@ pub(crate) fn ladder(
     warm: Option<&Basis>,
     quiet: bool,
 ) -> RobustOutcome {
+    let (result, report) =
+        escalate(model, opts, quiet, |mode| attempt(model, opts, warm, mode).map(Some));
+    let result = result.map(|sol| sol.expect("only a node attempt stops at a cutoff"));
+    RobustOutcome { result, report }
+}
+
+/// A branch-and-bound node through the quiet ladder: rung 1 is the node's
+/// warm attempt ([`node_attempt`]), whose stop at the cutoff (`Ok(None)`)
+/// is a verdict like infeasibility and never escalates. The rescue rungs
+/// run as for any solve and carry no factors.
+pub(crate) fn solve_node(
+    model: &Model,
+    opts: &SimplexOptions,
+    warm: &Basis,
+    node: &mut NodeLp,
+) -> Result<Option<Solution>, LpError> {
+    escalate(model, opts, true, |mode| node_attempt(model, opts, warm, mode, node)).0
+}
+
+/// Run `first` as rung 1, then the rescue rungs while attempts fail with
+/// retryable errors. `Ok(None)` is rung 1's stop at a cutoff.
+fn escalate(
+    model: &Model,
+    opts: &SimplexOptions,
+    quiet: bool,
+    first: impl FnOnce(Mode) -> Result<Option<Solution>, LpError>,
+) -> (Result<Option<Solution>, LpError>, SolveReport) {
     let mut report = SolveReport::default();
+    let mut first = Some(first);
     let rungs = [
-        (Rung::Warm, warm, Mode::DEFAULT),
-        (Rung::ColdRefactor, None, Mode::SHORT_REFACTOR),
-        (Rung::BlandSafe, None, Mode::BLAND),
+        (Rung::Warm, Mode::DEFAULT),
+        (Rung::ColdRefactor, Mode::SHORT_REFACTOR),
+        (Rung::BlandSafe, Mode::BLAND),
     ];
-    for (rung, w, mode) in rungs {
+    for (rung, mode) in rungs {
         let t0 = Instant::now();
-        match attempt(model, opts, w, mode) {
-            Ok(sol) => {
-                report.record(quiet, rung, None, sol.iterations, t0.elapsed());
-                return RobustOutcome { result: Ok(sol), report };
-            }
-            Err(e) => {
-                let terminal = !retryable(&e);
-                report.record(quiet, rung, Some(e.clone()), 0, t0.elapsed());
-                if terminal {
-                    return RobustOutcome { result: Err(e), report };
-                }
-            }
+        let res = match first.take() {
+            Some(f) => f(mode),
+            None => attempt(model, opts, None, mode).map(Some),
+        };
+        let (error, iterations) = match &res {
+            Ok(sol) => (None, sol.as_ref().map_or(0, |s| s.iterations)),
+            Err(e) => (Some(e.clone()), 0),
+        };
+        let terminal = error.as_ref().is_none_or(|e| !retryable(e));
+        let elapsed = t0.elapsed();
+        report.record(quiet, RungAttempt { rung, error, iterations, elapsed, perturbed: false });
+        if terminal {
+            return (res, report);
         }
     }
 
@@ -242,34 +279,28 @@ pub(crate) fn ladder(
     // perturbed solve and the clean-up re-solve.
     let perturbed = perturbed_model(model, PERTURB);
     let t0 = Instant::now();
-    match attempt(&perturbed, opts, None, Mode::BLAND) {
+    let (res, error, iterations, perturbed) = match attempt(&perturbed, opts, None, Mode::BLAND) {
         Ok(psol) => {
             // Clean-up: re-solve the *original* model warm from the
             // perturbed basis; usually a handful of pivots.
             match attempt(model, opts, Some(&psol.basis), Mode::SHORT_REFACTOR) {
                 Ok(sol) => {
-                    report.record(
-                        quiet,
-                        Rung::Perturb,
-                        None,
-                        psol.iterations + sol.iterations,
-                        t0.elapsed(),
-                    );
-                    RobustOutcome { result: Ok(sol), report }
+                    let iterations = psol.iterations + sol.iterations;
+                    (Ok(Some(sol)), None, iterations, false)
                 }
+                // The perturbed solution is feasible for the original up
+                // to O(PERTURB); better than nothing, still Ok, but marked.
                 Err(_) => {
-                    // The perturbed solution is feasible for the original
-                    // up to O(PERTURB); better than nothing, still Ok.
-                    report.record(quiet, Rung::Perturb, None, psol.iterations, t0.elapsed());
-                    RobustOutcome { result: Ok(psol), report }
+                    let iterations = psol.iterations;
+                    (Ok(Some(psol)), None, iterations, true)
                 }
             }
         }
-        Err(e) => {
-            report.record(quiet, Rung::Perturb, Some(e.clone()), 0, t0.elapsed());
-            RobustOutcome { result: Err(e), report }
-        }
-    }
+        Err(e) => (Err(e.clone()), Some(e), 0, false),
+    };
+    let elapsed = t0.elapsed();
+    report.record(quiet, RungAttempt { rung: Rung::Perturb, error, iterations, elapsed, perturbed });
+    (res, report)
 }
 
 #[cfg(test)]
@@ -339,6 +370,27 @@ mod tests {
         assert!((sol.objective - 4.0).abs() < 1e-4);
         assert_eq!(out.report.succeeded_rung(), Some(Rung::Perturb));
         assert_eq!(out.report.errors().count(), 3);
+        assert!(out.report.exact(), "the clean-up re-solve answered");
+    }
+
+    #[test]
+    fn failed_cleanup_reports_the_perturbed_answer() {
+        // Rungs 1–3 fault, rung 4's perturbed solve (attempt 3) runs, and
+        // its clean-up re-solve (attempt 4) faults.
+        let m = small_model();
+        let inj = (0..3)
+            .fold(FaultInjector::new(), |inj, i| inj.at(i, FaultKind::Numerical))
+            .at(4, FaultKind::Numerical);
+        let (out, used) = fault::with_injector(inj, || {
+            solve_robust(&m, &SimplexOptions::default(), None)
+        });
+        assert_eq!(used.injected().len(), 4);
+        let sol = out.result.expect("the perturbed solution still answers");
+        assert!((sol.objective - 4.0).abs() < 1e-4);
+        assert_eq!(out.report.succeeded_rung(), Some(Rung::Perturb));
+        let last = out.report.attempts.last().expect("rung 4 recorded");
+        assert!(last.perturbed, "the answer is the perturbed model's");
+        assert!(!out.report.exact(), "a perturbed answer is not an exact one");
     }
 
     #[test]

@@ -32,7 +32,15 @@
 //! * The dual simplex uses a bound-flipping (long-step) ratio test: one
 //!   dual pivot may flip any number of doubly-bounded columns whose
 //!   breakpoints it crosses, which is what keeps RHS-only scenario
-//!   restarts to a handful of pivots.
+//!   restarts to a handful of pivots. Its pivot row `e_r B⁻¹ A` is summed
+//!   over the non-zeros of `e_r B⁻¹` only, from a row-major copy of the
+//!   matrix that the model keeps until its next structural edit, and its
+//!   breakpoints are popped lazily from a heap in the walk order. Both give
+//!   exactly the pivots a column-wise pass and a full sort give.
+//! * A branch-and-bound node's restart ([`crate::mip`]) may stop early:
+//!   once the dual objective, certified by the duals, reaches the
+//!   incumbent's pruning cutoff, the node is dropped whatever its optimum.
+//!   It also starts from the LU factors its parent's solve ended on.
 //! * Warm starts: [`Solution::basis`] can be fed back into
 //!   [`crate::Model::solve_with`] for a structurally identical model (same
 //!   variables and rows, possibly different RHS/bounds/objective). If the
@@ -52,7 +60,7 @@
 use crate::basis::{BasisEngine, LuEngine};
 use crate::error::LpError;
 use crate::model::{Cmp, Model, Sense};
-use crate::sparse::SparseCol;
+use crate::sparse::{LuFactors, SparseCol};
 use crate::tol::FEAS_TOL;
 use std::cell::RefCell;
 
@@ -63,6 +71,14 @@ const DUAL_TOL: f64 = 1e-7;
 const PIVOT_TOL: f64 = 5e-8;
 /// Consecutive degenerate pivots before switching to Bland's rule.
 const DEGEN_SWITCH: usize = 60;
+/// Reduced-cost sign violation that the cutoff certificate ([`dual_bound`])
+/// ignores on a column that can move without bound. Rounding in
+/// `y = c_B B⁻¹` leaves reduced costs of this size with either sign (on
+/// master LPs, ~10 such slacks per check, all below 1e-12); charged an
+/// infinite move, each would void the certificate. Ignoring one moves the
+/// bound by this much times the column's value at the optimum, far inside
+/// the certificate's 1e-9 relative margin.
+const CERT_NOISE: f64 = 1e-12;
 
 #[cfg(test)]
 thread_local! {
@@ -881,8 +897,83 @@ enum DualEnd {
     Feasible,
     /// Dual unbounded ⇒ the primal is infeasible.
     PrimalInfeasible,
+    /// The duals certify an optimum at or above the cutoff.
+    Cutoff,
     /// Budget exhausted.
     IterLimit,
+}
+
+/// `y = c_B B⁻¹` for the current basis, through the basic-cost buffer `cb`.
+fn btran_duals(w: &mut Work, cost: &[f64], cb: &mut [f64], y: &mut [f64]) {
+    for (i, &j) in w.basis.iter().enumerate() {
+        cb[i] = cost[j];
+    }
+    w.engine.btran(cb, y);
+}
+
+/// A dual ratio-test breakpoint. `Ord` is the reverse of the walk order —
+/// ratio ascending, ties broken toward the larger `|alpha|` (the more
+/// stable pivot), then the column index — so a max-heap pops breakpoints
+/// in walk order.
+#[derive(Clone, Copy)]
+struct Breakpoint {
+    ratio: f64,
+    col: u32,
+    alpha: f64,
+}
+
+impl Breakpoint {
+    fn walk_order(&self, other: &Self) -> std::cmp::Ordering {
+        use std::cmp::Ordering::Equal;
+        self.ratio
+            .partial_cmp(&other.ratio)
+            .unwrap_or(Equal)
+            .then_with(|| other.alpha.abs().partial_cmp(&self.alpha.abs()).unwrap_or(Equal))
+            .then(self.col.cmp(&other.col))
+    }
+}
+
+impl PartialEq for Breakpoint {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+impl Eq for Breakpoint {}
+impl PartialOrd for Breakpoint {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Breakpoint {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other.walk_order(self)
+    }
+}
+
+/// Lower bound on the optimum (min form) that the duals `y` of the current
+/// basis certify, whatever their dual feasibility: the basic solution's
+/// objective `obj` less, for every nonbasic column whose reduced cost has
+/// the wrong sign for its status, that violation times the column's range.
+/// `-∞` when such a range is infinite, unless the violation is at most
+/// [`CERT_NOISE`].
+fn dual_bound(w: &Work, cost: &[f64], y: &[f64], obj: f64) -> f64 {
+    let mut bound = obj;
+    for j in 0..w.ncols() {
+        let range = w.ub[j] - w.lb[j];
+        if w.status[j] == VarStatus::Basic || range <= 0.0 {
+            continue;
+        }
+        let d = cost[j] - w.col_dot(j, y);
+        let wrong = match w.status[j] {
+            VarStatus::AtLower => -d,
+            VarStatus::AtUpper => d,
+            _ => d.abs(),
+        };
+        if wrong > 0.0 && !(range.is_infinite() && wrong <= CERT_NOISE) {
+            bound -= wrong * range;
+        }
+    }
+    bound
 }
 
 /// Bounded-variable dual simplex: starting from a *dual-feasible* basis
@@ -893,21 +984,36 @@ enum DualEnd {
 /// reformulated subproblem changes only the RHS between scenarios, which
 /// preserves dual feasibility exactly, so re-solving is a handful of dual
 /// pivots instead of a cold two-phase run.
+///
+/// The basic solution's objective is the dual objective, which only rises
+/// from pivot to pivot. Once it reaches `cutoff` (min form; `∞` for none)
+/// by a relative margin, and [`dual_bound`] certifies the same, no optimum
+/// of this LP can fall below the cutoff and the phase stops there
+/// (`DualEnd::Cutoff`): a branch-and-bound node whose bound cannot beat the
+/// incumbent needs no optimum.
 fn run_dual_phase(
     w: &mut Work,
     cost: &[f64],
+    cutoff: f64,
     iter_budget: &mut usize,
     total_iters: &mut usize,
     refactor_every: usize,
     scratch: &mut Buffers,
 ) -> Result<DualEnd, LpError> {
+    debug_assert!(w.arts.is_empty(), "dual restarts run on structurals and slacks only");
     let m = w.m;
+    let ncols = w.ncols();
+    let cut_at = cutoff + 1e-9 * cutoff.abs().max(1.0);
     let mut y = scratch.grab(m);
     let mut cb = scratch.grab(m);
     let mut row = scratch.grab(m);
     let mut ftran = scratch.grab(m);
-    // Long-step ratio-test scratch, hoisted out of the pivot loop.
-    let mut bps: Vec<(f64, u32, f64)> = Vec::new(); // (ratio, col, alpha)
+    // Pivot-row and long-step ratio-test scratch, hoisted out of the loop.
+    // `alphas` is all zeros between pivots.
+    let mut alphas = scratch.grab(ncols);
+    let mut seen = vec![false; ncols];
+    let mut touched: Vec<u32> = Vec::new();
+    let mut bps: Vec<Breakpoint> = Vec::new();
     let mut flipped: Vec<usize> = Vec::new();
     let mut delta = scratch.grab(m);
     let mut ftd = scratch.grab(m);
@@ -916,6 +1022,19 @@ fn run_dual_phase(
     let result = (|| loop {
         if *iter_budget == 0 {
             return Ok(DualEnd::IterLimit);
+        }
+        // Reduced costs need y = c_B B⁻¹, and so does the cutoff's
+        // certificate. A stop at the cutoff is not a pivot.
+        let mut have_y = false;
+        if cutoff < f64::INFINITY {
+            let obj = w.objective_of(cost);
+            if obj >= cut_at {
+                btran_duals(w, cost, &mut cb, &mut y);
+                have_y = true;
+                if dual_bound(w, cost, &y, obj) >= cut_at {
+                    return Ok(DualEnd::Cutoff);
+                }
+            }
         }
         *iter_budget -= 1;
         *total_iters += 1;
@@ -938,12 +1057,11 @@ fn run_dual_phase(
             None => return Ok(DualEnd::Feasible),
         };
 
-        // Reduced costs need y = c_B B⁻¹; pivot row needs e_r B⁻¹ (a unit
-        // BTRAN, hypersparse under the LU engine).
-        for (i, &j) in w.basis.iter().enumerate() {
-            cb[i] = cost[j];
+        if !have_y {
+            btran_duals(w, cost, &mut cb, &mut y);
         }
-        w.engine.btran(&cb, &mut y);
+        // The pivot row needs ρ = e_r B⁻¹ (a unit BTRAN, hypersparse under
+        // the LU engine).
         w.engine.btran_unit(r, &mut row);
 
         // Long-step (bound-flipping) dual ratio test. The breakpoints are
@@ -957,19 +1075,43 @@ fn run_dual_phase(
         // One dual pivot thus crosses many breakpoints, which is what makes
         // the RHS-only scenario restarts cheap when many small bounded
         // columns sit between the old and the new optimum.
-        bps.clear();
-        for j in 0..w.ncols() {
-            if w.status[j] == VarStatus::Basic || w.ub[j] - w.lb[j] <= 0.0 {
+        //
+        // alpha_j = ρ · a_j is accumulated row by row over the non-zeros of
+        // ρ only, from the row-major copy of A. Each column's terms arrive
+        // in ascending row order, as a walk down the column adds them, and
+        // the skipped terms are exact zeros, so every alpha_j is
+        // bit-identical to the column-wise dot product.
+        let model: &Model = w.model;
+        let by_row = model.cols.by_row();
+        for (i, &ri) in row.iter().enumerate() {
+            if ri == 0.0 {
                 continue;
             }
-            let mut alpha = 0.0;
-            w.for_col(j, |rr, v| alpha += row[rr] * v);
+            let slack = (w.n + i) as u32;
+            for &(j, v) in by_row.row(i).iter().chain(std::iter::once(&(slack, 1.0))) {
+                let ju = j as usize;
+                if !seen[ju] {
+                    seen[ju] = true;
+                    touched.push(j);
+                }
+                alphas[ju] += ri * v;
+            }
+        }
+        bps.clear();
+        for &j in &touched {
+            let ju = j as usize;
+            let alpha = alphas[ju];
+            alphas[ju] = 0.0;
+            seen[ju] = false;
+            if w.status[ju] == VarStatus::Basic || w.ub[ju] - w.lb[ju] <= 0.0 {
+                continue;
+            }
             if alpha.abs() < PIVOT_TOL {
                 continue;
             }
             // xb_r changes by -dir_j · t · alpha_j when j moves by t ≥ 0 in
             // its feasible direction dir_j.
-            let eligible = match (w.status[j], below_lb) {
+            let eligible = match (w.status[ju], below_lb) {
                 // Need xb_r to increase.
                 (VarStatus::AtLower, true) => alpha < 0.0,
                 (VarStatus::AtUpper, true) => alpha > 0.0,
@@ -982,25 +1124,20 @@ fn run_dual_phase(
             if !eligible {
                 continue;
             }
-            let d = cost[j] - w.col_dot(j, &y);
-            bps.push(((d / alpha).abs(), j as u32, alpha));
+            let d = cost[ju] - w.col_dot(ju, &y);
+            bps.push(Breakpoint { ratio: (d / alpha).abs(), col: j, alpha });
         }
-        // Deterministic walk order: ratio ascending, near-ties broken toward
-        // the larger |alpha| (more stable pivot), then the column index.
-        bps.sort_unstable_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| {
-                    b.2.abs().partial_cmp(&a.2.abs()).unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .then(a.1.cmp(&b.1))
-        });
+        touched.clear();
+        // Walk the breakpoints in their deterministic order (see
+        // `Breakpoint`). The walk usually stops after a few, so a heap
+        // pops them lazily instead of sorting them all.
+        let mut heap = std::collections::BinaryHeap::from(std::mem::take(&mut bps));
         let target = if below_lb { w.lb[w.basis[r]] } else { w.ub[w.basis[r]] };
         let mut need_abs = (target - w.xb[r]).abs();
         let mut enter_q: Option<usize> = None;
         flipped.clear();
-        for &(_, cj, alpha) in bps.iter() {
-            let j = cj as usize;
+        while let Some(Breakpoint { col, alpha, .. }) = heap.pop() {
+            let j = col as usize;
             let range = w.ub[j] - w.lb[j];
             // A full flip of j moves xb_r by range · |alpha| in the
             // repairing direction; infinite for free / one-sided columns.
@@ -1013,6 +1150,7 @@ fn run_dual_phase(
                 break;
             }
         }
+        bps = heap.into_vec();
         let q = match enter_q {
             Some(q) => q,
             // No eligible column at all, or every one flipped with residual
@@ -1078,6 +1216,7 @@ fn run_dual_phase(
     scratch.put(cb);
     scratch.put(row);
     scratch.put(ftran);
+    scratch.put(alphas);
     scratch.put(delta);
     scratch.put(ftd);
     result
@@ -1122,9 +1261,8 @@ pub(crate) fn attempt(
 ) -> Result<Solution, LpError> {
     match warm {
         None => solve_cold(model, opts, mode, true),
-        Some(_) => {
-            solve_attempt_traced(model, opts, warm, mode, false, true).map(|(sol, _)| sol)
-        }
+        Some(_) => solved(solve_attempt_traced(model, opts, warm, mode, false, true, None))
+            .map(|(sol, _)| sol),
     }
 }
 
@@ -1135,7 +1273,45 @@ pub(crate) fn rhs_restart(
     opts: &SimplexOptions,
     warm: &Basis,
 ) -> Result<(Solution, RestartKind), LpError> {
-    solve_attempt_traced(model, opts, Some(warm), Mode::DEFAULT, true, true)
+    solved(solve_attempt_traced(model, opts, Some(warm), Mode::DEFAULT, true, true, None))
+}
+
+/// What a branch-and-bound node's warm attempt ([`node_attempt`]) takes
+/// and gives back beyond a plain warm solve.
+pub(crate) struct NodeLp<'a> {
+    /// Min-form objective at or above which the node is dominated; `∞`
+    /// for none. The dual phase stops once its duals certify an optimum
+    /// there.
+    pub cutoff: f64,
+    /// The factors the warm basis's own solve ended on
+    /// ([`BasisEngine::fresh_factors`]), on the same matrix: the attempt
+    /// starts from a copy instead of refactorizing that basis.
+    pub factors: Option<&'a LuFactors>,
+    /// A buffer for `carried` to reuse.
+    pub spare: Option<Box<LuFactors>>,
+    /// Set by a solved attempt: the factors of the basis it returns, for
+    /// that basis's own children.
+    pub carried: Option<Box<LuFactors>>,
+}
+
+/// A branch-and-bound node's warm attempt. Branching only tightens bounds,
+/// which keeps the parent's optimal basis dual feasible, so like
+/// [`rhs_restart`] it skips the dual-feasibility scan. `Ok(None)` when the
+/// dual phase stopped at `node.cutoff`.
+pub(crate) fn node_attempt(
+    model: &Model,
+    opts: &SimplexOptions,
+    warm: &Basis,
+    mode: Mode,
+    node: &mut NodeLp,
+) -> Result<Option<Solution>, LpError> {
+    solve_attempt_traced(model, opts, Some(warm), mode, true, true, Some(node))
+        .map(|end| end.map(|(sol, _)| sol))
+}
+
+/// The result of an attempt that has no cutoff.
+fn solved<T>(end: Result<Option<T>, LpError>) -> Result<T, LpError> {
+    end.map(|sol| sol.expect("only a node attempt has a cutoff to stop at"))
 }
 
 /// One cold attempt: presolve when enabled, then the two-phase simplex from
@@ -1169,17 +1345,21 @@ pub(crate) fn solve_reduced(
     mode: Mode,
     poll: bool,
 ) -> Result<Solution, LpError> {
-    solve_attempt_traced(model, opts, None, mode, false, poll).map(|(sol, _)| sol)
+    solved(solve_attempt_traced(model, opts, None, mode, false, poll, None)).map(|(sol, _)| sol)
 }
 
+/// One attempt. `dual_kept`: the caller asserts that `warm` is still dual
+/// feasible, so the scan that checks it is skipped. `Ok(None)` only for a
+/// `node` attempt that stopped at its cutoff.
 fn solve_attempt_traced(
     model: &Model,
     opts: &SimplexOptions,
     warm: Option<&Basis>,
     mode: Mode,
-    rhs_only: bool,
+    dual_kept: bool,
     poll: bool,
-) -> Result<(Solution, RestartKind), LpError> {
+    node: Option<&mut NodeLp>,
+) -> Result<Option<(Solution, RestartKind)>, LpError> {
     let refactor_every = mode.refactor_every;
     if poll {
         if let Some(kind) = crate::fault::poll() {
@@ -1288,22 +1468,32 @@ fn solve_attempt_traced(
                 }
                 w.status[j] = initial_status(w.lb[j], w.ub[j], w.status[j]);
             }
-            if w.refactorize().is_ok() {
+            let opened = match node.as_ref().and_then(|nd| nd.factors) {
+                Some(f) if w.engine.install(f) => {
+                    debug_assert_eq!(f.dim(), m, "carried factors of another basis");
+                    w.pivots_since_refactor = 0;
+                    w.recompute_xb();
+                    Ok(())
+                }
+                _ => w.refactorize(),
+            };
+            if opened.is_ok() {
                 if w.primal_infeas() <= 1e-6 {
                     warm_ok = true;
                     restart_kind = RestartKind::PrimalWarm;
                 } else {
                     // RHS/bound changes broke primal feasibility. If the
                     // basis is still dual feasible (always true when only
-                    // the RHS changed — the cross-scenario case, which the
-                    // caller can assert via `rhs_only` to skip the scan),
+                    // the RHS changed — the cross-scenario case — or when
+                    // bounds only tightened, as in branch and bound; the
+                    // caller asserts it via `dual_kept` to skip the scan),
                     // restore feasibility with dual-simplex pivots.
                     let cost_now = {
                         let mut c = w.cost2.clone();
                         c.resize(w.ncols(), 0.0);
                         c
                     };
-                    if rhs_only || dual_feasible(&mut w, &cost_now, scratch) {
+                    if dual_kept || dual_feasible(&mut w, &cost_now, scratch) {
                         flexile_obs::add("lp.dual_restarts", 1);
                         let dual_from = total_iters;
                         // The repair runs under the restart cap; whatever it
@@ -1314,6 +1504,7 @@ fn solve_attempt_traced(
                         let end = run_dual_phase(
                             &mut w,
                             &cost_now,
+                            node.as_ref().map_or(f64::INFINITY, |nd| nd.cutoff),
                             &mut dual_budget,
                             &mut total_iters,
                             refactor_every,
@@ -1327,6 +1518,13 @@ fn solve_attempt_traced(
                                 restart_kind = RestartKind::DualRestart;
                             }
                             Ok(DualEnd::PrimalInfeasible) => return Err(LpError::Infeasible),
+                            Ok(DualEnd::Cutoff) => {
+                                flexile_obs::add("lp.pivots.dual", spent as u64);
+                                flexile_obs::add("lp.warm.hit", 1);
+                                flexile_obs::add("lp.cutoffs", 1);
+                                solve_span.set("iterations", total_iters);
+                                return Ok(None);
+                            }
                             Ok(DualEnd::IterLimit) if capped => {
                                 // Runaway repair: drop the basis and finish
                                 // with the cold solve `solve` would run.
@@ -1337,7 +1535,7 @@ fn solve_attempt_traced(
                                 drop(solve_span);
                                 let mut sol = solve_cold(model, opts, mode, false)?;
                                 sol.iterations += spent;
-                                return Ok((sol, RestartKind::Cold));
+                                return Ok(Some((sol, RestartKind::Cold)));
                             }
                             Ok(DualEnd::IterLimit) => {}
                             Err(_) => {} // fall back to a cold start
@@ -1510,6 +1708,14 @@ fn solve_attempt_traced(
         y.iter_mut().for_each(|v| *v = -*v);
     }
 
+    if let Some(nd) = node {
+        nd.carried = w.engine.fresh_factors().map(|f| {
+            let mut kept = nd.spare.take().unwrap_or_default();
+            kept.copy_factors_from(f);
+            kept
+        });
+    }
+
     flexile_obs::observe("lp.solve_us", solve_span.elapsed_us() as f64);
     solve_span.set("iterations", total_iters);
     let objective = model.eval_objective(&x);
@@ -1517,7 +1723,7 @@ fn solve_attempt_traced(
         basis: w.basis.clone(),
         status: w.status[..n + m].to_vec(),
     };
-    Ok((
+    Ok(Some((
         Solution {
             status: SolveStatus::Optimal,
             x,
@@ -1527,7 +1733,7 @@ fn solve_attempt_traced(
             basis,
         },
         restart_kind,
-    ))
+    )))
 }
 
 fn initial_status(lb: f64, ub: f64, prefer: VarStatus) -> VarStatus {
@@ -2096,6 +2302,36 @@ pub(crate) mod tests {
         assert_eq!(capped.iterations, free.iterations);
         assert_eq!(bits(&capped.x), bits(&free.x));
         assert_eq!(capped.basis.fingerprint(), free.basis.fingerprint());
+    }
+
+    #[test]
+    fn breakpoint_heap_pops_in_walk_order() {
+        // Ratios and |alpha| drawn from a few values, so exact ties on both
+        // (and alphas of either sign) are common: the heap must pop the
+        // breakpoints in exactly the order a sort by the walk order gives.
+        use super::Breakpoint;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(3);
+        for round in 0..200 {
+            let k = rng.random_range(0..40usize);
+            let mut cols: Vec<u32> = (0..k as u32 * 3).collect();
+            let bps: Vec<Breakpoint> = (0..k)
+                .map(|_| {
+                    let col = cols.swap_remove(rng.random_range(0..cols.len()));
+                    let ratio = [0.0, 0.5, 1.0, 2.5][rng.random_range(0..4usize)];
+                    let alpha = [-2.0, -1.0, 1.0, 2.0, 1e-3][rng.random_range(0..5usize)];
+                    Breakpoint { ratio, col, alpha }
+                })
+                .collect();
+            let key = |b: &Breakpoint| (b.ratio.to_bits(), b.col, b.alpha.to_bits());
+            let mut sorted = bps.clone();
+            sorted.sort_unstable_by(|a, b| a.walk_order(b));
+            let mut heap = std::collections::BinaryHeap::from(bps);
+            let popped: Vec<_> = std::iter::from_fn(|| heap.pop()).map(|b| key(&b)).collect();
+            let want: Vec<_> = sorted.iter().map(key).collect();
+            assert_eq!(popped, want, "round {round}");
+        }
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //! (`LuWork`) is owned by the [`LuFactors`], cleared rather than
 //! reallocated per basis, and handed back clean however a call ends.
 
+use std::sync::OnceLock;
+
 /// Column supplier used by factorization: `col_of(j, out)` pushes the
 /// `(row, value)` entries of column `j` into `out` (already cleared).
 pub type ColSource<'a> = dyn FnMut(usize, &mut Vec<(u32, f64)>) + 'a;
@@ -80,28 +82,32 @@ impl SparseCol {
     }
 }
 
-/// Column-major sparse matrix: one [`SparseCol`] per structural variable.
+/// Column-major sparse matrix: one [`SparseCol`] per structural variable,
+/// with a row-major copy built on first use and dropped by every edit.
 #[derive(Debug, Clone, Default)]
 pub struct ColMatrix {
     cols: Vec<SparseCol>,
     nrows: usize,
+    by_row: OnceLock<RowMatrix>,
 }
 
 impl ColMatrix {
     /// Empty matrix with `nrows` rows and no columns.
     pub fn new(nrows: usize) -> Self {
-        ColMatrix { cols: Vec::new(), nrows }
+        ColMatrix { cols: Vec::new(), nrows, by_row: OnceLock::new() }
     }
 
     /// Grow the row dimension (existing columns keep their entries).
     pub fn grow_rows(&mut self, nrows: usize) {
         debug_assert!(nrows >= self.nrows);
+        self.by_row.take();
         self.nrows = nrows;
     }
 
     /// Append a column, returning its index.
     pub fn push_col(&mut self, col: SparseCol) -> usize {
         debug_assert!(col.rows.iter().all(|&r| (r as usize) < self.nrows));
+        self.by_row.take();
         self.cols.push(col);
         self.cols.len() - 1
     }
@@ -112,6 +118,7 @@ impl ColMatrix {
             return;
         }
         debug_assert!(row < self.nrows);
+        self.by_row.take();
         let c = &mut self.cols[col];
         // Fast path: append in row order (typical when building row by row).
         match c.rows.last() {
@@ -139,6 +146,55 @@ impl ColMatrix {
     /// Borrow a column.
     pub fn col(&self, j: usize) -> &SparseCol {
         &self.cols[j]
+    }
+
+    /// The row-major copy, built on the first call after an edit.
+    pub fn by_row(&self) -> &RowMatrix {
+        self.by_row.get_or_init(|| RowMatrix::of(self))
+    }
+}
+
+/// Row-major copy of a [`ColMatrix`]: row `i` lists its non-zero
+/// `(column, value)` entries in ascending column order, so a sum over a
+/// row's entries adds its terms in the same order as the matching column
+/// walks would.
+#[derive(Debug, Clone)]
+pub struct RowMatrix {
+    start: Vec<usize>,
+    entries: Vec<(u32, f64)>,
+}
+
+impl RowMatrix {
+    fn of(a: &ColMatrix) -> Self {
+        let mut start = vec![0usize; a.nrows + 1];
+        for col in &a.cols {
+            for (&r, &v) in col.rows.iter().zip(&col.vals) {
+                if v != 0.0 {
+                    start[r as usize + 1] += 1;
+                }
+            }
+        }
+        for i in 0..a.nrows {
+            start[i + 1] += start[i];
+        }
+        // `start[i]` serves as row i's fill cursor, then shifts back.
+        let mut entries = vec![(0u32, 0.0); start[a.nrows]];
+        for (j, col) in a.cols.iter().enumerate() {
+            for (&r, &v) in col.rows.iter().zip(&col.vals) {
+                if v != 0.0 {
+                    entries[start[r as usize]] = (j as u32, v);
+                    start[r as usize] += 1;
+                }
+            }
+        }
+        start.copy_within(0..a.nrows, 1);
+        start[0] = 0;
+        RowMatrix { start, entries }
+    }
+
+    /// Row `i`'s non-zero `(column, value)` entries, columns ascending.
+    pub fn row(&self, i: usize) -> &[(u32, f64)] {
+        &self.entries[self.start[i]..self.start[i + 1]]
     }
 }
 
@@ -362,6 +418,30 @@ impl LuFactors {
     /// Structural non-zeros in `L + U` (including the unit/diagonal entries).
     pub fn nnz(&self) -> usize {
         self.l_vals.len() + self.u_rvals.len() + 2 * self.m
+    }
+
+    /// Make `self` hold `src`'s factors, reusing `self`'s buffers. The
+    /// elimination workspace is not copied: it holds no state between
+    /// factorizations, so the copy solves exactly as `src` does.
+    pub fn copy_factors_from(&mut self, src: &LuFactors) {
+        self.m = src.m;
+        self.l_colptr.clone_from(&src.l_colptr);
+        self.l_rows.clone_from(&src.l_rows);
+        self.l_vals.clone_from(&src.l_vals);
+        self.u_diag.clone_from(&src.u_diag);
+        self.u_rowptr.clone_from(&src.u_rowptr);
+        self.u_cols.clone_from(&src.u_cols);
+        self.u_rvals.clone_from(&src.u_rvals);
+        self.u_colptr.clone_from(&src.u_colptr);
+        self.u_rows.clone_from(&src.u_rows);
+        self.u_cvals.clone_from(&src.u_cvals);
+        self.rowperm.clone_from(&src.rowperm);
+        self.colperm.clone_from(&src.colperm);
+    }
+
+    /// Order of the factored basis.
+    pub fn dim(&self) -> usize {
+        self.m
     }
 
     /// Factorize the `m × m` matrix whose column `j` is supplied by
@@ -1177,6 +1257,64 @@ mod tests {
             assert!(!ws.mark.contains(&true), "basis {i}: mark");
             assert!(ws.cols.is_clear(), "basis {i}: count buckets");
         }
+    }
+
+    #[test]
+    fn row_copy_sums_match_column_dots_bitwise() {
+        // alpha_j = ρ·a_j summed row by row over the non-zeros of ρ must
+        // equal the column walk to the bit: out-of-order inserts, merged
+        // duplicates that cancel to an explicit zero, ±0 entries of ρ.
+        let mut g = Lcg::new(17);
+        for round in 0..50 {
+            let (m, n) = (1 + g.below(30), 1 + g.below(40));
+            let mut a = ColMatrix::new(m);
+            for _ in 0..n {
+                a.push_col(SparseCol::default());
+            }
+            for _ in 0..3 * n {
+                let (r, j) = (g.below(m), g.below(n));
+                let v = (g.f() - 0.5) * 8.0;
+                a.add_entry(r, j, v);
+                if g.f() < 0.1 {
+                    a.add_entry(r, j, -v);
+                }
+            }
+            let rho: Vec<f64> = (0..m)
+                .map(|_| match g.below(4) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => (g.f() - 0.5) * 1e3,
+                })
+                .collect();
+            let mut by_row = vec![0.0; n];
+            for (i, &ri) in rho.iter().enumerate() {
+                if ri != 0.0 {
+                    for &(j, v) in a.by_row().row(i) {
+                        by_row[j as usize] += ri * v;
+                    }
+                }
+            }
+            for (j, &got) in by_row.iter().enumerate() {
+                let mut want = 0.0;
+                for (r, v) in a.col(j).iter() {
+                    want += rho[r] * v;
+                }
+                assert_eq!(got.to_bits(), want.to_bits(), "round {round} column {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_edit_drops_the_row_copy() {
+        let mut a = ColMatrix::new(2);
+        let j = a.push_col(SparseCol::default());
+        a.add_entry(1, j, 2.0);
+        assert_eq!(a.by_row().row(1), &[(0, 2.0)]);
+        a.add_entry(0, j, 3.0);
+        assert_eq!(a.by_row().row(0), &[(0, 3.0)]);
+        let k = a.push_col(SparseCol::default());
+        a.add_entry(1, k, -1.0);
+        assert_eq!(a.by_row().row(1), &[(0, 2.0), (1, -1.0)]);
     }
 
     #[test]
